@@ -4,7 +4,9 @@ The privacy auditor does not reuse the analysis that motivated the
 probability table; it enumerates every row of every demand set's plan table
 and tallies, per server position, the exact probability of each query
 support.  Privacy holds iff those distributions are identical (rational
-equality, not approximate) across all C(K, D) demand sets.
+equality, not approximate) across all C(K, D) demand sets.  The tallies are
+integers over the probability table's common denominator, so the equality is
+exact without building a Fraction per row.
 """
 from __future__ import annotations
 
@@ -18,10 +20,11 @@ from typing import Iterable
 
 from . import gf, plan
 from .params import Params, binomial, lj_mj
-from .prob import ProbTable, build_prob_table, expected_download_factor
+from .prob import ProbTable, build_prob_table, common_denominator, expected_download_factor
 from .protocol import MessageStore, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
+SupportTally = dict[frozenset[int], int]
 
 
 def _column_support_counts(
@@ -29,11 +32,12 @@ def _column_support_counts(
 ) -> dict[tuple[int, int], dict[frozenset[int], list[int]]]:
     """Per (i, j): how often each support shows up in each of the N columns."""
     comp = plan.complement(params, W)
+    n_cols = params.N
     counts: dict[tuple[int, int], dict[frozenset[int], list[int]]] = {}
     for i in range(params.K - params.D + 1):
         for j in range(1, params.D + 1):
             per_support: dict[frozenset[int], list[int]] = defaultdict(
-                lambda: [0] * params.N
+                lambda: [0] * n_cols
             )
             collection = plan.choose_T_collection(params, W, j)
             shifted = [
@@ -50,23 +54,45 @@ def _column_support_counts(
     return counts
 
 
-def _distribution_from_counts(
-    params: Params,
-    prob: ProbTable,
+def _support_tally(
     counts: dict[tuple[int, int], dict[frozenset[int], list[int]]],
+    nums: tuple[tuple[int, ...], ...],
     server_n: int,
     permute: bool,
-) -> SupportDistribution:
-    dist: SupportDistribution = defaultdict(Fraction)
+) -> SupportTally:
+    # Support probabilities times the scale N*den (permute) or den (no
+    # permute), where P[i][j-1] == nums[i][j-1] / den: exact integers.
+    tally: SupportTally = defaultdict(int)
     for (i, j), per_support in counts.items():
-        p = prob.P[i][j - 1]
-        if p == 0:
+        num = nums[i][j - 1]
+        if num == 0:
             continue
         for sup, by_col in per_support.items():
-            weight = sum(by_col) * p / params.N if permute else by_col[server_n - 1] * p
+            weight = (sum(by_col) if permute else by_col[server_n - 1]) * num
             if weight:
-                dist[sup] += weight
-    return dict(dist)
+                tally[sup] += weight
+    # A plain dict: set() presizes from an exact dict, which fixes the order
+    # that _differences, and so the violation list, visits supports in.
+    return dict(tally)
+
+
+def _differences(ref: dict, cur: dict) -> tuple[list[tuple], int | Fraction]:
+    """The (key, ref value, cur value) entries where two exact distributions
+    differ, and the sum of |ref - cur| over all keys.
+
+    Works alike on Fraction distributions and on integer tallies that share
+    one scale; half the sum is the total-variation distance (over the scale).
+    """
+    diffs = []
+    abs_sum = 0
+    if ref == cur:
+        return diffs, abs_sum
+    for key in set(ref) | set(cur):
+        a, b = ref.get(key, 0), cur.get(key, 0)
+        if a != b:
+            diffs.append((key, a, b))
+            abs_sum += abs(a - b)
+    return diffs, abs_sum
 
 
 def support_distribution(
@@ -87,8 +113,10 @@ def support_distribution(
     w = plan.as_demand(params, W)
     if not 1 <= server_n <= params.N:
         raise ValueError(f"server position must be in [1, {params.N}]")
-    counts = _column_support_counts(params, w)
-    return _distribution_from_counts(params, prob, counts, server_n, permute)
+    den, nums = common_denominator(prob)
+    scale = params.N * den if permute else den
+    tally = _support_tally(_column_support_counts(params, w), nums, server_n, permute)
+    return {sup: Fraction(v, scale) for sup, v in tally.items()}
 
 
 @dataclass(frozen=True)
@@ -118,41 +146,47 @@ def privacy_check(
     Reports the maximum total-variation distance between any demand set's
     distribution and the reference (first) demand set, per server position.
     A correct construction yields distance exactly 0; any nonzero entry is
-    returned as a violation.
+    returned as a violation.  Distributions are compared as integer tallies
+    over one common scale, which is exact equality of the probabilities.
     """
     if prob is None:
         prob = build_prob_table(params)
+    den, nums = common_denominator(prob)
+    scale = params.N * den if permute else den
+    # Under the uniform permutation every server position sees the same
+    # distribution, so one tally per demand stands for all N positions.
+    positions = 1 if permute else params.N
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
-    reference: list[SupportDistribution] | None = None
+    reference: list[SupportTally] | None = None
     w_ref: tuple[int, ...] = demands[0]
-    max_tv = Fraction(0)
+    max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands:
         counts = _column_support_counts(params, w)
-        dists = [
-            _distribution_from_counts(params, prob, counts, n, permute)
-            for n in range(1, params.N + 1)
+        tallies = [
+            _support_tally(counts, nums, n, permute) for n in range(1, positions + 1)
         ]
         if reference is None:
-            reference = dists
+            reference = tallies
             continue
-        for n, (ref, cur) in enumerate(zip(reference, dists), start=1):
-            tv = Fraction(0)
-            for sup in set(ref) | set(cur):
-                p_ref = ref.get(sup, Fraction(0))
-                p = cur.get(sup, Fraction(0))
-                if p_ref != p:
-                    violations.append(
-                        PrivacyViolation(
-                            W_ref=w_ref, W=w, server_n=n, support=sup, p_ref=p_ref, p=p
-                        )
-                    )
-                tv += abs(p_ref - p)
-            max_tv = max(max_tv, tv / 2)
+        compared = [_differences(ref, cur) for ref, cur in zip(reference, tallies)]
+        for n, (diffs, abs_sum) in enumerate(compared * (params.N // positions), start=1):
+            violations.extend(
+                PrivacyViolation(
+                    W_ref=w_ref,
+                    W=w,
+                    server_n=n,
+                    support=sup,
+                    p_ref=Fraction(v_ref, scale),
+                    p=Fraction(v, scale),
+                )
+                for sup, v_ref, v in diffs
+            )
+            max_abs_sum = max(max_abs_sum, abs_sum)
     return PrivacyReport(
         params=params,
         passed=not violations,
-        max_tv_distance=max_tv,
+        max_tv_distance=Fraction(max_abs_sum, 2 * scale),
         demands_checked=len(demands),
         violations=tuple(violations),
     )
@@ -262,8 +296,7 @@ def coefficient_privacy_check(
         prob = build_prob_table(params)
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
     reference = None
-    max_tv = Fraction(0)
-    passed = True
+    max_abs_sum = Fraction(0)
     for w in demands:
         dists = [
             coefficient_distribution(params, prob, w, n, max_work=max_work)
@@ -273,14 +306,12 @@ def coefficient_privacy_check(
             reference = dists
             continue
         for ref, cur in zip(reference, dists):
-            tv = sum(
-                abs(ref.get(k, Fraction(0)) - cur.get(k, Fraction(0)))
-                for k in set(ref) | set(cur)
-            ) / 2
-            max_tv = max(max_tv, tv)
-            passed &= tv == 0
+            max_abs_sum = max(max_abs_sum, _differences(ref, cur)[1])
     return CoefficientPrivacyReport(
-        params=params, passed=passed, max_tv_distance=max_tv, demands_checked=len(demands)
+        params=params,
+        passed=max_abs_sum == 0,
+        max_tv_distance=max_abs_sum / 2,
+        demands_checked=len(demands),
     )
 
 

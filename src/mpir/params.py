@@ -66,6 +66,11 @@ class Params:
             raise ValueError(f"D must satisfy 1 < D <= K, got D={self.D!r}, K={self.K}")
         if self.q is None:
             object.__setattr__(self, "q", smallest_prime_above(self.D))
+        # Checked before primality: is_prime is only proven below 3.3e24.
+        if isinstance(self.q, int) and self.q >= 2**64:
+            raise ValueError(
+                f"q must be below 2**64, since store and wire elements are u64; got {self.q}"
+            )
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q!r}")
         if self.q <= self.D:

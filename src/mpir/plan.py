@@ -18,14 +18,13 @@ privacy, so it is searched for and verified here instead of assumed.
 from __future__ import annotations
 
 import logging
-import math
 import random
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .params import Params, binomial, lj_mj
-from .prob import ProbTable
+from .prob import ProbTable, common_denominator
 
 logger = logging.getLogger(__name__)
 
@@ -252,14 +251,13 @@ def _sampling_layout(
     # Integer row weights over one common denominator, grouped by (i, j).
     # Group order is fixed so sampling is reproducible for a given seed.
     l, _ = lj_mj(params.D)
-    den = math.lcm(*(p.denominator for row in prob.P for p in row))
+    den, nums = common_denominator(prob)
     groups = []
     total = 0
     for i in range(params.K - params.D + 1):
         k_count = binomial(params.K - params.D, i)
         for j in range(1, params.D + 1):
-            p = prob.P[i][j - 1]
-            num = p.numerator * (den // p.denominator)
+            num = nums[i][j - 1]
             groups.append((i, j, k_count, l[j - 1], num))
             total += k_count * l[j - 1] * num
     if total != den:

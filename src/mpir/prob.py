@@ -10,6 +10,7 @@ rather than with a numeric solver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +38,16 @@ class ProbTable:
     def entry(self, i: int, j: int) -> Fraction:
         """P_{i,j} with 1-based sub-block index j."""
         return self.P[i][j - 1]
+
+
+def common_denominator(table: ProbTable) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, num) with P[i][j-1] == num[i][j-1] / den exactly.
+
+    den is the lcm of the entries' denominators, so exact sums of weighted
+    entries can be carried as integers and divided by den only at the end.
+    """
+    den = math.lcm(*(p.denominator for row in table.P for p in row))
+    return den, tuple(tuple(p.numerator * (den // p.denominator) for p in row) for row in table.P)
 
 
 @dataclass(frozen=True)

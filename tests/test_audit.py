@@ -81,6 +81,42 @@ class TestPrivacyCheck:
                 mutated = audit.perturb_prob_table(table, i, j)
                 assert not audit.privacy_check(params, mutated).passed
 
+    def test_violations_and_tv_match_exact_distributions(self):
+        # Every reported probability and the TV distance must be the exact
+        # rational values of the per-demand support distributions.
+        params = Params(K=4, D=2)
+        mutated = audit.perturb_prob_table(build_prob_table(params), 1, 2)
+        report = audit.privacy_check(params, mutated, permute=False)
+        demands = list(combinations(range(1, 5), 2))
+        positions = range(1, params.N + 1)
+        dists = {
+            (w, n): audit.support_distribution(params, mutated, w, n, permute=False)
+            for w in demands
+            for n in positions
+        }
+        assert report.violations
+        for v in report.violations:
+            assert isinstance(v.p, Fraction) and isinstance(v.p_ref, Fraction)
+            assert v.p == dists[(v.W, v.server_n)].get(v.support, 0)
+            assert v.p_ref == dists[(v.W_ref, v.server_n)].get(v.support, 0)
+        w_ref = demands[0]
+        expected_violations = set()
+        expected_tv = Fraction(0)
+        for w in demands[1:]:
+            for n in positions:
+                ref, cur = dists[(w_ref, n)], dists[(w, n)]
+                tv = Fraction(0)
+                for sup in set(ref) | set(cur):
+                    gap = abs(ref.get(sup, 0) - cur.get(sup, 0))
+                    if gap:
+                        expected_violations.add((w, n, sup))
+                    tv += gap
+                expected_tv = max(expected_tv, tv / 2)
+        assert {(v.W, v.server_n, v.support) for v in report.violations} == expected_violations
+        assert len(report.violations) == len(expected_violations)
+        assert isinstance(report.max_tv_distance, Fraction)
+        assert report.max_tv_distance == expected_tv > 0
+
     def test_skipping_permutation_fails(self):
         params = Params(K=4, D=2)
         report = audit.privacy_check(params, permute=False)

@@ -176,6 +176,12 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(K=4, D=3, q=3)
 
+    def test_rejects_field_wider_than_u64(self):
+        # Store and wire elements are u64; 2**64 + 13 is prime.
+        with pytest.raises(ValueError, match=r"below 2\*\*64"):
+            Params(K=3, D=2, q=2**64 + 13)
+        assert Params(K=3, D=2, q=2**64 - 59).q == 2**64 - 59
+
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             Params(K=4, D=2, m=0)
