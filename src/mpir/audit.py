@@ -71,9 +71,7 @@ def _support_tally(
             weight = (sum(by_col) if permute else by_col[server_n - 1]) * num
             if weight:
                 tally[sup] += weight
-    # A plain dict: set() presizes from an exact dict, which fixes the order
-    # that _differences, and so the violation list, visits supports in.
-    return dict(tally)
+    return tally
 
 
 def _differences(ref: dict, cur: dict) -> tuple[list[tuple], int | Fraction]:
@@ -148,6 +146,8 @@ def privacy_check(
     A correct construction yields distance exactly 0; any nonzero entry is
     returned as a violation.  Distributions are compared as integer tallies
     over one common scale, which is exact equality of the probabilities.
+    Violations are ordered by demand set, then server position, then support
+    (smaller supports first, ties by their sorted indices).
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -169,7 +169,10 @@ def privacy_check(
         if reference is None:
             reference = tallies
             continue
-        compared = [_differences(ref, cur) for ref, cur in zip(reference, tallies)]
+        compared = [
+            (sorted(diffs, key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
+            for diffs, abs_sum in map(_differences, reference, tallies)
+        ]
         for n, (diffs, abs_sum) in enumerate(compared * (params.N // positions), start=1):
             violations.extend(
                 PrivacyViolation(

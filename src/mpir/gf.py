@@ -1,4 +1,5 @@
-"""Prime-field arithmetic and small dense linear algebra.
+"""Prime-field arithmetic, small dense linear algebra, and linear
+combinations of whole vectors packed into one int each.
 
 Field elements are plain ints in [0, q); the modulus travels in a
 :class:`PrimeField` context object. Vectors over the field are tuples of
@@ -7,6 +8,7 @@ ints of length K, entry t holding the coefficient of message t+1.
 from __future__ import annotations
 
 import random
+import struct
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .params import is_prime
@@ -47,9 +49,6 @@ class PrimeField:
     def rand_nonzero(self, rng: random.Random) -> int:
         return rng.randrange(1, self.q)
 
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> FieldVector:
-        return tuple((x - y) % self.q for x, y in zip(a, b, strict=True))
-
     def vec_add(self, a: Sequence[int], b: Sequence[int]) -> FieldVector:
         return tuple((x + y) % self.q for x, y in zip(a, b, strict=True))
 
@@ -69,22 +68,41 @@ def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
 
 def matrix_rank(field: PrimeField, rows: Iterable[Sequence[int]]) -> int:
     """Rank over the field, by Gaussian elimination."""
-    q = field.q
     work = [list(r) for r in rows]
     if not work:
         return 0
-    ncols = len(work[0])
+    return _row_reduce(field.q, work, len(work[0]))
+
+
+def inverse(field: PrimeField, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...]:
+    """Inverse of a square matrix over the field, as a tuple of rows.
+
+    Raises ValueError if the matrix is not square or is singular.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(mat)]
+    if _row_reduce(field.q, work, n) < n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _row_reduce(q: int, work: list[list[int]], ncols: int) -> int:
+    # Gauss-Jordan on the first ncols columns, in place; returns the rank.
+    # Entries are reduced mod q as rows are touched; with full rank on an
+    # [A | I] augmentation the right half ends as A's inverse.
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] % q != 0), None)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] % q), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = field.inv(work[rank][col])
+        inv = pow(work[rank][col], -1, q)
         work[rank] = [(x * inv) % q for x in work[rank]]
         for r in range(len(work)):
-            if r != rank and work[r][col] % q != 0:
-                f = work[r][col]
+            f = work[r][col] % q
+            if r != rank and f:
                 work[r] = [(a - f * b) % q for a, b in zip(work[r], work[rank])]
         rank += 1
         if rank == len(work):
@@ -92,59 +110,51 @@ def matrix_rank(field: PrimeField, rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def solve_square(field: PrimeField, mat: Sequence[Sequence[int]], rhs: Sequence[int]) -> FieldVector:
-    """Solve mat @ x = rhs for an invertible square matrix.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-    Raises ValueError if the matrix is singular.
+
+def slot_width(terms: int, q: int) -> int:
+    """Bytes per packed slot that hold a sum of `terms` products of two
+    elements of [0, q) without carrying into the next slot.
+
+    Widths up to 8 bytes round up to a struct format size (1, 2, 4 or 8).
     """
-    (sol,) = _eliminate(field, mat, [list(rhs)])
-    return tuple(sol)
+    nbytes = -(-(terms * (q - 1) ** 2).bit_length() // 8)
+    return next((w for w in _SLOT_FORMATS if nbytes <= w), nbytes)
 
 
-def solve_multi(
-    field: PrimeField, mat: Sequence[Sequence[int]], rhs_rows: Sequence[Sequence[int]]
-) -> tuple[FieldVector, ...]:
-    """Solve mat @ X = RHS column-wise for several right-hand sides at once.
+def pack(vec: Sequence[int], width: int) -> int:
+    """One int holding vec's entries, each in [0, q), in `width`-byte slots,
+    entry 0 in the lowest slot."""
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        raw = struct.pack(f"<{len(vec)}{fmt}", *vec)
+    else:
+        raw = b"".join(v.to_bytes(width, "little") for v in vec)
+    return int.from_bytes(raw, "little")
 
-    rhs_rows[h] is the right-hand side row aligned with equation h; the result
-    rows are the solved unknowns, each of the same width as the rhs rows.
+
+def combine(
+    coeffs: Sequence[int], packed: Sequence[int], m: int, q: int, width: int
+) -> FieldVector:
+    """sum_t coeffs[t] * vec_t mod q, elementwise, for length-m vectors packed
+    by :func:`pack` into slots of ``slot_width(len(packed), q)`` bytes.
+
+    Coefficients are reduced mod q first, so the slots never carry: one
+    big-int multiply-add per term, one unpack, and one reduction per entry.
     """
-    n = len(mat)
-    width = len(rhs_rows[0])
-    cols = [[rhs_rows[h][c] for h in range(n)] for c in range(width)]
-    solved = _eliminate(field, mat, cols)
-    return tuple(tuple(solved[c][t] for c in range(width)) for t in range(n))
-
-
-def _eliminate(
-    field: PrimeField, mat: Sequence[Sequence[int]], rhs_cols: list[list[int]]
-) -> list[list[int]]:
-    # Gauss-Jordan with nonzero-pivot selection; mutates copies only.
-    q = field.q
-    n = len(mat)
-    a = [[x % q for x in row] for row in mat]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    b = [list(col) for col in rhs_cols]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            for c in b:
-                c[col], c[pivot] = c[pivot], c[col]
-        inv = field.inv(a[col][col])
-        a[col] = [(x * inv) % q for x in a[col]]
-        for c in b:
-            c[col] = (c[col] * inv) % q
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
-                for c in b:
-                    c[r] = (c[r] - f * c[col]) % q
-    return b
+    acc = 0
+    for coeff, vec in zip(coeffs, packed, strict=True):
+        coeff %= q
+        if coeff:
+            acc += coeff * vec
+    raw = acc.to_bytes(m * width, "little")
+    fmt = _SLOT_FORMATS.get(width)
+    if fmt:
+        slots: Iterable[int] = struct.unpack(f"<{m}{fmt}", raw)
+    else:
+        slots = (int.from_bytes(raw[t : t + width], "little") for t in range(0, len(raw), width))
+    return tuple([v % q for v in slots])
 
 
 def random_full_rank_V(

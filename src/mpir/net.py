@@ -8,7 +8,9 @@ Frame layout (all integers little-endian):
 
 A QUERY payload is K field elements, an ANSWER payload m field elements,
 each a u64.  EMPTY_ANSWER carries no payload and is the reply to an all-zero
-query.  ERROR carries a UTF-8 message and the server closes the connection.
+query.  ERROR carries a UTF-8 message and the server closes the connection;
+a QUERY header declaring other than 8*K bytes gets ERROR before any payload
+is read.
 
 Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
 elements as u64 in message-major order (21 + 8*K*m bytes total).
@@ -38,6 +40,7 @@ MSG_EMPTY_ANSWER = 3
 MSG_ERROR = 4
 _KNOWN_TYPES = {MSG_QUERY, MSG_ANSWER, MSG_EMPTY_ANSWER, MSG_ERROR}
 _HEADER = struct.Struct("<IB")
+_READ_CHUNK = 1 << 16
 
 
 class ProtocolError(Exception):
@@ -64,6 +67,11 @@ def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
     Raises ConnectionClosed at a clean frame boundary and ProtocolError on
     truncation or an unknown message type.
     """
+    length, msg_type = _read_header(stream)
+    return msg_type, _read_payload(stream, length)
+
+
+def _read_header(stream: BinaryIO) -> tuple[int, int]:
     header = _read_up_to(stream, _HEADER.size)
     if not header:
         raise ConnectionClosed("no more frames")
@@ -72,20 +80,26 @@ def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
     length, msg_type = _HEADER.unpack(header)
     if msg_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown message type {msg_type}")
+    return length, msg_type
+
+
+def _read_payload(stream: BinaryIO, length: int) -> bytes:
     payload = _read_up_to(stream, length)
     if len(payload) < length:
         raise ProtocolError(f"truncated payload ({len(payload)}/{length} bytes)")
-    return msg_type, payload
+    return payload
 
 
 def _read_up_to(stream: BinaryIO, n: int) -> bytes:
-    buf = b""
+    # Bounded reads into one growing buffer: memory follows the bytes that
+    # actually arrive, not the length a peer declares.
+    buf = bytearray()
     while len(buf) < n:
-        chunk = stream.read(n - len(buf))
+        chunk = stream.read(min(n - len(buf), _READ_CHUNK))
         if not chunk:
             break
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 def pack_elements(values: Sequence[int]) -> bytes:
@@ -133,10 +147,14 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
         store: MessageStore = self.server.store  # type: ignore[attr-defined]
         while True:
             try:
-                msg_type, payload = read_frame(self.rfile)
+                length, msg_type = _read_header(self.rfile)
                 if msg_type != MSG_QUERY:
                     raise ProtocolError(f"expected QUERY, got type {msg_type}")
-                query = unpack_elements(payload, store.K, store.q)
+                # Checked before the payload is read: a peer cannot make the
+                # server wait for, or buffer, more than one query's bytes.
+                if length != 8 * store.K:
+                    raise ProtocolError(f"QUERY of {length} bytes, expected {8 * store.K}")
+                query = unpack_elements(_read_payload(self.rfile, length), store.K, store.q)
             except ConnectionClosed:
                 return
             except ProtocolError as exc:
@@ -199,6 +217,23 @@ def _query_endpoint(endpoint: tuple[str, int], query: Sequence[int], m: int, q: 
     raise ProtocolError(f"unexpected reply type {msg_type}")
 
 
+def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:
+    # A server that receives two columns of one round sees U and U + V_h,
+    # whose difference V_h has its support inside the demand set.  Names are
+    # resolved so that two spellings of one address count as one server.
+    seen: dict[tuple, tuple[str, int]] = {}
+    for endpoint in endpoints:
+        host, port = endpoint
+        addrs = {info[4][:2] for info in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)}
+        for addr in addrs:
+            if addr in seen:
+                raise ValueError(
+                    f"endpoints {seen[addr]} and {endpoint} are the same server {addr}; "
+                    "a round needs N distinct servers"
+                )
+        seen.update(dict.fromkeys(addrs, endpoint))
+
+
 def retrieve(
     endpoints: Sequence[tuple[str, int]],
     W: Iterable[int],
@@ -210,10 +245,13 @@ def retrieve(
     Builds the queries locally from the seed, sends column n to
     endpoints[permutation[n]] concurrently, and recovers from the collected
     answers.  With equal stores this yields the identical transcript as an
-    in-memory round driven by the same seed.
+    in-memory round driven by the same seed.  Endpoints that resolve to a
+    common (address, port) are rejected with ValueError before any query is
+    sent.
     """
     if len(endpoints) != params.N:
         raise ValueError(f"need exactly N={params.N} endpoints, got {len(endpoints)}")
+    _check_distinct(endpoints)
     prob = build_prob_table(params)
     rng = random.Random(seed)
     w = tuple(sorted(set(W)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf, plan
@@ -40,6 +41,13 @@ class MessageStore:
     @property
     def K(self) -> int:
         return len(self.messages)
+
+    @cached_property
+    def packed(self) -> tuple[int, tuple[int, ...]]:
+        """(slot width, one packed int per message) for :func:`gf.combine`,
+        built on first use; the slots hold a K-term combination."""
+        width = gf.slot_width(self.K, self.q)
+        return width, tuple(gf.pack(msg, width) for msg in self.messages)
 
     @classmethod
     def random(cls, params: Params, rng: random.Random) -> "MessageStore":
@@ -127,13 +135,8 @@ def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
         raise ValueError(f"query length {len(query)} != K={store.K}")
     if all(c == 0 for c in query):
         return None
-    q = store.q
-    acc = [0] * store.m
-    for coeff, msg in zip(query, store.messages):
-        if coeff:
-            for t in range(store.m):
-                acc[t] += coeff * msg[t]
-    return tuple(v % q for v in acc)
+    width, packed = store.packed
+    return gf.combine(query, packed, store.m, store.q, width)
 
 
 def recover(
@@ -142,18 +145,25 @@ def recover(
     """Solve for the D demand messages from the N per-server answers.
 
     Answers are un-permuted back into column order (silent servers count as
-    zero), differenced against the first column, and the resulting D x D
-    system over the demand columns is solved once for all m coordinates.
+    zero).  Column h is the first column plus V[h-1]'s demand part, so with
+    A the D x D demand submatrix of V, demand message t is
+    sum_h inv(A)[t][h] * (column h+1 - column 0): one linear combination of
+    the N columns per demand message.
     """
-    field = gf.PrimeField(params.q)
-    zero = (0,) * params.m
-    by_column = [answers[query_set.permutation[n]] or zero for n in range(params.N)]
-    z_rows = [field.vec_sub(by_column[1 + h], by_column[0]) for h in range(params.D)]
     w = sorted(set().union(*(gf.support(v) for v in query_set.V)))
     if len(w) != params.D:
         raise ValueError("demand vectors do not cover a full demand set")
-    vmat = [[vec[x - 1] for x in w] for vec in query_set.V]
-    return gf.solve_multi(field, vmat, z_rows)
+    inv = gf.inverse(gf.PrimeField(params.q), [[vec[x - 1] for x in w] for vec in query_set.V])
+    width = gf.slot_width(params.N, params.q)
+    packed = []
+    for n in range(params.N):
+        ans = answers[query_set.permutation[n]]
+        if ans is not None and len(ans) != params.m:
+            raise ValueError(f"answer length {len(ans)} != m={params.m}")
+        packed.append(0 if ans is None else gf.pack(ans, width))
+    return tuple(
+        gf.combine((-sum(row),) + row, packed, params.m, params.q, width) for row in inv
+    )
 
 
 def run_round(

@@ -117,6 +117,22 @@ class TestPrivacyCheck:
         assert isinstance(report.max_tv_distance, Fraction)
         assert report.max_tv_distance == expected_tv > 0
 
+    @pytest.mark.parametrize("permute", [True, False])
+    def test_violation_order_does_not_depend_on_tally_construction(self, monkeypatch, permute):
+        # The same tallies built as a plain dict, in reverse insertion order,
+        # or as returned must give the same report, violation order included.
+        params = Params(K=7, D=3)
+        mutated = audit.perturb_prob_table(build_prob_table(params), 1, 2)
+        built = audit._support_tally
+        reports = []
+        for rebuild in (lambda t: t, dict, lambda t: dict(reversed(list(t.items())))):
+            monkeypatch.setattr(audit, "_support_tally", lambda *a, r=rebuild: r(built(*a)))
+            reports.append(audit.privacy_check(params, mutated, permute=permute))
+        assert reports[0].violations
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        keys = [(v.W, v.server_n, len(v.support), sorted(v.support)) for v in reports[0].violations]
+        assert keys == sorted(keys)
+
     def test_skipping_permutation_fails(self):
         params = Params(K=4, D=2)
         report = audit.privacy_check(params, permute=False)

@@ -1,0 +1,69 @@
+"""Property tests: the packed-integer server answer equals the per-element sum."""
+from __future__ import annotations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mpir.protocol import MessageStore, server_answer  # noqa: E402
+
+# Small and large fields, each slot-width path: 1, 2 and 8 byte struct slots,
+# and exact widths of 9 to 17 bytes for q >= 2**31.
+FIELDS = [2, 3, 7, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+
+
+def naive_answer(store, query):
+    return tuple(
+        sum(c * msg[t] for c, msg in zip(query, store.messages)) % store.q
+        for t in range(store.m)
+    )
+
+
+@st.composite
+def store_and_query(draw, m, nonzero):
+    q = draw(st.sampled_from(FIELDS))
+    K = draw(st.integers(1, 8))
+    elem = st.integers(0, q - 1)
+    messages = tuple(tuple(draw(st.lists(elem, min_size=m, max_size=m))) for _ in range(K))
+    # Coefficients may be negative or >= q; the answer is taken mod q.
+    coeff = st.integers(-2 * q, 2 * q)
+    if nonzero:
+        coeff = coeff.filter(lambda c: c != 0)
+    query = tuple(draw(st.lists(coeff, min_size=K, max_size=K)))
+    return MessageStore(q=q, m=m, messages=messages), query
+
+
+def check(store, query):
+    if all(c == 0 for c in query):
+        assert server_answer(store, query) is None
+    else:
+        assert server_answer(store, query) == naive_answer(store, query)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(store_and_query(m=1, nonzero=False))
+def test_single_element_messages(case):
+    check(*case)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(2, 64).flatmap(lambda m: store_and_query(m=m, nonzero=False)))
+def test_longer_messages(case):
+    check(*case)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 64).flatmap(lambda m: store_and_query(m=m, nonzero=True)))
+def test_all_nonzero_queries(case):
+    check(*case)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_coefficients_congruent_mod_q_agree(q):
+    store = MessageStore(q=q, m=3, messages=((q - 1, 1, 0), (q - 1, q - 1, 1)))
+    reduced = server_answer(store, (q - 1, 1))
+    assert server_answer(store, (-1, q + 1)) == reduced
+    assert server_answer(store, (2 * q - 1, 1 - q)) == reduced
+    # A nonzero query that is zero mod q answers, with all-zero entries.
+    assert server_answer(store, (q, -q)) == (0, 0, 0)

@@ -1,4 +1,4 @@
-"""Tests for prime-field arithmetic and the small linear solvers."""
+"""Tests for prime-field arithmetic, the small linear solvers and the packed combine."""
 from __future__ import annotations
 
 import random
@@ -59,61 +59,117 @@ class TestSupport:
         assert gf.vector_with_support(4, {3: 1, 4: 2}) == (0, 0, 1, 2)
 
 
+def mat_mul(a, b, q):
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def eye(n):
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
 class TestSolvers:
     def test_identity(self):
         field = gf.PrimeField(5)
-        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert gf.solve_square(field, eye, (4, 2, 3)) == (4, 2, 3)
+        assert gf.inverse(field, eye(3)) == tuple(tuple(row) for row in eye(3))
 
     def test_diagonal(self):
         field = gf.PrimeField(3)
-        assert gf.solve_square(field, [[2, 0], [0, 1]], (1, 2)) == (2, 2)
+        assert gf.inverse(field, [[2, 0], [0, 1]]) == ((2, 0), (0, 1))
 
     def test_singular_rejected(self):
         field = gf.PrimeField(5)
         with pytest.raises(ValueError, match="singular"):
-            gf.solve_square(field, [[1, 2], [2, 4]], (1, 1))
+            gf.inverse(field, [[1, 2], [2, 4]])
+        with pytest.raises(ValueError, match="square"):
+            gf.inverse(field, [[1, 2]])
 
     def test_against_exhaustive_search(self):
-        # Oracle: try all 125 candidate solutions over GF(5)^3.
+        # Oracle: column c of the inverse is the unique one of all 125
+        # candidates x in GF(5)^3 with mat @ x = e_c.
         field = gf.PrimeField(5)
         rng = random.Random(17)
         for _ in range(20):
             mat = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
             if gf.matrix_rank(field, mat) < 3:
+                with pytest.raises(ValueError, match="singular"):
+                    gf.inverse(field, mat)
                 continue
-            b = tuple(rng.randrange(5) for _ in range(3))
-            brute = [
-                x
-                for x in product(range(5), repeat=3)
-                if all(sum(mat[r][c] * x[c] for c in range(3)) % 5 == b[r] for r in range(3))
-            ]
-            assert len(brute) == 1
-            assert gf.solve_square(field, mat, b) == brute[0]
+            inv = gf.inverse(field, mat)
+            for c in range(3):
+                brute = [
+                    x
+                    for x in product(range(5), repeat=3)
+                    if all(sum(mat[r][k] * x[k] for k in range(3)) % 5 == (r == c) for r in range(3))
+                ]
+                assert brute == [tuple(row[c] for row in inv)]
 
     def test_round_trip(self):
         rng = random.Random(23)
-        field = gf.PrimeField(7)
-        for _ in range(50):
-            mat = [[rng.randrange(7) for _ in range(4)] for _ in range(4)]
-            if gf.matrix_rank(field, mat) < 4:
-                continue
-            x = tuple(rng.randrange(7) for _ in range(4))
-            b = tuple(sum(mat[r][c] * x[c] for c in range(4)) % 7 for r in range(4))
-            assert gf.solve_square(field, mat, b) == x
+        for q in (5, 7):
+            field = gf.PrimeField(q)
+            inverted = 0
+            for _ in range(50):
+                n = rng.randrange(1, 6)
+                mat = [[rng.randrange(-q, 2 * q) for _ in range(n)] for _ in range(n)]
+                if gf.matrix_rank(field, mat) < n:
+                    continue
+                inv = [list(row) for row in gf.inverse(field, mat)]
+                assert all(0 <= x < q for row in inv for x in row)
+                assert mat_mul(inv, mat, q) == eye(n)
+                assert mat_mul(mat, inv, q) == eye(n)
+                inverted += 1
+            assert inverted >= 30
 
-    def test_solve_multi_matches_columnwise(self):
-        field = gf.PrimeField(5)
+    def test_inverse_with_combine_matches_columnwise(self):
+        # The recovery path: one combine per inverse row over packed
+        # right-hand-side rows solves every column at once.
+        q = 5
+        field = gf.PrimeField(q)
         rng = random.Random(31)
-        mat = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
+        mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
         while gf.matrix_rank(field, mat) < 3:
-            mat = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        rhs_rows = [[rng.randrange(5) for _ in range(6)] for _ in range(3)]
-        combined = gf.solve_multi(field, mat, rhs_rows)
+            mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
+        rhs_rows = [[rng.randrange(q) for _ in range(6)] for _ in range(3)]
+        inv = gf.inverse(field, mat)
+        width = gf.slot_width(3, q)
+        packed = [gf.pack(row, width) for row in rhs_rows]
+        combined = [gf.combine(row, packed, 6, q, width) for row in inv]
         for c in range(6):
-            col = tuple(rhs_rows[r][c] for r in range(3))
-            single = gf.solve_square(field, mat, col)
-            assert tuple(combined[t][c] for t in range(3)) == single
+            x = [combined[t][c] for t in range(3)]
+            assert [sum(mat[r][t] * x[t] for t in range(3)) % q for r in range(3)] == [
+                rhs_rows[r][c] for r in range(3)
+            ]
+
+
+class TestCombine:
+    @pytest.mark.parametrize(
+        "terms,q,width",
+        [(1, 2, 1), (20, 3, 1), (63, 3, 1), (64, 3, 2), (20, 7, 2), (20, 65521, 8),
+         (20, 2**31 - 1, 9), (20, 2**61 - 1, 16), (20, 2**64 - 59, 17)],
+    )
+    def test_slot_width(self, terms, q, width):
+        assert gf.slot_width(terms, q) == width
+        assert terms * (q - 1) ** 2 < 256**width
+
+    @pytest.mark.parametrize("q", [2, 7, 2**61 - 1, 2**64 - 59])
+    def test_extreme_entries_do_not_carry(self, q):
+        # Every term at its largest: each slot holds exactly terms*(q-1)^2.
+        terms, m = 9, 5
+        width = gf.slot_width(terms, q)
+        vec = [q - 1] * m
+        packed = [gf.pack(vec, width)] * terms
+        expected = (terms * (q - 1) ** 2 % q,) * m
+        assert gf.combine([q - 1] * terms, packed, m, q, width) == expected
+        assert gf.combine([-1] * terms, packed, m, q, width) == expected
+
+    def test_zero_combination(self):
+        width = gf.slot_width(2, 3)
+        packed = [gf.pack((1, 2), width), gf.pack((2, 2), width)]
+        assert gf.combine((0, 3), packed, 2, 3, width) == (0, 0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            gf.combine((1, 2), [gf.pack((1,), 1)], 1, 3, 1)
 
 
 class TestMatrixRank:

@@ -149,6 +149,19 @@ class TestServer:
         msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], bad)))
         assert msg_type == net.MSG_ERROR
 
+    def test_oversized_length_gets_error_at_once(self, cluster):
+        # The header alone, declaring 2**32 - 1 payload bytes, with the write
+        # side left open: the server must answer ERROR and close without
+        # waiting for (or buffering) the declared payload.
+        with socket.create_connection(cluster[0], timeout=5) as sock:
+            sock.sendall(struct.pack("<IB", 2**32 - 1, net.MSG_QUERY))
+            with sock.makefile("rb") as stream:
+                msg_type, payload = net.read_frame(stream)
+                assert msg_type == net.MSG_ERROR
+                assert b"expected 32" in payload
+                with pytest.raises(net.ConnectionClosed):
+                    net.read_frame(stream)
+
     def test_non_query_type_gets_error(self, cluster):
         msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], net.pack_frame(net.MSG_ANSWER, b""))))
         assert msg_type == net.MSG_ERROR
@@ -194,6 +207,13 @@ class TestRetrieve:
     def test_wrong_endpoint_count(self, cluster, params):
         with pytest.raises(ValueError):
             net.retrieve(cluster[:2], (1, 2), params, seed=0)
+
+    def test_duplicate_endpoints_rejected_before_sending(self, params):
+        # Nothing listens on these ports: a query sent to any of them would
+        # raise ConnectionRefusedError instead of the duplicate check.
+        dup = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 1)]
+        with pytest.raises(ValueError, match="same server"):
+            net.retrieve(dup, (1, 2), params, seed=0)
 
     def test_unreachable_endpoint(self, params):
         dead = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]

@@ -170,7 +170,10 @@ class TestRecover:
 
 
 class TestRunRound:
-    @pytest.mark.parametrize("K,D,q,m", [(4, 2, 3, 1), (4, 2, 3, 8), (6, 3, 5, 2), (8, 4, 5, 3)])
+    @pytest.mark.parametrize(
+        "K,D,q,m",
+        [(4, 2, 3, 1), (4, 2, 3, 8), (6, 3, 5, 2), (8, 4, 5, 3), (7, 2, 3, 64), (5, 3, 2**64 - 59, 9)],
+    )
     def test_all_demands_recover(self, K, D, q, m):
         from itertools import combinations
 
