@@ -19,8 +19,14 @@ from itertools import combinations, product
 from typing import Iterable
 
 from . import gf, plan
-from .params import Params, binomial, lj_mj
-from .prob import ProbTable, build_prob_table, common_denominator, expected_download_factor
+from .params import Params, lj_mj
+from .prob import (
+    ProbTable,
+    build_prob_table,
+    common_denominator,
+    expected_download_factor,
+    table_mass,
+)
 from .protocol import MessageStore, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
@@ -206,13 +212,7 @@ def perturb_prob_table(
     """
     rows = [list(r) for r in prob.P]
     rows[i][j - 1] += delta
-    D = len(rows[0])
-    l, _ = lj_mj(D)
-    k_top = len(rows) - 1
-    mass = sum(
-        binomial(k_top, idx) * sum(l[c] * rows[idx][c] for c in range(D))
-        for idx in range(len(rows))
-    )
+    mass = table_mass(rows)
     scaled = tuple(tuple(p / mass for p in row) for row in rows)
     return ProbTable(P=scaled, j_star=prob.j_star)
 
@@ -243,7 +243,6 @@ def coefficient_distribution(
     w = plan.as_demand(params, W)
     if not 1 <= server_n <= params.N:
         raise ValueError(f"server position must be in [1, {params.N}]")
-    field = gf.PrimeField(params.q)
     nz = range(1, params.q)
     base_work = (params.q - 1) ** (params.K - params.D)
     v_work = max(
@@ -264,7 +263,7 @@ def coefficient_distribution(
                     gf.vector_with_support(params.K, dict(zip(s, vals)))
                     for s, vals in zip(shifts, assign)
                 )
-                if gf.matrix_rank(field, vecs) == params.D:
+                if gf.matrix_rank(params.q, vecs) == params.D:
                     found.append(vecs)
             v_choices_cache[(j, l)] = found
         return v_choices_cache[(j, l)]
@@ -282,7 +281,7 @@ def coefficient_distribution(
             for vecs in choices:
                 dist[U] += scale
                 for v in vecs:
-                    dist[field.vec_add(U, v)] += scale
+                    dist[gf.vec_add(U, v, params.q)] += scale
     return dict(dist)
 
 

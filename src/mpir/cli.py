@@ -296,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="replay only, not private: fixes the queries as a function of W "
+                        "(default: fresh OS randomness each round)")
     p.set_defaults(func=_cmd_retrieve)
 
     return parser

@@ -1,9 +1,10 @@
 """Prime-field arithmetic, small dense linear algebra, and linear
 combinations of whole vectors packed into one int each.
 
-Field elements are plain ints in [0, q); the modulus travels in a
-:class:`PrimeField` context object. Vectors over the field are tuples of
-ints of length K, entry t holding the coefficient of message t+1.
+Field elements are plain ints in [0, q) and every function takes the prime
+modulus q as an argument; :class:`~mpir.params.Params` has already checked
+that q is prime.  Vectors over the field are tuples of ints of length K,
+entry t holding the coefficient of message t+1.
 """
 from __future__ import annotations
 
@@ -11,46 +12,17 @@ import random
 import struct
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .params import is_prime
-
 if TYPE_CHECKING:
     from .params import Params
 
 FieldVector = tuple[int, ...]
 
+_MAX_FULL_RANK_ATTEMPTS = 1000
 
-class PrimeField:
-    """Arithmetic context for the field of prime order q."""
 
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise ValueError(f"field order must be prime, got {q}")
-        self.q = q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return pow(a, -1, self.q)
-
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.q)
-
-    def vec_add(self, a: Sequence[int], b: Sequence[int]) -> FieldVector:
-        return tuple((x + y) % self.q for x, y in zip(a, b, strict=True))
+def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> FieldVector:
+    """Elementwise a + b mod q."""
+    return tuple((x + y) % q for x, y in zip(a, b, strict=True))
 
 
 def support(vec: Sequence[int]) -> frozenset[int]:
@@ -66,16 +38,16 @@ def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
     return tuple(vec)
 
 
-def matrix_rank(field: PrimeField, rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the field, by Gaussian elimination."""
+def matrix_rank(q: int, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over GF(q), by Gaussian elimination."""
     work = [list(r) for r in rows]
     if not work:
         return 0
-    return _row_reduce(field.q, work, len(work[0]))
+    return _row_reduce(q, work, len(work[0]))
 
 
-def inverse(field: PrimeField, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...]:
-    """Inverse of a square matrix over the field, as a tuple of rows.
+def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...]:
+    """Inverse of a square matrix over GF(q), as a tuple of rows.
 
     Raises ValueError if the matrix is not square or is singular.
     """
@@ -83,7 +55,7 @@ def inverse(field: PrimeField, mat: Sequence[Sequence[int]]) -> tuple[FieldVecto
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(mat)]
-    if _row_reduce(field.q, work, n) < n:
+    if _row_reduce(q, work, n) < n:
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in work)
 
@@ -158,10 +130,7 @@ def combine(
 
 
 def random_full_rank_V(
-    params: "Params",
-    supports: Sequence[Iterable[int]],
-    rng: random.Random,
-    max_attempts: int = 1000,
+    params: "Params", supports: Sequence[Iterable[int]], rng: random.Random
 ) -> tuple[FieldVector, ...]:
     """D random vectors with the given supports whose stack has rank D.
 
@@ -170,20 +139,18 @@ def random_full_rank_V(
     the stacked D x K matrix is full rank.  Success is expected quickly for
     any q > D, so exhausting the attempt budget indicates a broken caller.
     """
-    field = PrimeField(params.q)
-    D = len(supports)
+    q, D = params.q, len(supports)
     sorted_supports = [sorted(s) for s in supports]
     if any(not s for s in sorted_supports):
         raise ValueError("every support must be nonempty")
-    for _ in range(max_attempts):
-        vecs = []
-        for sup in sorted_supports:
-            vecs.append(
-                vector_with_support(params.K, {idx: field.rand_nonzero(rng) for idx in sup})
-            )
-        if matrix_rank(field, vecs) == D:
-            return tuple(vecs)
+    for _ in range(_MAX_FULL_RANK_ATTEMPTS):
+        vecs = tuple(
+            vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
+            for sup in sorted_supports
+        )
+        if matrix_rank(q, vecs) == D:
+            return vecs
     raise RuntimeError(
-        f"no full-rank draw in {max_attempts} attempts (q={params.q}, D={D}); "
+        f"no full-rank draw in {_MAX_FULL_RANK_ATTEMPTS} attempts (q={q}, D={D}); "
         "this should be impossible for q > D"
     )

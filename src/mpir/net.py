@@ -10,13 +10,18 @@ A QUERY payload is K field elements, an ANSWER payload m field elements,
 each a u64.  EMPTY_ANSWER carries no payload and is the reply to an all-zero
 query.  ERROR carries a UTF-8 message and the server closes the connection;
 a QUERY header declaring other than 8*K bytes gets ERROR before any payload
-is read.
+is read, and a connection that stalls mid-read is closed after
+_AnswerHandler.timeout seconds.  The client likewise checks each reply
+header (ANSWER 8*m bytes, EMPTY_ANSWER none, ERROR at most _MAX_ERROR)
+before it reads the payload.
 
 Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
 elements as u64 in message-major order (21 + 8*K*m bytes total).
 
 The server handler receives nothing but coefficient vectors; the demand set
-never crosses the wire.
+never crosses the wire.  The client runs :func:`protocol.execute_round` with
+an answerer that opens one connection per server, writes every query, and
+only then reads the answers in order.
 """
 from __future__ import annotations
 
@@ -24,23 +29,25 @@ import random
 import socket
 import socketserver
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .params import Params
 from .prob import build_prob_table
-from .protocol import Answer, MessageStore, Transcript, make_query_set, recover, server_answer
+from .protocol import Answer, MessageStore, Transcript, execute_round, server_answer
 
 MAGIC = b"MPIR1"
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_EMPTY_ANSWER = 3
 MSG_ERROR = 4
-_KNOWN_TYPES = {MSG_QUERY, MSG_ANSWER, MSG_EMPTY_ANSWER, MSG_ERROR}
+_TYPE_NAMES = {MSG_QUERY: "QUERY", MSG_ANSWER: "ANSWER", MSG_EMPTY_ANSWER: "EMPTY_ANSWER",
+               MSG_ERROR: "ERROR"}
 _HEADER = struct.Struct("<IB")
 _READ_CHUNK = 1 << 16
+_MAX_ERROR = 1 << 12
 
 
 class ProtocolError(Exception):
@@ -56,38 +63,40 @@ class StoreFormatError(ValueError):
 
 
 def pack_frame(msg_type: int, payload: bytes = b"") -> bytes:
-    if msg_type not in _KNOWN_TYPES:
+    if msg_type not in _TYPE_NAMES:
         raise ProtocolError(f"unknown message type {msg_type}")
     return _HEADER.pack(len(payload), msg_type) + payload
 
 
-def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
+def read_frame(stream: BinaryIO, sizes: Mapping[int, int] | None = None) -> tuple[int, bytes]:
     """Read one frame.
 
+    With `sizes`, the header is checked before any payload is read: the type
+    must be a key of `sizes` and the declared length must equal its value
+    (for ERROR, whose message varies, be at most its value).  So a peer
+    cannot make the reader wait for, or buffer, more than it expects.
+
     Raises ConnectionClosed at a clean frame boundary and ProtocolError on
-    truncation or an unknown message type.
+    truncation, an unknown message type or a failed `sizes` check.
     """
-    length, msg_type = _read_header(stream)
-    return msg_type, _read_payload(stream, length)
-
-
-def _read_header(stream: BinaryIO) -> tuple[int, int]:
     header = _read_up_to(stream, _HEADER.size)
     if not header:
         raise ConnectionClosed("no more frames")
     if len(header) < _HEADER.size:
         raise ProtocolError(f"truncated frame header ({len(header)} bytes)")
     length, msg_type = _HEADER.unpack(header)
-    if msg_type not in _KNOWN_TYPES:
+    if msg_type not in _TYPE_NAMES:
         raise ProtocolError(f"unknown message type {msg_type}")
-    return length, msg_type
-
-
-def _read_payload(stream: BinaryIO, length: int) -> bytes:
+    if sizes is not None:
+        name, size = _TYPE_NAMES[msg_type], sizes.get(msg_type)
+        if size is None:
+            raise ProtocolError(f"unexpected {name} frame")
+        if length > size if msg_type == MSG_ERROR else length != size:
+            raise ProtocolError(f"{name} of {length} bytes, expected {size}")
     payload = _read_up_to(stream, length)
     if len(payload) < length:
         raise ProtocolError(f"truncated payload ({len(payload)}/{length} bytes)")
-    return payload
+    return msg_type, payload
 
 
 def _read_up_to(stream: BinaryIO, n: int) -> bytes:
@@ -143,19 +152,16 @@ def read_store(path: str | Path) -> MessageStore:
 
 
 class _AnswerHandler(socketserver.StreamRequestHandler):
+    # Seconds a read may stall before the connection is dropped.
+    timeout = 30.0
+
     def handle(self) -> None:
         store: MessageStore = self.server.store  # type: ignore[attr-defined]
         while True:
             try:
-                length, msg_type = _read_header(self.rfile)
-                if msg_type != MSG_QUERY:
-                    raise ProtocolError(f"expected QUERY, got type {msg_type}")
-                # Checked before the payload is read: a peer cannot make the
-                # server wait for, or buffer, more than one query's bytes.
-                if length != 8 * store.K:
-                    raise ProtocolError(f"QUERY of {length} bytes, expected {8 * store.K}")
-                query = unpack_elements(_read_payload(self.rfile, length), store.K, store.q)
-            except ConnectionClosed:
+                _, payload = read_frame(self.rfile, {MSG_QUERY: 8 * store.K})
+                query = unpack_elements(payload, store.K, store.q)
+            except (ConnectionClosed, TimeoutError):
                 return
             except ProtocolError as exc:
                 self.wfile.write(pack_frame(MSG_ERROR, str(exc).encode()))
@@ -182,39 +188,41 @@ class StoreServer(socketserver.ThreadingTCPServer):
         return self.server_address[1]
 
 
-def serve(store_path: str | Path, port: int, host: str = "127.0.0.1") -> None:
-    """Blocking entry point: answer queries against a store file until killed."""
-    server = StoreServer(read_store(store_path), host=host, port=port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-
-
 @dataclass(frozen=True)
 class RetrieveResult:
     transcript: Transcript
     downloaded_bytes: int
 
 
-def _query_endpoint(endpoint: tuple[str, int], query: Sequence[int], m: int, q: int) -> Answer:
-    with socket.create_connection(endpoint, timeout=30) as sock:
-        with sock.makefile("rwb") as stream:
+def _answer_over_tcp(
+    endpoints: Sequence[tuple[str, int]], queries: Sequence[Sequence[int]], m: int, q: int
+) -> tuple[Answer, ...]:
+    """Send query n to endpoints[n], one connection each, and read the answers.
+
+    Every query is sent before the first answer is read, so the servers
+    compute at the same time without a client thread per server.
+    """
+    with ExitStack() as stack:
+        streams = []
+        for endpoint, query in zip(endpoints, queries, strict=True):
+            sock = stack.enter_context(socket.create_connection(endpoint, timeout=30))
+            stream = stack.enter_context(sock.makefile("rwb"))
             stream.write(pack_frame(MSG_QUERY, pack_elements(query)))
             stream.flush()
-            msg_type, payload = read_frame(stream)
-    if msg_type == MSG_EMPTY_ANSWER:
-        if payload:
-            raise ProtocolError("EMPTY_ANSWER with payload")
-        return None
-    if msg_type == MSG_ANSWER:
-        try:
-            return unpack_elements(payload, m, q)
-        except ProtocolError as exc:
-            raise ProtocolError(f"inconsistent store parameters at {endpoint}: {exc}") from exc
+            streams.append(stream)
+        return tuple(_read_answer(s, e, m, q) for s, e in zip(streams, endpoints))
+
+
+def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) -> Answer:
+    sizes = {MSG_ANSWER: 8 * m, MSG_EMPTY_ANSWER: 0, MSG_ERROR: _MAX_ERROR}
+    try:
+        msg_type, payload = read_frame(stream, sizes)
+        answer = unpack_elements(payload, m, q) if msg_type == MSG_ANSWER else None
+    except ProtocolError as exc:
+        raise ProtocolError(f"inconsistent reply from {endpoint}: {exc}") from exc
     if msg_type == MSG_ERROR:
         raise ProtocolError(f"server {endpoint} reported: {payload.decode(errors='replace')}")
-    raise ProtocolError(f"unexpected reply type {msg_type}")
+    return answer
 
 
 def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:
@@ -238,37 +246,26 @@ def retrieve(
     endpoints: Sequence[tuple[str, int]],
     W: Iterable[int],
     params: Params,
-    seed: int,
+    seed: int | None = None,
 ) -> RetrieveResult:
     """Run one protocol round over the network.
 
-    Builds the queries locally from the seed, sends column n to
-    endpoints[permutation[n]] concurrently, and recovers from the collected
-    answers.  With equal stores this yields the identical transcript as an
-    in-memory round driven by the same seed.  Endpoints that resolve to a
-    common (address, port) are rejected with ValueError before any query is
-    sent.
+    Query n goes to endpoints[n].  Without a seed the queries are drawn from
+    the operating system's CSPRNG, as privacy requires.  A seed makes them a
+    function of W, for replay only: with equal stores the transcript is then
+    identical to an in-memory round driven by random.Random(seed).
+    Endpoints that resolve to a common (address, port) are rejected with
+    ValueError before any query is sent.
     """
     if len(endpoints) != params.N:
         raise ValueError(f"need exactly N={params.N} endpoints, got {len(endpoints)}")
     _check_distinct(endpoints)
-    prob = build_prob_table(params)
-    rng = random.Random(seed)
-    w = tuple(sorted(set(W)))
-    qs = make_query_set(params, prob, w, rng)
-    with ThreadPoolExecutor(max_workers=params.N) as pool:
-        futures = [
-            pool.submit(_query_endpoint, endpoints[server], qs.queries[server], params.m, params.q)
-            for server in range(params.N)
-        ]
-        answers = tuple(f.result() for f in futures)
-    recovered = recover(params, qs, answers)
-    downloaded = params.m * sum(1 for a in answers if a is not None)
-    transcript = Transcript(
-        W=w,
-        query_set=qs,
-        answers=answers,
-        recovered=recovered,
-        download_elements=downloaded,
+    rng = random.SystemRandom() if seed is None else random.Random(seed)
+    transcript = execute_round(
+        params,
+        build_prob_table(params),
+        W,
+        rng,
+        lambda queries: _answer_over_tcp(endpoints, queries, params.m, params.q),
     )
-    return RetrieveResult(transcript=transcript, downloaded_bytes=downloaded * 8)
+    return RetrieveResult(transcript=transcript, downloaded_bytes=8 * transcript.download_elements)

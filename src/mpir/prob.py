@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .params import (
     Params,
@@ -35,9 +36,15 @@ class ProbTable:
     P: tuple[tuple[Fraction, ...], ...]
     j_star: int
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """P_{i,j} with 1-based sub-block index j."""
-        return self.P[i][j - 1]
+
+def table_mass(P: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Total row mass sum_i C(K-D, i) * sum_j l_j * P[i][j] of a table with
+    K-D+1 rows of D entries; a valid table has mass exactly 1."""
+    D = len(P[0])
+    l, _ = lj_mj(D)
+    return sum(
+        binomial(len(P) - 1, i) * sum(l[j] * row[j] for j in range(D)) for i, row in enumerate(P)
+    )
 
 
 def common_denominator(table: ProbTable) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -102,15 +109,11 @@ def build_prob_table(params: Params) -> ProbTable:
     for _ in range(K - D):
         rows.append(mat_vec_mul(M, rows[-1]))
     rows.reverse()
-    l, _ = lj_mj(D)
     for i, row in enumerate(rows):
         for j, p in enumerate(row, start=1):
             if not 0 <= p <= 1:
                 raise ValueError(f"P[{i}][{j}] = {p} outside [0, 1]")
-    mass = sum(
-        binomial(K - D, i) * sum(l[j] * rows[i][j] for j in range(D))
-        for i in range(K - D + 1)
-    )
+    mass = table_mass(rows)
     if mass != 1:
         raise ValueError(f"total row mass is {mass}, expected exactly 1")
     return ProbTable(P=tuple(rows), j_star=j_star)

@@ -1,11 +1,12 @@
 """One retrieval round: build queries, answer them, recover the demand.
 
-The three steps are pure functions over an immutable message store, so a
-round can run fully in memory; the network layer reuses the same pieces.
-Randomness is consumed in a fixed order (row draw, mixing vector entries,
-demand vector entries per full-rank attempt, then the server permutation),
-which makes a seeded round bit-reproducible across the in-memory and
-networked paths.
+:func:`execute_round` is the one round body.  It builds the queries,
+hands all N of them to an answerer, and recovers the demand from the
+answers.  :func:`run_round` answers from an in-memory store;
+``net.retrieve`` answers over TCP.  Randomness is consumed in a fixed order
+(row draw, mixing vector entries, demand vector entries per full-rank
+attempt, then the server permutation), so a seeded round yields the same
+transcript on either transport.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import gf, plan
 from .params import Params
@@ -21,6 +22,7 @@ from .prob import ProbTable
 
 Message = tuple[int, ...]
 Answer = Message | None  # None when the query was the zero vector
+AnswerAll = Callable[[tuple[gf.FieldVector, ...]], Sequence[Answer]]
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,12 @@ def make_query_set(
     """Sample a row, draw the query vectors, and assign them to servers."""
     w = plan.as_demand(params, W)
     row = plan.sample_row(params, prob, w, rng)
-    base = plan.r_subset(params, w, row.i, row.k)
-    field = gf.PrimeField(params.q)
-    U = gf.vector_with_support(params.K, {idx: field.rand_nonzero(rng) for idx in base})
-    T = plan.choose_T_collection(params, w, row.j)[row.l - 1]
-    shifted = [plan.shift_subset(w, T, h) for h in range(1, params.D + 1)]
-    V = gf.random_full_rank_V(params, shifted, rng)
-    columns = (U,) + tuple(field.vec_add(U, v) for v in V)
+    base, *cols = plan.row_supports(params, w, row)
+    # Draws in ascending index order: a frozenset's own order is not, and
+    # the order of draws fixes the transcript for a seed.
+    U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in sorted(base)})
+    V = gf.random_full_rank_V(params, [c - base for c in cols], rng)
+    columns = (U,) + tuple(gf.vec_add(U, v, params.q) for v in V)
     servers = list(range(params.N))
     rng.shuffle(servers)
     permutation = tuple(servers)
@@ -153,7 +154,7 @@ def recover(
     w = sorted(set().union(*(gf.support(v) for v in query_set.V)))
     if len(w) != params.D:
         raise ValueError("demand vectors do not cover a full demand set")
-    inv = gf.inverse(gf.PrimeField(params.q), [[vec[x - 1] for x in w] for vec in query_set.V])
+    inv = gf.inverse(params.q, [[vec[x - 1] for x in w] for vec in query_set.V])
     width = gf.slot_width(params.N, params.q)
     packed = []
     for n in range(params.N):
@@ -166,6 +167,27 @@ def recover(
     )
 
 
+def execute_round(
+    params: Params,
+    prob: ProbTable,
+    W: Iterable[int],
+    rng: random.Random,
+    answer_all: AnswerAll,
+) -> Transcript:
+    """Run one round: build the queries, get the N answers from
+    answer_all(queries), where queries[n] goes to server n, and recover."""
+    w = plan.as_demand(params, W)
+    qs = make_query_set(params, prob, w, rng)
+    answers = tuple(answer_all(qs.queries))
+    return Transcript(
+        W=w,
+        query_set=qs,
+        answers=answers,
+        recovered=recover(params, qs, answers),
+        download_elements=params.m * sum(1 for a in answers if a is not None),
+    )
+
+
 def run_round(
     params: Params,
     prob: ProbTable,
@@ -174,17 +196,8 @@ def run_round(
     rng: random.Random,
 ) -> Transcript:
     """Execute one full in-memory round against a concrete store."""
-    w = plan.as_demand(params, W)
     if (store.K, store.q, store.m) != (params.K, params.q, params.m):
         raise ValueError("store shape does not match params")
-    qs = make_query_set(params, prob, w, rng)
-    answers = tuple(server_answer(store, qvec) for qvec in qs.queries)
-    recovered = recover(params, qs, answers)
-    downloaded = params.m * sum(1 for a in answers if a is not None)
-    return Transcript(
-        W=w,
-        query_set=qs,
-        answers=answers,
-        recovered=recovered,
-        download_elements=downloaded,
+    return execute_round(
+        params, prob, W, rng, lambda queries: [server_answer(store, qv) for qv in queries]
     )

@@ -171,7 +171,7 @@ class TestStoreAndNetwork:
         store = MessageStore.random(params, random.Random(44))
         servers = [net.StoreServer(store) for _ in range(3)]
         for s in servers:
-            threading.Thread(target=s.serve_forever, daemon=True).start()
+            threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
         try:
             endpoints = ",".join(f"127.0.0.1:{s.port}" for s in servers)
             code, out, _ = run_cli(

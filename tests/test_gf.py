@@ -10,44 +10,57 @@ from mpir import gf
 from mpir.params import Params
 
 
+def add(a, b, q):
+    return gf.vec_add((a,), (b,), q)[0]
+
+
+def mul(a, b, q):
+    width = gf.slot_width(1, q)
+    return gf.combine((a,), (gf.pack((b,), width),), 1, q, width)[0]
+
+
+def inv(a, q):
+    return gf.inverse(q, [[a]])[0][0]
+
+
 class TestFieldOps:
+    # Scalar field operations, through the vector functions that carry them:
+    # vec_add, combine (one term) and a 1x1 inverse.
     def test_add_wraps(self):
-        assert gf.PrimeField(3).add(2, 2) == 1
+        assert gf.vec_add((2, 1), (2, 1), 3) == (1, 2)
 
     def test_inverse(self):
-        assert gf.PrimeField(3).inv(2) == 2
+        assert inv(2, 3) == 2
 
     def test_mul(self):
-        assert gf.PrimeField(5).mul(3, 4) == 2
+        assert mul(3, 4, 5) == 2
 
     def test_zero_inverse_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            gf.PrimeField(5).inv(0)
-
-    def test_nonprime_rejected(self):
-        with pytest.raises(ValueError):
-            gf.PrimeField(9)
+        with pytest.raises(ValueError, match="singular"):
+            inv(0, 5)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_axioms_exhaustive(self, q):
-        field = gf.PrimeField(q)
         for a, b, c in product(range(q), repeat=3):
-            assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
-            assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-            assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+            assert add(add(a, b, q), c, q) == add(a, add(b, c, q), q)
+            assert mul(mul(a, b, q), c, q) == mul(a, mul(b, c, q), q)
+            assert mul(a, add(b, c, q), q) == add(mul(a, b, q), mul(a, c, q), q)
         for a in range(1, q):
-            assert field.mul(a, field.inv(a)) == 1
+            assert mul(a, inv(a, q), q) == 1
         for a in range(q):
-            assert field.add(a, field.neg(a)) == 0
+            assert add(a, -a % q, q) == 0
 
     @pytest.mark.parametrize("q", [11, 13])
     def test_axioms_sampled(self, q):
-        field = gf.PrimeField(q)
         rng = random.Random(q)
         for _ in range(500):
             a, b, c = (rng.randrange(q) for _ in range(3))
-            assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-            assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
+            assert mul(a, add(b, c, q), q) == add(mul(a, b, q), mul(a, c, q), q)
+            assert add(add(a, b, q), c, q) == add(a, add(b, c, q), q)
+
+    def test_vec_add_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            gf.vec_add((1, 2), (1,), 3)
 
 
 class TestSupport:
@@ -69,32 +82,28 @@ def eye(n):
 
 class TestSolvers:
     def test_identity(self):
-        field = gf.PrimeField(5)
-        assert gf.inverse(field, eye(3)) == tuple(tuple(row) for row in eye(3))
+        assert gf.inverse(5, eye(3)) == tuple(tuple(row) for row in eye(3))
 
     def test_diagonal(self):
-        field = gf.PrimeField(3)
-        assert gf.inverse(field, [[2, 0], [0, 1]]) == ((2, 0), (0, 1))
+        assert gf.inverse(3, [[2, 0], [0, 1]]) == ((2, 0), (0, 1))
 
     def test_singular_rejected(self):
-        field = gf.PrimeField(5)
         with pytest.raises(ValueError, match="singular"):
-            gf.inverse(field, [[1, 2], [2, 4]])
+            gf.inverse(5, [[1, 2], [2, 4]])
         with pytest.raises(ValueError, match="square"):
-            gf.inverse(field, [[1, 2]])
+            gf.inverse(5, [[1, 2]])
 
     def test_against_exhaustive_search(self):
         # Oracle: column c of the inverse is the unique one of all 125
         # candidates x in GF(5)^3 with mat @ x = e_c.
-        field = gf.PrimeField(5)
         rng = random.Random(17)
         for _ in range(20):
             mat = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-            if gf.matrix_rank(field, mat) < 3:
+            if gf.matrix_rank(5, mat) < 3:
                 with pytest.raises(ValueError, match="singular"):
-                    gf.inverse(field, mat)
+                    gf.inverse(5, mat)
                 continue
-            inv = gf.inverse(field, mat)
+            inv = gf.inverse(5, mat)
             for c in range(3):
                 brute = [
                     x
@@ -106,14 +115,13 @@ class TestSolvers:
     def test_round_trip(self):
         rng = random.Random(23)
         for q in (5, 7):
-            field = gf.PrimeField(q)
             inverted = 0
             for _ in range(50):
                 n = rng.randrange(1, 6)
                 mat = [[rng.randrange(-q, 2 * q) for _ in range(n)] for _ in range(n)]
-                if gf.matrix_rank(field, mat) < n:
+                if gf.matrix_rank(q, mat) < n:
                     continue
-                inv = [list(row) for row in gf.inverse(field, mat)]
+                inv = [list(row) for row in gf.inverse(q, mat)]
                 assert all(0 <= x < q for row in inv for x in row)
                 assert mat_mul(inv, mat, q) == eye(n)
                 assert mat_mul(mat, inv, q) == eye(n)
@@ -124,13 +132,12 @@ class TestSolvers:
         # The recovery path: one combine per inverse row over packed
         # right-hand-side rows solves every column at once.
         q = 5
-        field = gf.PrimeField(q)
         rng = random.Random(31)
         mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-        while gf.matrix_rank(field, mat) < 3:
+        while gf.matrix_rank(q, mat) < 3:
             mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
         rhs_rows = [[rng.randrange(q) for _ in range(6)] for _ in range(3)]
-        inv = gf.inverse(field, mat)
+        inv = gf.inverse(q, mat)
         width = gf.slot_width(3, q)
         packed = [gf.pack(row, width) for row in rhs_rows]
         combined = [gf.combine(row, packed, 6, q, width) for row in inv]
@@ -174,12 +181,11 @@ class TestCombine:
 
 class TestMatrixRank:
     def test_known_ranks(self):
-        field = gf.PrimeField(3)
-        assert gf.matrix_rank(field, [[1, 2], [2, 2]]) == 2
-        assert gf.matrix_rank(field, [[1, 2], [2, 4]]) == 1
-        assert gf.matrix_rank(field, [[1, 2], [2, 1]]) == 1  # det = -3 = 0 mod 3
-        assert gf.matrix_rank(field, [[0, 0], [0, 0]]) == 0
-        assert gf.matrix_rank(field, []) == 0
+        assert gf.matrix_rank(3, [[1, 2], [2, 2]]) == 2
+        assert gf.matrix_rank(3, [[1, 2], [2, 4]]) == 1
+        assert gf.matrix_rank(3, [[1, 2], [2, 1]]) == 1  # det = -3 = 0 mod 3
+        assert gf.matrix_rank(3, [[0, 0], [0, 0]]) == 0
+        assert gf.matrix_rank(3, []) == 0
 
 
 class TestRandomFullRankV:
@@ -189,23 +195,22 @@ class TestRandomFullRankV:
         vecs = gf.random_full_rank_V(params, [{1}, {2}], rng)
         assert gf.support(vecs[0]) == frozenset({1})
         assert gf.support(vecs[1]) == frozenset({2})
-        assert gf.matrix_rank(gf.PrimeField(3), vecs) == 2
+        assert gf.matrix_rank(3, vecs) == 2
 
     def test_overlapping_supports_reject_proportional(self):
         # Oracle: of the 16 nonzero-entry pairs on {1,2}, exactly 8 are full
         # rank over GF(3); the draw must always land among those.
         params = Params(K=4, D=2, q=3)
-        field = gf.PrimeField(3)
         full_rank = 0
         for a1, a2, b1, b2 in product((1, 2), repeat=4):
             v1 = (a1, a2, 0, 0)
             v2 = (b1, b2, 0, 0)
-            full_rank += gf.matrix_rank(field, [v1, v2]) == 2
+            full_rank += gf.matrix_rank(3, [v1, v2]) == 2
         assert full_rank == 8
         rng = random.Random(99)
         for _ in range(200):
             vecs = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], rng)
-            assert gf.matrix_rank(field, vecs) == 2
+            assert gf.matrix_rank(3, vecs) == 2
             assert all(vecs[t][idx] != 0 for t in range(2) for idx in (0, 1))
 
     @pytest.mark.parametrize("q", [3, 5])
@@ -214,7 +219,7 @@ class TestRandomFullRankV:
         rng = random.Random(q)
         for _ in range(100):
             vecs = gf.random_full_rank_V(params, [{2, 4}, {2, 4}], rng)
-            assert gf.matrix_rank(gf.PrimeField(q), vecs) == 2
+            assert gf.matrix_rank(q, vecs) == 2
 
     def test_empty_support_rejected(self):
         params = Params(K=4, D=2, q=3)

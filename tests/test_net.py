@@ -6,6 +6,7 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -28,15 +29,41 @@ def store(params):
 @pytest.fixture
 def cluster(store):
     servers = [net.StoreServer(store) for _ in range(3)]
-    threads = [threading.Thread(target=s.serve_forever, daemon=True) for s in servers]
-    for t in threads:
-        t.start()
+    for s in servers:
+        # A short poll keeps shutdown() from waiting out the default 0.5 s.
+        threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
     try:
         yield [("127.0.0.1", s.port) for s in servers]
     finally:
         for s in servers:
             s.shutdown()
             s.server_close()
+
+
+@pytest.fixture
+def stalling_server():
+    """start(header) runs a one-shot server that reads a query, replies with
+    only `header`, and keeps the connection open until the test ends;
+    it returns the server's endpoint."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    done = threading.Event()
+
+    def start(header):
+        def run():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(header)
+                done.wait(10)
+
+        threading.Thread(target=run, daemon=True).start()
+        return listener.getsockname()
+
+    try:
+        yield start
+    finally:
+        done.set()
+        listener.close()
 
 
 def raw_exchange(endpoint, payload_bytes):
@@ -166,6 +193,19 @@ class TestServer:
         msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], net.pack_frame(net.MSG_ANSWER, b""))))
         assert msg_type == net.MSG_ERROR
 
+    def test_stalled_read_is_dropped(self, cluster, monkeypatch, capsys):
+        # Half a frame header and then silence: the server gives up on the
+        # read after its timeout and closes the connection quietly, with
+        # neither a reply nor a traceback.
+        assert net._AnswerHandler.timeout is not None
+        monkeypatch.setattr(net._AnswerHandler, "timeout", 0.2)
+        with socket.create_connection(cluster[0], timeout=5) as sock:
+            sock.sendall(b"\x20\x00")
+            start = time.monotonic()
+            assert sock.recv(64) == b""
+            assert time.monotonic() - start < 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_multiple_queries_per_connection(self, cluster, store):
         frames = net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0])) + net.pack_frame(
             net.MSG_QUERY, net.pack_elements([0, 1, 0, 0])
@@ -182,6 +222,12 @@ class TestRetrieve:
     def test_recovers_store_contents(self, cluster, params, store):
         result = net.retrieve(cluster, (1, 2), params, seed=3)
         assert result.transcript.recovered == (store.messages[0], store.messages[1])
+
+    def test_recovers_without_seed(self, cluster, params, store):
+        # The default draws queries from the OS CSPRNG, not a replayable seed.
+        for W in ((1, 2), (3, 4)):
+            result = net.retrieve(cluster, W, params)
+            assert result.transcript.recovered == tuple(store.messages[x - 1] for x in W)
 
     def test_differential_equivalence(self, cluster, params, store):
         prob = build_prob_table(params)
@@ -219,6 +265,16 @@ class TestRetrieve:
         dead = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]
         with pytest.raises(OSError):
             net.retrieve(dead, (1, 2), params, seed=0)
+
+    @pytest.mark.parametrize("msg_type", [net.MSG_ANSWER, net.MSG_EMPTY_ANSWER, net.MSG_ERROR])
+    def test_oversized_reply_rejected_before_payload(self, cluster, params, stalling_server, msg_type):
+        # The reply header declares 2**32 - 1 bytes and no payload follows:
+        # the client must refuse at the header, not wait for its socket timeout.
+        endpoint = stalling_server(struct.pack("<IB", 2**32 - 1, msg_type))
+        start = time.monotonic()
+        with pytest.raises(net.ProtocolError, match="4294967295 bytes"):
+            net.retrieve([endpoint] + cluster[:2], (1, 2), params, seed=0)
+        assert time.monotonic() - start < 5
 
     def test_inconsistent_store_shape_detected(self, cluster, store):
         # Client believing m=4 against m=8 servers must flag the mismatch.

@@ -15,6 +15,7 @@ from mpir.prob import (
     expected_download_factor,
     rate_report,
     solve_opt,
+    table_mass,
     _bound_geometric_form,
     _bound_ratio_form,
 )
@@ -67,10 +68,9 @@ class TestBuildProbTable:
         l, _ = lj_mj(2)
         assert sum(F(l[j]) * table.P[0][j] for j in range(2)) == F(11, 57)
 
-    def test_entry_accessor(self):
+    def test_k4_d2_last_row(self):
         table = build_prob_table(Params(K=4, D=2))
-        assert table.entry(2, 1) == F(1, 6)
-        assert table.entry(2, 2) == 0
+        assert table.P[2] == (F(1, 6), F(0))
 
 
 class TestTableLaws:
@@ -86,7 +86,7 @@ class TestTableLaws:
             binomial(top, i) * sum(l[j] * table.P[i][j] for j in range(D))
             for i in range(top + 1)
         )
-        assert mass == 1
+        assert mass == 1 == table_mass(table.P)
         # Scalar recurrences between consecutive rows.
         for i in range(1, top + 1):
             assert sum(l[j] * table.P[i][j] for j in range(D)) == m[0] * table.P[i - 1][0]
