@@ -6,7 +6,11 @@ and tallies, per server position, the exact probability of each query
 support.  Privacy holds iff those distributions are identical (rational
 equality, not approximate) across all C(K, D) demand sets.  The tallies are
 integers over the probability table's common denominator, so the equality is
-exact without building a Fraction per row.
+exact without building a Fraction per row.  A tally is keyed by the support
+as an int bitmask (bit t-1 for message t): each row's base and shifted
+demand subsets are masks, and a column's support is their bitwise or.
+Frozensets are built only for what leaves the module, a distribution or a
+violation.
 """
 from __future__ import annotations
 
@@ -30,54 +34,43 @@ from .prob import (
 from .protocol import MessageStore, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
-SupportTally = dict[frozenset[int], int]
+SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weight
 
 
-def _column_support_counts(
-    params: Params, W: tuple[int, ...]
-) -> dict[tuple[int, int], dict[frozenset[int], list[int]]]:
-    """Per (i, j): how often each support shows up in each of the N columns."""
-    comp = plan.complement(params, W)
-    n_cols = params.N
-    counts: dict[tuple[int, int], dict[frozenset[int], list[int]]] = {}
-    for i in range(params.K - params.D + 1):
-        for j in range(1, params.D + 1):
-            per_support: dict[frozenset[int], list[int]] = defaultdict(
-                lambda: [0] * n_cols
-            )
-            collection = plan.choose_T_collection(params, W, j)
-            shifted = [
-                [plan.shift_subset(W, T, h) for h in range(1, params.D + 1)]
-                for T in collection
+def _support_tallies(
+    params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
+) -> list[SupportTally]:
+    """Per server position, each support's probability times the scale.
+
+    Every column of every row (i, k, j, l) adds the row's weight
+    nums[i][j-1]: to the one tally under the permutation, else column n to
+    position n's.  Rows of weight 0 add nothing and are skipped.
+    """
+    tallies: list[SupportTally] = [defaultdict(int) for _ in range(1 if permute else params.N)]
+    columns = tallies * (params.N // len(tallies))
+    comp = [1 << (t - 1) for t in plan.complement(params, w)]
+    for j in range(1, params.D + 1):
+        # (tally, mask) of each column of each row l: column 1 adds nothing
+        # to the row's base, column 1+h adds shift(T, h).
+        cells: list[tuple[SupportTally, int]] = []
+        for T in plan.choose_T_collection(params, w, j):
+            shifts = [
+                sum(1 << (t - 1) for t in plan.shift_subset(w, T, h)) for h in range(1, params.D + 1)
             ]
-            for base in combinations(comp, i):
-                base_f = frozenset(base)
-                for row_shifts in shifted:
-                    per_support[base_f][0] += 1
-                    for h, T_h in enumerate(row_shifts, start=1):
-                        per_support[base_f | T_h][h] += 1
-            counts[(i, j)] = dict(per_support)
-    return counts
+            cells.extend(zip(columns, [0, *shifts]))
+        for i in range(params.K - params.D + 1):
+            num = nums[i][j - 1]
+            if num == 0:
+                continue
+            for base in map(sum, combinations(comp, i)):
+                for tally, t in cells:
+                    tally[base | t] += num
+    return tallies
 
 
-def _support_tally(
-    counts: dict[tuple[int, int], dict[frozenset[int], list[int]]],
-    nums: tuple[tuple[int, ...], ...],
-    server_n: int,
-    permute: bool,
-) -> SupportTally:
-    # Support probabilities times the scale N*den (permute) or den (no
-    # permute), where P[i][j-1] == nums[i][j-1] / den: exact integers.
-    tally: SupportTally = defaultdict(int)
-    for (i, j), per_support in counts.items():
-        num = nums[i][j - 1]
-        if num == 0:
-            continue
-        for sup, by_col in per_support.items():
-            weight = (sum(by_col) if permute else by_col[server_n - 1]) * num
-            if weight:
-                tally[sup] += weight
-    return tally
+def _support(mask: int) -> frozenset[int]:
+    """The message indices of a support bitmask."""
+    return frozenset(t + 1 for t in range(mask.bit_length()) if mask >> t & 1)
 
 
 def _differences(ref: dict, cur: dict) -> tuple[list[tuple], int | Fraction]:
@@ -119,8 +112,8 @@ def support_distribution(
         raise ValueError(f"server position must be in [1, {params.N}]")
     den, nums = common_denominator(prob)
     scale = params.N * den if permute else den
-    tally = _support_tally(_column_support_counts(params, w), nums, server_n, permute)
-    return {sup: Fraction(v, scale) for sup, v in tally.items()}
+    tally = _support_tallies(params, w, nums, permute)[0 if permute else server_n - 1]
+    return {_support(mask): Fraction(v, scale) for mask, v in tally.items()}
 
 
 @dataclass(frozen=True)
@@ -159,27 +152,24 @@ def privacy_check(
         prob = build_prob_table(params)
     den, nums = common_denominator(prob)
     scale = params.N * den if permute else den
-    # Under the uniform permutation every server position sees the same
-    # distribution, so one tally per demand stands for all N positions.
-    positions = 1 if permute else params.N
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
     reference: list[SupportTally] | None = None
     w_ref: tuple[int, ...] = demands[0]
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands:
-        counts = _column_support_counts(params, w)
-        tallies = [
-            _support_tally(counts, nums, n, permute) for n in range(1, positions + 1)
-        ]
+        tallies = _support_tallies(params, w, nums, permute)
         if reference is None:
             reference = tallies
             continue
         compared = [
-            (sorted(diffs, key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
+            (sorted(((_support(mask), a, b) for mask, a, b in diffs),
+                    key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
             for diffs, abs_sum in map(_differences, reference, tallies)
         ]
-        for n, (diffs, abs_sum) in enumerate(compared * (params.N // positions), start=1):
+        # Under the uniform permutation every server position sees the same
+        # distribution, so one tally per demand stands for all N positions.
+        for n, (diffs, abs_sum) in enumerate(compared * (params.N // len(compared)), start=1):
             violations.extend(
                 PrivacyViolation(
                     W_ref=w_ref,

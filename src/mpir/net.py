@@ -31,11 +31,12 @@ import socketserver
 import struct
 from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .params import Params
-from .prob import build_prob_table
+from .prob import ProbTable, build_prob_table
 from .protocol import Answer, MessageStore, Transcript, execute_round, server_answer
 
 MAGIC = b"MPIR1"
@@ -242,6 +243,13 @@ def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:
         seen.update(dict.fromkeys(addrs, endpoint))
 
 
+@lru_cache(maxsize=16)
+def _prob_table(params: Params) -> ProbTable:
+    # Tables are immutable and depend only on params: build each one once
+    # rather than in every round.
+    return build_prob_table(params)
+
+
 def retrieve(
     endpoints: Sequence[tuple[str, int]],
     W: Iterable[int],
@@ -263,7 +271,7 @@ def retrieve(
     rng = random.SystemRandom() if seed is None else random.Random(seed)
     transcript = execute_round(
         params,
-        build_prob_table(params),
+        _prob_table(params),
         W,
         rng,
         lambda queries: _answer_over_tcp(endpoints, queries, params.m, params.q),

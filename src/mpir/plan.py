@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .params import Params, binomial, lj_mj
-from .prob import ProbTable, common_denominator
+from .prob import ProbTable
 
 logger = logging.getLogger(__name__)
 
@@ -244,27 +244,6 @@ def iter_row_ids(params: Params) -> Iterable[RowId]:
                     yield RowId(i, k, j, row_l)
 
 
-@lru_cache(maxsize=None)
-def _sampling_layout(
-    params: Params, prob: ProbTable
-) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-    # Integer row weights over one common denominator, grouped by (i, j).
-    # Group order is fixed so sampling is reproducible for a given seed.
-    l, _ = lj_mj(params.D)
-    den, nums = common_denominator(prob)
-    groups = []
-    total = 0
-    for i in range(params.K - params.D + 1):
-        k_count = binomial(params.K - params.D, i)
-        for j in range(1, params.D + 1):
-            num = nums[i][j - 1]
-            groups.append((i, j, k_count, l[j - 1], num))
-            total += k_count * l[j - 1] * num
-    if total != den:
-        raise ValueError("probability table mass is not exactly 1")
-    return den, tuple(groups)
-
-
 def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Random) -> RowId:
     """Draw one row id with probability P[i][j], uniform across k and l.
 
@@ -273,7 +252,9 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     bias the privacy-critical selection.
     """
     as_demand(params, W)
-    den, groups = _sampling_layout(params, prob)
+    if len(prob.P) != params.K - params.D + 1 or len(prob.P[0]) != params.D:
+        raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
+    den, groups = prob.sampling_layout
     target = (rng.getrandbits(128) * den) >> 128
     acc = 0
     for i, j, k_count, l_count, num in groups:

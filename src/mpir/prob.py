@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .params import (
@@ -35,6 +36,25 @@ class ProbTable:
 
     P: tuple[tuple[Fraction, ...], ...]
     j_star: int
+
+    @cached_property
+    def sampling_layout(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
+        """(den, groups) for exact row sampling, built on first use.
+
+        One group (i, j, C(K-D, i), l_j, num) per entry, in table order, with
+        P[i][j-1] == num / den; the order is fixed so that a seed reproduces
+        its draws.  Raises ValueError unless the row weights sum to den.
+        """
+        den, nums = common_denominator(self)
+        l, _ = lj_mj(len(self.P[0]))
+        groups = tuple(
+            (i, j, binomial(len(self.P) - 1, i), l[j - 1], num)
+            for i, row in enumerate(nums)
+            for j, num in enumerate(row, start=1)
+        )
+        if sum(k_count * l_count * num for _, _, k_count, l_count, num in groups) != den:
+            raise ValueError("probability table mass is not exactly 1")
+        return den, groups
 
 
 def table_mass(P: Sequence[Sequence[Fraction]]) -> Fraction:

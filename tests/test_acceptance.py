@@ -164,7 +164,7 @@ def test_criterion_3_privacy_exact():
     start = time.perf_counter()
     instances = 0
     for D in range(2, 6):
-        for K in range(D + 1, 11):
+        for K in range(D + 1, 13):
             params = Params(K=K, D=D)
             rep = audit.privacy_check(params)
             assert rep.passed, f"privacy violated at (K={K}, D={D})"

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from mpir import audit
+from mpir import audit, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 
@@ -48,6 +49,31 @@ class TestSupportDistribution:
             for n in range(1, params.N + 1)
         ]
         assert all(d == dists[0] for d in dists)
+
+    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3), (7, 3)])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("permute", [True, False])
+    def test_matches_enumeration_of_sent_supports(self, K, D, perturbed, permute):
+        # Oracle: the supports the protocol sends (plan.row_supports) for
+        # every row, each column reaching a position with probability 1/N
+        # under the permutation, or column n-1 alone reaching server n.
+        params = Params(K=K, D=D)
+        table = build_prob_table(params)
+        if perturbed:
+            table = audit.perturb_prob_table(table, 1, 2)
+        for w in combinations(range(1, K + 1), D):
+            expected = [defaultdict(Fraction) for _ in range(params.N)]
+            for row in plan.iter_row_ids(params):
+                p_row = table.P[row.i][row.j - 1]
+                for col, sup in enumerate(plan.row_supports(params, w, row)):
+                    if permute:
+                        for dist in expected:
+                            dist[sup] += p_row / params.N
+                    else:
+                        expected[col][sup] += p_row
+            for n, dist in enumerate(expected, start=1):
+                got = audit.support_distribution(params, table, w, n, permute=permute)
+                assert got == {sup: p for sup, p in dist.items() if p}, (w, n)
 
     def test_rejects_bad_server(self):
         params = Params(K=4, D=2)
@@ -123,10 +149,12 @@ class TestPrivacyCheck:
         # or as returned must give the same report, violation order included.
         params = Params(K=7, D=3)
         mutated = audit.perturb_prob_table(build_prob_table(params), 1, 2)
-        built = audit._support_tally
+        built = audit._support_tallies
         reports = []
         for rebuild in (lambda t: t, dict, lambda t: dict(reversed(list(t.items())))):
-            monkeypatch.setattr(audit, "_support_tally", lambda *a, r=rebuild: r(built(*a)))
+            monkeypatch.setattr(
+                audit, "_support_tallies", lambda *a, r=rebuild: [r(t) for t in built(*a)]
+            )
             reports.append(audit.privacy_check(params, mutated, permute=permute))
         assert reports[0].violations
         assert reports[1] == reports[0] and reports[2] == reports[0]

@@ -236,6 +236,22 @@ class TestRetrieve:
             in_memory = run_round(params, prob, (1, 3), store, random.Random(seed))
             assert networked.transcript.to_bytes() == in_memory.to_bytes()
 
+    def test_prob_table_built_once_per_params(self, cluster, params, monkeypatch):
+        builds = []
+
+        def counting_build(p):
+            builds.append(p)
+            return build_prob_table(p)
+
+        monkeypatch.setattr(net, "build_prob_table", counting_build)
+        net._prob_table.cache_clear()
+        try:
+            net.retrieve(cluster, (1, 2), params, seed=1)
+            net.retrieve(cluster, (3, 4), Params(K=4, D=2, q=3, m=8), seed=2)
+        finally:
+            net._prob_table.cache_clear()
+        assert builds == [params]
+
     def test_seed_repeatable(self, cluster, params):
         a = net.retrieve(cluster, (2, 4), params, seed=42)
         b = net.retrieve(cluster, (2, 4), params, seed=42)

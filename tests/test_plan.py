@@ -245,6 +245,12 @@ class TestSampleRow:
         with pytest.raises(ValueError):
             plan.sample_row(params, table, (1, 2, 3), random.Random(0))
 
+    @pytest.mark.parametrize("table_K", [4, 6])
+    def test_rejects_table_of_other_shape(self, table_K):
+        table = build_prob_table(Params(K=table_K, D=2))
+        with pytest.raises(ValueError, match="shape"):
+            plan.sample_row(Params(K=5, D=2), table, (1, 2), random.Random(0))
+
 
 class TestDemandValidation:
     def test_as_demand_sorts(self):

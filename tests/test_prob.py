@@ -111,10 +111,8 @@ class TestTableLaws:
         # A hand-built table with mass != 1 must be caught by the sampler's
         # layout check; build_prob_table itself cannot produce one.
         bad = ProbTable(P=((F(1, 2), F(1, 4)),), j_star=1)
-        from mpir.plan import _sampling_layout
-
         with pytest.raises(ValueError):
-            _sampling_layout(Params(K=2, D=2), bad)
+            bad.sampling_layout
 
 
 class TestRates:
