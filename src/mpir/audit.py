@@ -11,16 +11,26 @@ as an int bitmask (bit t-1 for message t): each row's base and shifted
 demand subsets are masks, and a column's support is their bitwise or.
 Frozensets are built only for what leaves the module, a distribution or a
 violation.
+
+The coefficient-level audit replays the shipped code instead of modelling
+it: a ReplayRng branches each randrange(n) over its n values and each
+shuffle over all N! orders, and plan.sample_row (stage 1), then
+protocol.draw_queries on every drawn row (stage 2), run once per choice
+sequence.  Only gf's full-rank retry, gf._redraw_until, does not run
+verbatim: while a replay runs it makes one attempt.  Its attempts are
+i.i.d., so its value is uniform over one attempt's accepted values; the
+replay drops rejected leaves and scales each prefix's accepted ones up to
+the prefix's weight.  The swap is process-wide for the replay's duration.
 """
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable
+from itertools import combinations
+from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
 from .params import Params, lj_mj
@@ -31,7 +41,7 @@ from .prob import (
     expected_download_factor,
     table_mass,
 )
-from .protocol import MessageStore, run_round
+from .protocol import MessageStore, draw_queries, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
 SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weight
@@ -215,94 +225,158 @@ class CoefficientPrivacyReport:
     demands_checked: int
 
 
-def coefficient_distribution(
-    params: Params,
-    prob: ProbTable,
-    W: Iterable[int],
-    server_n: int,
-    max_work: int = 5_000_000,
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact distribution of the full coefficient vector at one server.
+# The most leaves (row targets plus query-builder choice sequences) that the
+# coefficient-level replay walks per demand set.
+MAX_REPLAY_LEAVES = 1_000_000
+_ACCEPTED = object()  # tally key counting a replay's accepted leaves
 
-    Enumerates every row, every mixing-vector assignment, and every
-    full-rank demand-vector assignment, under the uniform permutation
-    marginal.  Exponential in the supports, so only desk-scale instances are
-    accepted; the point is to settle coefficient-level privacy exactly where
-    enumeration is feasible rather than to scale.
-    """
-    w = plan.as_demand(params, W)
-    if not 1 <= server_n <= params.N:
-        raise ValueError(f"server position must be in [1, {params.N}]")
-    nz = range(1, params.q)
-    base_work = (params.q - 1) ** (params.K - params.D)
-    v_work = max(
-        (params.q - 1) ** (j * params.D) for j in range(1, params.D + 1)
-    )
-    if plan.total_rows(params) * base_work * (params.D + 1) + v_work > max_work:
-        raise ValueError("instance too large for exact coefficient enumeration")
 
-    v_choices_cache: dict[tuple[int, int], list[tuple[gf.FieldVector, ...]]] = {}
+class _Rejected(Exception):
+    """A replayed full-rank attempt that the shipped retry would redraw."""
 
-    def v_choices(j: int, l: int) -> list[tuple[gf.FieldVector, ...]]:
-        if (j, l) not in v_choices_cache:
-            T = plan.choose_T_collection(params, w, j)[l - 1]
-            shifts = [sorted(plan.shift_subset(w, T, h)) for h in range(1, params.D + 1)]
-            found = []
-            for assign in product(*(list(product(nz, repeat=len(s))) for s in shifts)):
-                vecs = tuple(
-                    gf.vector_with_support(params.K, dict(zip(s, vals)))
-                    for s, vals in zip(shifts, assign)
-                )
-                if gf.matrix_rank(params.q, vecs) == params.D:
-                    found.append(vecs)
-            v_choices_cache[(j, l)] = found
-        return v_choices_cache[(j, l)]
 
-    dist: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    for row in plan.iter_row_ids(params):
-        p_row = prob.P[row.i][row.j - 1]
-        if p_row == 0:
-            continue
-        base = sorted(plan.r_subset(params, w, row.i, row.k))
-        choices = v_choices(row.j, row.l)
-        scale = p_row / (params.N * (params.q - 1) ** len(base) * len(choices))
-        for u_vals in product(nz, repeat=len(base)):
-            U = gf.vector_with_support(params.K, dict(zip(base, u_vals)))
-            for vecs in choices:
-                dist[U] += scale
-                for v in vecs:
-                    dist[gf.vec_add(U, v, params.q)] += scale
+class ReplayRng:
+    """An rng that follows the choice sequence path ([choice, fan-out] per
+    draw) and extends it with first choices.  randrange(n) chooses among n
+    values and shuffle makes random.shuffle's Fisher-Yates pass (a choice
+    among i+1 at step i); any other method raises."""
+
+    def __init__(self, path: list[list[int]]) -> None:
+        self.path = path
+        self.depth = 0  # draws made so far
+        self.den = 1  # product of their fan-outs
+        self.prefix: tuple | None = None  # (choices, den) as the full-rank attempt began
+
+    def _choose(self, n: int) -> int:
+        if self.depth == len(self.path):
+            self.path.append([0, n])
+        choice, fan_out = self.path[self.depth]
+        if fan_out != n:
+            raise RuntimeError("the replayed code drew differently on the same choices")
+        self.depth += 1
+        self.den *= n
+        return choice
+
+    def randrange(self, start: int, stop: int | None = None, step: int = 1) -> int:
+        values = range(start) if stop is None else range(start, stop, step)
+        return values[self._choose(len(values))]
+
+    def shuffle(self, x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            j = self._choose(i + 1)
+            x[i], x[j] = x[j], x[i]
+
+    def __getattr__(self, name: str):
+        raise AttributeError(f"the replay branches on randrange and shuffle only, not {name}")
+
+
+def _replay(run: Callable[[ReplayRng], Iterable[Hashable]]) -> dict[Hashable, Fraction]:
+    """The exact probability of each key that run(rng) yields, with run called
+    once per choice sequence, depth-first; a leaf weighs one over its
+    fan-outs' product, rescaled per full-rank prefix."""
+    path: list[list[int]] = []
+    tallies: dict[tuple | None, Counter] = defaultdict(Counter)  # prefix -> (den, key) -> leaves
+
+    def attempt_once(draw: Callable, accept: Callable) -> tuple[gf.FieldVector, ...]:
+        if rng.prefix is not None:
+            raise RuntimeError("the replay rescales one full-rank retry per run")
+        rng.prefix = tuple(c for c, _ in path[: rng.depth]), rng.den
+        if not accept(value := draw()):
+            raise _Rejected
+        return value
+
+    redraw, gf._redraw_until = gf._redraw_until, attempt_once
+    try:
+        while True:
+            rng = ReplayRng(path)
+            try:
+                keys = [_ACCEPTED, *run(rng)]
+            except _Rejected:
+                keys = []
+            tally = tallies[rng.prefix]
+            for key in keys:
+                tally[rng.den, key] += 1
+            while path and path[-1][0] + 1 == path[-1][1]:
+                path.pop()
+            if not path:
+                break
+            path[-1][0] += 1
+    finally:
+        gf._redraw_until = redraw
+    dist: dict[Hashable, Fraction] = defaultdict(Fraction)
+    for prefix, tally in tallies.items():
+        kept = sum(Fraction(n, den) for (den, key), n in tally.items() if key is _ACCEPTED)
+        if not kept:
+            raise RuntimeError(f"no full-rank draw after the choices {prefix[0]}")
+        scale = 1 if prefix is None else Fraction(1, prefix[1]) / kept
+        for (den, key), n in tally.items():
+            if key is not _ACCEPTED:
+                dist[key] += Fraction(n, den) * scale
     return dict(dist)
 
 
+def row_distribution(
+    params: Params, prob: ProbTable, W: Iterable[int]
+) -> dict[plan.RowId, Fraction]:
+    """Exact distribution of the row that plan.sample_row draws, by replay."""
+    w = plan.as_demand(params, W)
+    if common_denominator(prob)[0] > MAX_REPLAY_LEAVES:
+        raise ValueError("instance too large for exact row enumeration")
+    return _replay(lambda rng: [plan.sample_row(params, prob, w, rng)])
+
+
+def _coefficient_distributions(
+    params: Params, prob: ProbTable, w: tuple[int, ...]
+) -> list[dict[gf.FieldVector, Fraction]]:
+    """Per server position, the exact distribution of its query vector: stage
+    1 replays plan.sample_row, stage 2 protocol.draw_queries on each row."""
+    l, _ = lj_mj(params.D)
+    # Sum_i C(K-D, i) (q-1)^i = q^(K-D): rows times U choices, over every i.
+    leaves = params.q ** (params.K - params.D) * math.factorial(params.N) * sum(
+        l_j * (params.q - 1) ** (j * params.D) for j, l_j in enumerate(l, start=1)
+    )
+    if common_denominator(prob)[0] + leaves > MAX_REPLAY_LEAVES:
+        raise ValueError("instance too large for exact coefficient enumeration")
+    dists: list[dict] = [defaultdict(Fraction) for _ in range(params.N)]
+    for row, p_row in row_distribution(params, prob, w).items():
+        supports = plan.row_supports(params, w, row)
+        replayed = _replay(lambda rng: enumerate(draw_queries(params, row, supports, rng).queries))
+        for (n, query), p in replayed.items():
+            dists[n][query] += p_row * p
+    return [dict(d) for d in dists]
+
+
+def coefficient_distribution(
+    params: Params, prob: ProbTable, W: Iterable[int], server_n: int
+) -> dict[gf.FieldVector, Fraction]:
+    """Exact distribution of the full coefficient vector at one server, by
+    replay; exponential in the supports, so for desk-scale instances only."""
+    w = plan.as_demand(params, W)
+    if not 1 <= server_n <= params.N:
+        raise ValueError(f"server position must be in [1, {params.N}]")
+    return _coefficient_distributions(params, prob, w)[server_n - 1]
+
+
 def coefficient_privacy_check(
-    params: Params, prob: ProbTable | None = None, max_work: int = 5_000_000
+    params: Params, prob: ProbTable | None = None
 ) -> CoefficientPrivacyReport:
     """Compare the exact coefficient-vector distribution across demand sets.
 
     A strictly stronger check than the support-level one: it accounts for the
     full-rank conditioning of the demand vectors, which the support argument
-    abstracts away.
+    abstracts away, and for the permutation the client actually draws.
     """
     if prob is None:
         prob = build_prob_table(params)
-    demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
-    reference = None
-    max_abs_sum = Fraction(0)
-    for w in demands:
-        dists = [
-            coefficient_distribution(params, prob, w, n, max_work=max_work)
-            for n in range(1, params.N + 1)
-        ]
-        if reference is None:
-            reference = dists
-            continue
-        for ref, cur in zip(reference, dists):
-            max_abs_sum = max(max_abs_sum, _differences(ref, cur)[1])
+    demands = list(combinations(range(1, params.K + 1), params.D))
+    ref, *rest = (_coefficient_distributions(params, prob, w) for w in demands)
+    max_abs_sum = max(
+        (_differences(a, b)[1] for cur in rest for a, b in zip(ref, cur)), default=Fraction(0)
+    )
     return CoefficientPrivacyReport(
         params=params,
         passed=max_abs_sum == 0,
-        max_tv_distance=max_abs_sum / 2,
+        max_tv_distance=Fraction(max_abs_sum) / 2,
         demands_checked=len(demands),
     )
 
@@ -359,9 +433,10 @@ class RecoverabilityReport:
 
 
 def recoverability_check(
-    params: Params, trials: int, rng: random.Random
+    params: Params, trials: int, rng: random.Random, store: MessageStore | None = None
 ) -> RecoverabilityReport:
-    """Run full rounds against fresh random stores and random demands.
+    """Run full rounds against random demands, each against a fresh random
+    store unless one store is given.
 
     Every round must recover the demand exactly; the report also compares the
     empirical number of answering servers against its exact expectation.
@@ -374,10 +449,10 @@ def recoverability_check(
     successes = 0
     answering_total = 0
     for _ in range(trials):
-        store = MessageStore.random(params, rng)
+        trial_store = store or MessageStore.random(params, rng)
         w = tuple(sorted(rng.sample(range(1, params.K + 1), params.D)))
-        transcript = run_round(params, prob, w, store, rng)
-        truth = tuple(store.messages[x - 1] for x in w)
+        transcript = run_round(params, prob, w, trial_store, rng)
+        truth = tuple(trial_store.messages[x - 1] for x in w)
         if transcript.recovered == truth:
             successes += 1
         answering_total += transcript.download_elements // params.m

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import struct
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .params import Params
@@ -143,14 +143,24 @@ def random_full_rank_V(
     sorted_supports = [sorted(s) for s in supports]
     if any(not s for s in sorted_supports):
         raise ValueError("every support must be nonempty")
-    for _ in range(_MAX_FULL_RANK_ATTEMPTS):
-        vecs = tuple(
+    return _redraw_until(
+        lambda: tuple(
             vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
             for sup in sorted_supports
-        )
-        if matrix_rank(q, vecs) == D:
-            return vecs
+        ),
+        lambda vecs: matrix_rank(q, vecs) == D,
+    )
+
+
+def _redraw_until(
+    draw: Callable[[], tuple[FieldVector, ...]], accept: Callable[[tuple[FieldVector, ...]], bool]
+) -> tuple[FieldVector, ...]:
+    """The first draw() that accept() takes, of up to _MAX_FULL_RANK_ATTEMPTS
+    independent attempts."""
+    for _ in range(_MAX_FULL_RANK_ATTEMPTS):
+        if accept(value := draw()):
+            return value
     raise RuntimeError(
-        f"no full-rank draw in {_MAX_FULL_RANK_ATTEMPTS} attempts (q={q}, D={D}); "
+        f"no full-rank draw in {_MAX_FULL_RANK_ATTEMPTS} attempts; "
         "this should be impossible for q > D"
     )

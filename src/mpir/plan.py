@@ -247,15 +247,15 @@ def iter_row_ids(params: Params) -> Iterable[RowId]:
 def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Random) -> RowId:
     """Draw one row id with probability P[i][j], uniform across k and l.
 
-    The draw compares a uniform 128-bit integer against exact integer
-    thresholds over the table's common denominator, so no floating point can
-    bias the privacy-critical selection.
+    The draw is one uniform integer target in [0, den), den the table's
+    common denominator, located among exact integer thresholds: every row
+    gets exactly its probability, at every K.
     """
     as_demand(params, W)
     if len(prob.P) != params.K - params.D + 1 or len(prob.P[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
     den, groups = prob.sampling_layout
-    target = (rng.getrandbits(128) * den) >> 128
+    target = rng.randrange(den)
     acc = 0
     for i, j, k_count, l_count, num in groups:
         width = k_count * l_count * num

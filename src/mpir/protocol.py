@@ -108,10 +108,18 @@ class Transcript:
 def make_query_set(
     params: Params, prob: ProbTable, W: Iterable[int], rng: random.Random
 ) -> QuerySet:
-    """Sample a row, draw the query vectors, and assign them to servers."""
+    """Sample a row, then draw its queries (:func:`draw_queries`)."""
     w = plan.as_demand(params, W)
     row = plan.sample_row(params, prob, w, rng)
-    base, *cols = plan.row_supports(params, w, row)
+    return draw_queries(params, row, plan.row_supports(params, w, row), rng)
+
+
+def draw_queries(
+    params: Params, row: plan.RowId, supports: plan.SupportRow, rng: random.Random
+) -> QuerySet:
+    """Draw the query vectors of one row, given its supports, and assign
+    them to servers."""
+    base, *cols = supports
     # Draws in ascending index order: a frozenset's own order is not, and
     # the order of draws fixes the transcript for a seed.
     U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in sorted(base)})

@@ -4,11 +4,11 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-from mpir import audit, plan
+from mpir import audit, gf, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 
@@ -192,6 +192,14 @@ class TestCoefficientPrivacy:
         report = audit.coefficient_privacy_check(params, audit.perturb_prob_table(table, 0, 1))
         assert not report.passed
 
+    def test_identity_shuffle_detected(self, monkeypatch):
+        # The replay runs the client's own shuffle: a client whose shuffle
+        # leaves the servers in order sends U to server 1 every time.
+        monkeypatch.setattr(audit.ReplayRng, "shuffle", lambda self, x: None)
+        report = audit.coefficient_privacy_check(Params(K=4, D=2, q=3))
+        assert not report.passed
+        assert report.max_tv_distance > 0
+
     def test_oversized_instance_rejected(self):
         with pytest.raises(ValueError, match="too large"):
             audit.coefficient_distribution(
@@ -199,8 +207,95 @@ class TestCoefficientPrivacy:
                 build_prob_table(Params(K=12, D=2, q=13)),
                 (1, 2),
                 1,
-                max_work=1000,
             )
+
+    @pytest.mark.parametrize("K", [4, 5, 6])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_support_projection_equals_support_distribution(self, K, perturbed):
+        # The replayed query vectors, projected onto their supports, give the
+        # support-level audit's distribution at every server position.
+        params = Params(K=K, D=2, q=3)
+        table = build_prob_table(params)
+        if perturbed:
+            table = audit.perturb_prob_table(table, 1, 2)
+        demands = list(combinations(range(1, K + 1), 2))
+        for w in (demands[0], demands[-1]):
+            dists = audit._coefficient_distributions(params, table, w)
+            for n, dist in enumerate(dists, start=1):
+                projected = defaultdict(Fraction)
+                for query, p in dist.items():
+                    projected[gf.support(query)] += p
+                assert projected == audit.support_distribution(params, table, w, n), (w, n)
+
+
+class TestReplay:
+    def test_randrange_branches_uniformly(self):
+        dist = audit._replay(lambda rng: [(rng.randrange(3), rng.randrange(1, 5, 2))])
+        assert dist == {(a, b): F(1, 6) for a in range(3) for b in (1, 3)}
+
+    def test_shuffle_reaches_every_order_once(self):
+        def shuffled(rng):
+            order = list(range(4))
+            rng.shuffle(order)
+            return [tuple(order)]
+
+        assert audit._replay(shuffled) == {
+            p: F(1, 24) for p in permutations(range(4))
+        }
+
+    @pytest.mark.parametrize("name", ["random", "getrandbits", "choice", "sample", "randint"])
+    def test_other_methods_fail(self, name):
+        with pytest.raises(AttributeError, match="randrange and shuffle only"):
+            getattr(audit.ReplayRng([]), name)
+
+    def test_full_rank_attempt_renormalised_per_prefix(self):
+        # After u=0 every attempt is full rank; after u=1 half of the 16 are.
+        # Each prefix keeps its 1/2, spread evenly over its accepted draws.
+        params = Params(K=2, D=2, q=3)
+
+        def run(rng):
+            u = rng.randrange(2)
+            supports = [{1}, {2}] if u == 0 else [{1, 2}, {1, 2}]
+            return [(u, gf.random_full_rank_V(params, supports, rng))]
+
+        dist = audit._replay(run)
+        assert sum(p for (u, _), p in dist.items() if u == 0) == F(1, 2)
+        assert {p for (u, _), p in dist.items() if u == 0} == {F(1, 8)}
+        assert {p for (u, _), p in dist.items() if u == 1} == {F(1, 16)}
+        assert all(gf.matrix_rank(3, vecs) == 2 for _, vecs in dist)
+        assert gf._redraw_until.__module__ == "mpir.gf"
+
+    def test_never_full_rank_raises_and_restores_the_retry(self):
+        retry = gf._redraw_until
+        with pytest.raises(RuntimeError, match="no full-rank draw"):
+            audit._replay(
+                lambda rng: [gf.random_full_rank_V(Params(K=2, D=2, q=3), [{1}, {1}], rng)]
+            )
+        assert gf._redraw_until is retry
+
+
+class TestRowDistribution:
+    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_each_row_gets_its_probability(self, K, D, perturbed):
+        # Replaying every target of the shipped row draw gives each row
+        # exactly P[i][j-1]: its group's mass C(K-D, i) * l_j * P[i][j-1],
+        # split evenly over the group's rows.
+        params = Params(K=K, D=D)
+        table = build_prob_table(params)
+        if perturbed:
+            table = audit.perturb_prob_table(table, 1, 2)
+        expected = {
+            row: table.P[row.i][row.j - 1]
+            for row in plan.iter_row_ids(params)
+            if table.P[row.i][row.j - 1]
+        }
+        assert audit.row_distribution(params, table, range(1, D + 1)) == expected
+
+    def test_oversized_denominator_rejected(self):
+        params = Params(K=200, D=3)
+        with pytest.raises(ValueError, match="too large"):
+            audit.row_distribution(params, build_prob_table(params), (1, 2, 3))
 
 
 class TestPerturbProbTable:

@@ -239,6 +239,34 @@ class TestSampleRow:
         assert stat < chi2.ppf(0.999, dof)
         assert sum(counts.values()) == n
 
+    def test_every_group_boundary_at_large_K(self):
+        # At K=200, D=3 the denominator has 386 bits.  Targets 0, den-1 and
+        # the first and last target of every group land on the rows the
+        # layout assigns them.
+        class Target:
+            def __init__(self, target):
+                self.target = target
+
+            def randrange(self, n):
+                assert 0 <= self.target < n == den
+                return self.target
+
+        params = Params(K=200, D=3)
+        table = build_prob_table(params)
+        den, groups = table.sampling_layout
+        expected = {}
+        acc = 0
+        for i, j, k_count, l_count, num in groups:
+            width = k_count * l_count * num
+            if width:
+                expected[acc] = plan.RowId(i, 1, j, 1)
+                expected[acc + width - 1] = plan.RowId(i, k_count, j, l_count)
+            acc += width
+        assert den.bit_length() == 386 and {0, den - 1} <= expected.keys()
+        assert len(expected) == 2 * 589
+        for target, row in expected.items():
+            assert plan.sample_row(params, table, (1, 2, 3), Target(target)) == row
+
     def test_validates_demand(self):
         params = Params(K=4, D=2)
         table = build_prob_table(params)

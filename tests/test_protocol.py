@@ -22,14 +22,10 @@ from mpir.protocol import (
 
 
 class ScriptedRng:
-    """Replays a fixed script: getrandbits values, randrange values, no-op shuffle."""
+    """Replays a fixed script: randrange values, no-op shuffle."""
 
-    def __init__(self, bits, ranges):
-        self._bits = list(bits)
+    def __init__(self, ranges):
         self._ranges = list(ranges)
-
-    def getrandbits(self, _k):
-        return self._bits.pop(0)
 
     def randrange(self, start, stop=None):
         v = self._ranges.pop(0)
@@ -71,11 +67,10 @@ class TestWorkedExample:
         params = Params(K=4, D=2, q=3, m=1)
         table = build_prob_table(params)
         # Row weights over the common denominator 12 are laid out in (i, j)
-        # groups; the (2,1) group occupies [10, 12), so a draw of 7/8 of the
-        # 128-bit range lands on row (2,1,1,1).
+        # groups; the (2,1) group occupies [10, 12), so a row target of 10
+        # lands on row (2,1,1,1).
         rng = ScriptedRng(
-            bits=[(7 * 2**128) // 8],
-            ranges=[1, 2, 2, 1],  # U entries at indices 3,4; V entries at 1 then 2
+            ranges=[10, 1, 2, 2, 1],  # row; U entries at indices 3,4; V entries at 1 then 2
         )
         return params, make_query_set(params, table, (1, 2), rng)
 
@@ -278,7 +273,7 @@ class TestTranscriptBytes:
                 digest.update(t.to_bytes())
         assert silent == 11
         assert digest.hexdigest() == (
-            "58e562a9cd3325a4732d1aa27304c54b33790ef676cbb1dfd6e74790cc34505c"
+            "6aad73ae4b9b196a90d154b0dfc52518240aeb77120308e6747765f4ff944a95"
         )
 
 
