@@ -16,11 +16,11 @@ The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
 shuffle over all N! orders, and plan.sample_row (stage 1), then
 protocol.draw_queries on every drawn row (stage 2), run once per choice
-sequence.  Only gf's full-rank retry, gf._redraw_until, does not run
-verbatim: while a replay runs it makes one attempt.  Its attempts are
-i.i.d., so its value is uniform over one attempt's accepted values; the
-replay drops rejected leaves and scales each prefix's accepted ones up to
-the prefix's weight.  The swap is process-wide for the replay's duration.
+sequence.  Only gf's full-rank retry does not run verbatim: the shipped
+builder hands it to its rng's redraw_until when the rng has one, and a
+ReplayRng's makes one attempt.  Attempts are i.i.d., so the retry's value
+is uniform over one attempt's accepted values; the replay drops rejected
+leaves and scales each prefix's accepted ones up to the prefix's weight.
 """
 from __future__ import annotations
 
@@ -45,6 +45,7 @@ from .protocol import MessageStore, draw_queries, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
 SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weight
+_PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
 
 
 def _support_tallies(
@@ -201,9 +202,7 @@ def privacy_check(
     )
 
 
-def perturb_prob_table(
-    prob: ProbTable, i: int, j: int, delta: Fraction = Fraction(1, 1000)
-) -> ProbTable:
+def perturb_prob_table(prob: ProbTable, i: int, j: int) -> ProbTable:
     """A deliberately broken table: one entry nudged, then mass renormalized.
 
     The result intentionally bypasses construction-time validation; it exists
@@ -211,7 +210,7 @@ def perturb_prob_table(
     broken probability assignments.
     """
     rows = [list(r) for r in prob.P]
-    rows[i][j - 1] += delta
+    rows[i][j - 1] += _PERTURB_DELTA
     mass = table_mass(rows)
     scaled = tuple(tuple(p / mass for p in row) for row in rows)
     return ProbTable(P=scaled, j_star=prob.j_star)
@@ -239,7 +238,7 @@ class ReplayRng:
     """An rng that follows the choice sequence path ([choice, fan-out] per
     draw) and extends it with first choices.  randrange(n) chooses among n
     values and shuffle makes random.shuffle's Fisher-Yates pass (a choice
-    among i+1 at step i); any other method raises."""
+    among i+1 at position i); any other method raises."""
 
     def __init__(self, path: list[list[int]]) -> None:
         self.path = path
@@ -257,14 +256,24 @@ class ReplayRng:
         self.den *= n
         return choice
 
-    def randrange(self, start: int, stop: int | None = None, step: int = 1) -> int:
-        values = range(start) if stop is None else range(start, stop, step)
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        values = range(start) if stop is None else range(start, stop)
         return values[self._choose(len(values))]
 
     def shuffle(self, x: list) -> None:
         for i in reversed(range(1, len(x))):
             j = self._choose(i + 1)
             x[i], x[j] = x[j], x[i]
+
+    def redraw_until(self, draw: Callable, accept: Callable) -> tuple[gf.FieldVector, ...]:
+        """gf's full-rank retry as one attempt: records the choices made so
+        far, the prefix _replay rescales, and raises _Rejected on rejection."""
+        if self.prefix is not None:
+            raise RuntimeError("the replay rescales one full-rank retry per run")
+        self.prefix = tuple(c for c, _ in self.path[: self.depth]), self.den
+        if not accept(value := draw()):
+            raise _Rejected
+        return value
 
     def __getattr__(self, name: str):
         raise AttributeError(f"the replay branches on randrange and shuffle only, not {name}")
@@ -276,33 +285,20 @@ def _replay(run: Callable[[ReplayRng], Iterable[Hashable]]) -> dict[Hashable, Fr
     fan-outs' product, rescaled per full-rank prefix."""
     path: list[list[int]] = []
     tallies: dict[tuple | None, Counter] = defaultdict(Counter)  # prefix -> (den, key) -> leaves
-
-    def attempt_once(draw: Callable, accept: Callable) -> tuple[gf.FieldVector, ...]:
-        if rng.prefix is not None:
-            raise RuntimeError("the replay rescales one full-rank retry per run")
-        rng.prefix = tuple(c for c, _ in path[: rng.depth]), rng.den
-        if not accept(value := draw()):
-            raise _Rejected
-        return value
-
-    redraw, gf._redraw_until = gf._redraw_until, attempt_once
-    try:
-        while True:
-            rng = ReplayRng(path)
-            try:
-                keys = [_ACCEPTED, *run(rng)]
-            except _Rejected:
-                keys = []
-            tally = tallies[rng.prefix]
-            for key in keys:
-                tally[rng.den, key] += 1
-            while path and path[-1][0] + 1 == path[-1][1]:
-                path.pop()
-            if not path:
-                break
-            path[-1][0] += 1
-    finally:
-        gf._redraw_until = redraw
+    while True:
+        rng = ReplayRng(path)
+        try:
+            keys = [_ACCEPTED, *run(rng)]
+        except _Rejected:
+            keys = []
+        tally = tallies[rng.prefix]
+        for key in keys:
+            tally[rng.den, key] += 1
+        while path and path[-1][0] + 1 == path[-1][1]:
+            path.pop()
+        if not path:
+            break
+        path[-1][0] += 1
     dist: dict[Hashable, Fraction] = defaultdict(Fraction)
     for prefix, tally in tallies.items():
         kept = sum(Fraction(n, den) for (den, key), n in tally.items() if key is _ACCEPTED)
@@ -325,11 +321,14 @@ def row_distribution(
     return _replay(lambda rng: [plan.sample_row(params, prob, w, rng)])
 
 
-def _coefficient_distributions(
-    params: Params, prob: ProbTable, w: tuple[int, ...]
+def coefficient_distributions(
+    params: Params, prob: ProbTable, W: Iterable[int]
 ) -> list[dict[gf.FieldVector, Fraction]]:
-    """Per server position, the exact distribution of its query vector: stage
-    1 replays plan.sample_row, stage 2 protocol.draw_queries on each row."""
+    """Per server position, the exact distribution of its full coefficient
+    vector, by replay: stage 1 replays plan.sample_row, stage 2
+    protocol.draw_queries on each row.  Exponential in the supports, so for
+    desk-scale instances only."""
+    w = plan.as_demand(params, W)
     l, _ = lj_mj(params.D)
     # Sum_i C(K-D, i) (q-1)^i = q^(K-D): rows times U choices, over every i.
     leaves = params.q ** (params.K - params.D) * math.factorial(params.N) * sum(
@@ -346,17 +345,6 @@ def _coefficient_distributions(
     return [dict(d) for d in dists]
 
 
-def coefficient_distribution(
-    params: Params, prob: ProbTable, W: Iterable[int], server_n: int
-) -> dict[gf.FieldVector, Fraction]:
-    """Exact distribution of the full coefficient vector at one server, by
-    replay; exponential in the supports, so for desk-scale instances only."""
-    w = plan.as_demand(params, W)
-    if not 1 <= server_n <= params.N:
-        raise ValueError(f"server position must be in [1, {params.N}]")
-    return _coefficient_distributions(params, prob, w)[server_n - 1]
-
-
 def coefficient_privacy_check(
     params: Params, prob: ProbTable | None = None
 ) -> CoefficientPrivacyReport:
@@ -369,7 +357,7 @@ def coefficient_privacy_check(
     if prob is None:
         prob = build_prob_table(params)
     demands = list(combinations(range(1, params.K + 1), params.D))
-    ref, *rest = (_coefficient_distributions(params, prob, w) for w in demands)
+    ref, *rest = (coefficient_distributions(params, prob, w) for w in demands)
     max_abs_sum = max(
         (_differences(a, b)[1] for cur in rest for a, b in zip(ref, cur)), default=Fraction(0)
     )

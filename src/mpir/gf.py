@@ -138,12 +138,13 @@ def random_full_rank_V(
     group, filled in ascending index order; the whole batch is redrawn until
     the stacked D x K matrix is full rank.  Success is expected quickly for
     any q > D, so exhausting the attempt budget indicates a broken caller.
+    An rng with a redraw_until(draw, accept) method runs the retry itself.
     """
     q, D = params.q, len(supports)
     sorted_supports = [sorted(s) for s in supports]
     if any(not s for s in sorted_supports):
         raise ValueError("every support must be nonempty")
-    return _redraw_until(
+    return getattr(rng, "redraw_until", _redraw_until)(
         lambda: tuple(
             vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
             for sup in sorted_supports

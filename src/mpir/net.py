@@ -69,13 +69,13 @@ def pack_frame(msg_type: int, payload: bytes = b"") -> bytes:
     return _HEADER.pack(len(payload), msg_type) + payload
 
 
-def read_frame(stream: BinaryIO, sizes: Mapping[int, int] | None = None) -> tuple[int, bytes]:
-    """Read one frame.
+def read_frame(stream: BinaryIO, sizes: Mapping[int, int]) -> tuple[int, bytes]:
+    """Read one frame whose type is a key of `sizes`.
 
-    With `sizes`, the header is checked before any payload is read: the type
-    must be a key of `sizes` and the declared length must equal its value
-    (for ERROR, whose message varies, be at most its value).  So a peer
-    cannot make the reader wait for, or buffer, more than it expects.
+    The header is checked before any payload is read: the declared length
+    must equal the type's value in `sizes` (for ERROR, whose message varies,
+    be at most its value).  So a peer cannot make the reader wait for, or
+    buffer, more than it expects.
 
     Raises ConnectionClosed at a clean frame boundary and ProtocolError on
     truncation, an unknown message type or a failed `sizes` check.
@@ -88,12 +88,11 @@ def read_frame(stream: BinaryIO, sizes: Mapping[int, int] | None = None) -> tupl
     length, msg_type = _HEADER.unpack(header)
     if msg_type not in _TYPE_NAMES:
         raise ProtocolError(f"unknown message type {msg_type}")
-    if sizes is not None:
-        name, size = _TYPE_NAMES[msg_type], sizes.get(msg_type)
-        if size is None:
-            raise ProtocolError(f"unexpected {name} frame")
-        if length > size if msg_type == MSG_ERROR else length != size:
-            raise ProtocolError(f"{name} of {length} bytes, expected {size}")
+    name, size = _TYPE_NAMES[msg_type], sizes.get(msg_type)
+    if size is None:
+        raise ProtocolError(f"unexpected {name} frame")
+    if length > size if msg_type == MSG_ERROR else length != size:
+        raise ProtocolError(f"{name} of {length} bytes, expected {size}")
     payload = _read_up_to(stream, length)
     if len(payload) < length:
         raise ProtocolError(f"truncated payload ({len(payload)}/{length} bytes)")

@@ -210,38 +210,18 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:
     demand subset on top.
     """
     w = as_demand(params, W)
-    _validate_row(params, row)
     base = frozenset(r_subset(params, w, row.i, row.k))
-    T = choose_T_collection(params, w, row.j)[row.l - 1]
-    return (base,) + tuple(base | shift_subset(w, T, h) for h in range(1, params.D + 1))
-
-
-def _validate_row(params: Params, row: RowId) -> None:
-    l, _ = lj_mj(params.D)
-    if not 0 <= row.i <= params.K - params.D:
-        raise ValueError(f"row sub-table {row.i} out of range")
-    if not 1 <= row.k <= binomial(params.K - params.D, row.i):
-        raise ValueError(f"row block {row.k} out of range for sub-table {row.i}")
-    if not 1 <= row.j <= params.D:
-        raise ValueError(f"row sub-block {row.j} out of range")
-    if not 1 <= row.l <= l[row.j - 1]:
+    collection = choose_T_collection(params, w, row.j)
+    if not 1 <= row.l <= len(collection):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
+    T = collection[row.l - 1]
+    return (base,) + tuple(base | shift_subset(w, T, h) for h in range(1, params.D + 1))
 
 
 def total_rows(params: Params) -> int:
     """Number of rows in the full table: 2^(K-D) * sum_j l_j."""
     l, _ = lj_mj(params.D)
     return 2 ** (params.K - params.D) * sum(l)
-
-
-def iter_row_ids(params: Params) -> Iterable[RowId]:
-    """All row addresses in table order."""
-    l, _ = lj_mj(params.D)
-    for i in range(params.K - params.D + 1):
-        for k in range(1, binomial(params.K - params.D, i) + 1):
-            for j in range(1, params.D + 1):
-                for row_l in range(1, l[j - 1] + 1):
-                    yield RowId(i, k, j, row_l)
 
 
 def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Random) -> RowId:

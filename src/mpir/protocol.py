@@ -14,7 +14,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from . import gf, plan
 from .params import Params
@@ -106,12 +106,11 @@ class Transcript:
 
 
 def make_query_set(
-    params: Params, prob: ProbTable, W: Iterable[int], rng: random.Random
+    params: Params, prob: ProbTable, W: Collection[int], rng: random.Random
 ) -> QuerySet:
     """Sample a row, then draw its queries (:func:`draw_queries`)."""
-    w = plan.as_demand(params, W)
-    row = plan.sample_row(params, prob, w, rng)
-    return draw_queries(params, row, plan.row_supports(params, w, row), rng)
+    row = plan.sample_row(params, prob, W, rng)
+    return draw_queries(params, row, plan.row_supports(params, W, row), rng)
 
 
 def draw_queries(

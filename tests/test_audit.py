@@ -11,6 +11,7 @@ import pytest
 from mpir import audit, gf, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
+from rows import iter_row_ids
 
 
 def F(*args):
@@ -63,7 +64,7 @@ class TestSupportDistribution:
             table = audit.perturb_prob_table(table, 1, 2)
         for w in combinations(range(1, K + 1), D):
             expected = [defaultdict(Fraction) for _ in range(params.N)]
-            for row in plan.iter_row_ids(params):
+            for row in iter_row_ids(params):
                 p_row = table.P[row.i][row.j - 1]
                 for col, sup in enumerate(plan.row_supports(params, w, row)):
                     if permute:
@@ -181,10 +182,11 @@ class TestCoefficientPrivacy:
     def test_distribution_mass(self):
         params = Params(K=4, D=2, q=3)
         table = build_prob_table(params)
-        dist = audit.coefficient_distribution(params, table, (1, 2), 1)
-        assert sum(dist.values()) == 1
+        dists = audit.coefficient_distributions(params, table, (1, 2))
+        assert len(dists) == params.N
+        assert all(sum(dist.values()) == 1 for dist in dists)
         # The zero vector appears exactly when the empty-support row is drawn.
-        assert dist[(0, 0, 0, 0)] == F(1, 9)
+        assert dists[0][(0, 0, 0, 0)] == F(1, 9)
 
     def test_mutation_detected_at_coefficient_level(self):
         params = Params(K=4, D=2, q=3)
@@ -202,11 +204,10 @@ class TestCoefficientPrivacy:
 
     def test_oversized_instance_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            audit.coefficient_distribution(
+            audit.coefficient_distributions(
                 Params(K=12, D=2, q=13),
                 build_prob_table(Params(K=12, D=2, q=13)),
                 (1, 2),
-                1,
             )
 
     @pytest.mark.parametrize("K", [4, 5, 6])
@@ -220,7 +221,7 @@ class TestCoefficientPrivacy:
             table = audit.perturb_prob_table(table, 1, 2)
         demands = list(combinations(range(1, K + 1), 2))
         for w in (demands[0], demands[-1]):
-            dists = audit._coefficient_distributions(params, table, w)
+            dists = audit.coefficient_distributions(params, table, w)
             for n, dist in enumerate(dists, start=1):
                 projected = defaultdict(Fraction)
                 for query, p in dist.items():
@@ -230,8 +231,8 @@ class TestCoefficientPrivacy:
 
 class TestReplay:
     def test_randrange_branches_uniformly(self):
-        dist = audit._replay(lambda rng: [(rng.randrange(3), rng.randrange(1, 5, 2))])
-        assert dist == {(a, b): F(1, 6) for a in range(3) for b in (1, 3)}
+        dist = audit._replay(lambda rng: [(rng.randrange(3), rng.randrange(1, 5))])
+        assert dist == {(a, b): F(1, 12) for a in range(3) for b in range(1, 5)}
 
     def test_shuffle_reaches_every_order_once(self):
         def shuffled(rng):
@@ -263,15 +264,29 @@ class TestReplay:
         assert {p for (u, _), p in dist.items() if u == 0} == {F(1, 8)}
         assert {p for (u, _), p in dist.items() if u == 1} == {F(1, 16)}
         assert all(gf.matrix_rank(3, vecs) == 2 for _, vecs in dist)
-        assert gf._redraw_until.__module__ == "mpir.gf"
 
-    def test_never_full_rank_raises_and_restores_the_retry(self):
-        retry = gf._redraw_until
+    def test_never_full_rank_raises(self):
         with pytest.raises(RuntimeError, match="no full-rank draw"):
             audit._replay(
                 lambda rng: [gf.random_full_rank_V(Params(K=2, D=2, q=3), [{1}, {1}], rng)]
             )
-        assert gf._redraw_until is retry
+
+    def test_ordinary_rng_keeps_the_shipped_retry(self):
+        # Only the replay rng makes one full-rank attempt: an ordinary rng
+        # drawn from inside a replay keeps the shipped retry.  Seed 3's first
+        # attempt here is rank-deficient, so a one-attempt retry would raise.
+        params = Params(K=2, D=2, q=3)
+        shipped = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], random.Random(3))
+        assert shipped == ((2, 1), (1, 1))
+        dist = audit._replay(
+            lambda rng: [
+                (
+                    rng.randrange(2),
+                    gf.random_full_rank_V(params, [{1, 2}, {1, 2}], random.Random(3)),
+                )
+            ]
+        )
+        assert dist == {(0, shipped): F(1, 2), (1, shipped): F(1, 2)}
 
 
 class TestRowDistribution:
@@ -287,7 +302,7 @@ class TestRowDistribution:
             table = audit.perturb_prob_table(table, 1, 2)
         expected = {
             row: table.P[row.i][row.j - 1]
-            for row in plan.iter_row_ids(params)
+            for row in iter_row_ids(params)
             if table.P[row.i][row.j - 1]
         }
         assert audit.row_distribution(params, table, range(1, D + 1)) == expected

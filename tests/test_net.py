@@ -66,6 +66,10 @@ def stalling_server():
         listener.close()
 
 
+# What a server may reply to a query at the params fixture's m = 8.
+REPLIES = {net.MSG_ANSWER: 8 * 8, net.MSG_EMPTY_ANSWER: 0, net.MSG_ERROR: net._MAX_ERROR}
+
+
 def raw_exchange(endpoint, payload_bytes):
     with socket.create_connection(endpoint, timeout=10) as sock:
         sock.sendall(payload_bytes)
@@ -81,7 +85,7 @@ def raw_exchange(endpoint, payload_bytes):
 class TestFrames:
     def test_round_trip(self):
         frame = net.pack_frame(net.MSG_QUERY, b"abc")
-        msg_type, payload = net.read_frame(io.BytesIO(frame))
+        msg_type, payload = net.read_frame(io.BytesIO(frame), {net.MSG_QUERY: 3})
         assert (msg_type, payload) == (net.MSG_QUERY, b"abc")
 
     def test_header_layout(self):
@@ -94,16 +98,22 @@ class TestFrames:
             net.pack_frame(9)
         bad = struct.pack("<IB", 0, 9)
         with pytest.raises(net.ProtocolError):
-            net.read_frame(io.BytesIO(bad))
+            net.read_frame(io.BytesIO(bad), {net.MSG_QUERY: 0})
 
     def test_truncation_rejected(self):
         frame = net.pack_frame(net.MSG_QUERY, b"abcdef")
         with pytest.raises(net.ProtocolError):
-            net.read_frame(io.BytesIO(frame[:7]))
+            net.read_frame(io.BytesIO(frame[:7]), {net.MSG_QUERY: 6})
 
     def test_clean_close(self):
         with pytest.raises(net.ConnectionClosed):
-            net.read_frame(io.BytesIO(b""))
+            net.read_frame(io.BytesIO(b""), {net.MSG_QUERY: 0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_truncated_header_rejected(self, n):
+        frame = net.pack_frame(net.MSG_QUERY, b"abc")
+        with pytest.raises(net.ProtocolError, match=rf"truncated frame header \({n} bytes\)"):
+            net.read_frame(io.BytesIO(frame[:n]), {net.MSG_QUERY: 3})
 
 
 class TestStoreFile:
@@ -142,13 +152,13 @@ class TestStoreFile:
 class TestServer:
     def test_zero_query_empty_answer(self, cluster, params):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, net.pack_elements([0] * 4)))
-        msg_type, payload = net.read_frame(io.BytesIO(reply))
+        msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_EMPTY_ANSWER
         assert payload == b""
 
     def test_single_message_query(self, cluster, store):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0])))
-        msg_type, payload = net.read_frame(io.BytesIO(reply))
+        msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_ANSWER
         assert net.unpack_elements(payload, store.m, store.q) == store.messages[0]
 
@@ -157,7 +167,7 @@ class TestServer:
         for _ in range(30):
             query = tuple(rng.randrange(store.q) for _ in range(store.K))
             reply = raw_exchange(cluster[1], net.pack_frame(net.MSG_QUERY, net.pack_elements(query)))
-            msg_type, payload = net.read_frame(io.BytesIO(reply))
+            msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
             expected = server_answer(store, query)
             if expected is None:
                 assert msg_type == net.MSG_EMPTY_ANSWER
@@ -167,13 +177,13 @@ class TestServer:
 
     def test_malformed_length_gets_error(self, cluster):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, b"\x01\x02\x03"))
-        msg_type, payload = net.read_frame(io.BytesIO(reply))
+        msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_ERROR
         assert payload
 
     def test_element_at_least_q_gets_error(self, cluster, store):
         bad = net.pack_frame(net.MSG_QUERY, net.pack_elements([store.q, 0, 0, 0]))
-        msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], bad)))
+        msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], bad)), REPLIES)
         assert msg_type == net.MSG_ERROR
 
     def test_oversized_length_gets_error_at_once(self, cluster):
@@ -183,14 +193,16 @@ class TestServer:
         with socket.create_connection(cluster[0], timeout=5) as sock:
             sock.sendall(struct.pack("<IB", 2**32 - 1, net.MSG_QUERY))
             with sock.makefile("rb") as stream:
-                msg_type, payload = net.read_frame(stream)
+                msg_type, payload = net.read_frame(stream, REPLIES)
                 assert msg_type == net.MSG_ERROR
                 assert b"expected 32" in payload
                 with pytest.raises(net.ConnectionClosed):
-                    net.read_frame(stream)
+                    net.read_frame(stream, REPLIES)
 
     def test_non_query_type_gets_error(self, cluster):
-        msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], net.pack_frame(net.MSG_ANSWER, b""))))
+        msg_type, _ = net.read_frame(
+            io.BytesIO(raw_exchange(cluster[0], net.pack_frame(net.MSG_ANSWER, b""))), REPLIES
+        )
         assert msg_type == net.MSG_ERROR
 
     def test_stalled_read_is_dropped(self, cluster, monkeypatch, capsys):
@@ -211,8 +223,8 @@ class TestServer:
             net.MSG_QUERY, net.pack_elements([0, 1, 0, 0])
         )
         reply = io.BytesIO(raw_exchange(cluster[0], frames))
-        t1, p1 = net.read_frame(reply)
-        t2, p2 = net.read_frame(reply)
+        t1, p1 = net.read_frame(reply, REPLIES)
+        t2, p2 = net.read_frame(reply, REPLIES)
         assert t1 == t2 == net.MSG_ANSWER
         assert net.unpack_elements(p1, store.m, store.q) == store.messages[0]
         assert net.unpack_elements(p2, store.m, store.q) == store.messages[1]
@@ -291,6 +303,12 @@ class TestRetrieve:
         with pytest.raises(net.ProtocolError, match="4294967295 bytes"):
             net.retrieve([endpoint] + cluster[:2], (1, 2), params, seed=0)
         assert time.monotonic() - start < 5
+
+    def test_server_error_reply_raises(self, cluster, params, stalling_server):
+        endpoint = stalling_server(net.pack_frame(net.MSG_ERROR, b"store offline"))
+        with pytest.raises(net.ProtocolError) as excinfo:
+            net.retrieve([endpoint] + cluster[:2], (1, 2), params, seed=0)
+        assert str(excinfo.value) == f"server {endpoint} reported: store offline"
 
     def test_inconsistent_store_shape_detected(self, cluster, store):
         # Client believing m=4 against m=8 servers must flag the mismatch.

@@ -11,6 +11,7 @@ from scipy.stats import chi2
 from mpir import plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
+from rows import iter_row_ids
 
 
 class TestRSubset:
@@ -178,12 +179,19 @@ class TestRowSupports:
         with pytest.raises(ValueError):
             plan.row_supports(params, (1, 2), plan.RowId(0, 1, 2, 2))
 
+    @pytest.mark.parametrize("row", [(3, 1, 1, 1), (1, 3, 1, 1), (0, 1, 3, 1), (0, 1, 1, 0)])
+    def test_each_row_field_bounded(self, row):
+        # At K=4, D=2: i beyond K-D, k beyond C(2, 1), j beyond D, and l = 0,
+        # which as an index would silently pick the last subset.
+        with pytest.raises(ValueError, match="must be in|out of range"):
+            plan.row_supports(Params(K=4, D=2), (1, 2), plan.RowId(*row))
+
     @pytest.mark.parametrize("K,D", [(5, 2), (6, 3), (7, 4)])
     def test_intersection_structure(self, K, D):
         params = Params(K=K, D=D)
         rng = random.Random(K * 10 + D)
         W = tuple(sorted(rng.sample(range(1, K + 1), D)))
-        for row in plan.iter_row_ids(params):
+        for row in iter_row_ids(params):
             supports = plan.row_supports(params, W, row)
             assert supports[0] & set(W) == set()
             for sup in supports[1:]:
@@ -195,7 +203,7 @@ class TestRowEnumeration:
     @pytest.mark.parametrize("K,D", [(4, 2), (7, 2), (10, 4), (6, 3), (10, 3)])
     def test_total_rows(self, K, D):
         params = Params(K=K, D=D)
-        ids = list(plan.iter_row_ids(params))
+        ids = list(iter_row_ids(params))
         l, _ = lj_mj(D)
         assert len(ids) == plan.total_rows(params) == 2 ** (K - D) * sum(l)
         assert len(set(ids)) == len(ids)
@@ -204,7 +212,7 @@ class TestRowEnumeration:
     def test_row_probability_completeness(self, K, D):
         params = Params(K=K, D=D)
         table = build_prob_table(params)
-        total = sum(table.P[row.i][row.j - 1] for row in plan.iter_row_ids(params))
+        total = sum(table.P[row.i][row.j - 1] for row in iter_row_ids(params))
         assert total == 1
 
 
@@ -230,7 +238,7 @@ class TestSampleRow:
         rng = random.Random(2718)
         n = 100_000
         counts = Counter(plan.sample_row(params, table, (1, 2), rng) for _ in range(n))
-        rows = [r for r in plan.iter_row_ids(params) if table.P[r.i][r.j - 1] > 0]
+        rows = [r for r in iter_row_ids(params) if table.P[r.i][r.j - 1] > 0]
         stat = 0.0
         for row in rows:
             expected = float(table.P[row.i][row.j - 1]) * n

@@ -14,6 +14,7 @@ from mpir.prob import build_prob_table, expected_download_factor
 from mpir.protocol import (
     MessageStore,
     QuerySet,
+    execute_round,
     make_query_set,
     recover,
     run_round,
@@ -162,6 +163,16 @@ class TestRecover:
             w = tuple(sorted(rng.sample(range(1, 6), 2)))
             transcript = run_round(params, table, w, store, rng)
             assert transcript.recovered == tuple(store.messages[x - 1] for x in w)
+
+    def test_wrong_answer_length_rejected(self):
+        # A server answering with other than m elements, say one serving a
+        # different store, is refused instead of decoded.
+        params = Params(K=4, D=2, q=3, m=2)
+        table = build_prob_table(params)
+        with pytest.raises(ValueError, match="answer length 3 != m=2"):
+            execute_round(
+                params, table, (1, 2), random.Random(5), lambda queries: [(0, 0, 0)] * len(queries)
+            )
 
 
 class TestRunRound:
