@@ -1,6 +1,9 @@
 """Prime-field arithmetic, small dense linear algebra, and linear
 combinations of whole vectors packed into one int each.
 
+Packed slots are reduced mod q by byte-lane table lookups when
+width*(q-1) < 256 (see :func:`combine`), and one slot at a time otherwise.
+
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
 that q is prime.  Vectors over the field are tuples of ints of length K,
@@ -8,6 +11,7 @@ entry t holding the coefficient of message t+1.
 """
 from __future__ import annotations
 
+import functools
 import random
 import struct
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -97,9 +101,10 @@ def slot_width(terms: int, q: int) -> int:
 
 def pack(vec: Sequence[int], width: int) -> int:
     """One int holding vec's entries, each in [0, q), in `width`-byte slots,
-    entry 0 in the lowest slot."""
-    fmt = _SLOT_FORMATS.get(width)
-    if fmt:
+    entry 0 in the lowest slot.  One-byte slots are the bytes of vec."""
+    if width == 1:
+        raw = bytes(vec)
+    elif fmt := _SLOT_FORMATS.get(width):
         raw = struct.pack(f"<{len(vec)}{fmt}", *vec)
     else:
         raw = b"".join(v.to_bytes(width, "little") for v in vec)
@@ -113,7 +118,10 @@ def combine(
     by :func:`pack` into slots of ``slot_width(len(packed), q)`` bytes.
 
     Coefficients are reduced mod q first, so the slots never carry: one
-    big-int multiply-add per term, one unpack, and one reduction per entry.
+    big-int multiply-add per term, then one reduction of every slot.  A slot
+    v = sum_k b_k*256**k is congruent to sum_k T_k[b_k], T_k[b] = b*256**k mod q,
+    so when width*(q-1) < 256 each byte lane k is translated through T_k, the
+    lanes are added without carries, and T_0 maps the sum once more.
     """
     acc = 0
     for coeff, vec in zip(coeffs, packed, strict=True):
@@ -121,12 +129,24 @@ def combine(
         if coeff:
             acc += coeff * vec
     raw = acc.to_bytes(m * width, "little")
+    if width * (q - 1) < 256:
+        tables = _lane_tables(q, width)
+        if width == 1:
+            return tuple(raw.translate(tables[0]))
+        lanes = (raw[k::width].translate(table) for k, table in enumerate(tables))
+        total = sum(int.from_bytes(lane, "little") for lane in lanes)
+        return tuple(total.to_bytes(m, "little").translate(tables[0]))
     fmt = _SLOT_FORMATS.get(width)
     if fmt:
         slots: Iterable[int] = struct.unpack(f"<{m}{fmt}", raw)
     else:
         slots = (int.from_bytes(raw[t : t + width], "little") for t in range(0, len(raw), width))
     return tuple([v % q for v in slots])
+
+
+@functools.lru_cache(maxsize=64)
+def _lane_tables(q: int, width: int) -> tuple[bytes, ...]:
+    return tuple(bytes(b * 256**k % q for b in range(256)) for k in range(width))
 
 
 def random_full_rank_V(

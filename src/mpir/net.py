@@ -119,7 +119,7 @@ def unpack_elements(payload: bytes, count: int, q: int) -> tuple[int, ...]:
     if len(payload) != 8 * count:
         raise ProtocolError(f"payload is {len(payload)} bytes, expected {8 * count}")
     values = struct.unpack(f"<{count}Q", payload)
-    if any(v >= q for v in values):
+    if values and max(values) >= q:
         raise ProtocolError("field element out of range for the store's modulus")
     return values
 
@@ -145,7 +145,7 @@ def read_store(path: str | Path) -> MessageStore:
     if len(raw) != expected:
         raise StoreFormatError(f"{path}: size {len(raw)}, expected {expected}")
     flat = struct.unpack_from(f"<{K * m}Q", raw, 21)
-    if any(v >= q for v in flat):
+    if flat and max(flat) >= q:
         raise StoreFormatError(f"{path}: element >= q")
     messages = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(K))
     return MessageStore(q=q, m=m, messages=messages)

@@ -37,7 +37,7 @@ class MessageStore:
         for idx, msg in enumerate(self.messages, start=1):
             if len(msg) != self.m:
                 raise ValueError(f"message {idx} has length {len(msg)}, expected {self.m}")
-            if any(not 0 <= v < self.q for v in msg):
+            if msg and (min(msg) < 0 or max(msg) >= self.q):
                 raise ValueError(f"message {idx} has entries outside [0, {self.q})")
 
     @property

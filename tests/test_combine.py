@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from mpir.protocol import MessageStore, server_answer  # noqa: E402
 
 # Small and large fields, each slot-width path: 1, 2 and 8 byte struct slots,
-# and exact widths of 9 to 17 bytes for q >= 2**31.
-FIELDS = [2, 3, 7, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+# and exact widths of 9 to 17 bytes for q >= 2**31.  61, 67, 127 and 131 sit
+# on either side of width*(q-1) < 256, where combine reduces on byte lanes.
+FIELDS = [2, 3, 7, 61, 67, 127, 131, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
 
 def naive_answer(store, query):

@@ -169,6 +169,58 @@ class TestCombine:
         assert gf.combine([q - 1] * terms, packed, m, q, width) == expected
         assert gf.combine([-1] * terms, packed, m, q, width) == expected
 
+    @pytest.mark.parametrize("q", [p for p in range(2, 252) if all(p % d for d in range(2, p))])
+    def test_every_one_byte_slot_value(self, q):
+        # pack does not check entries against q, so one term with coefficient
+        # 1 hands combine every value a slot can hold.
+        values = range(256)
+        assert gf.combine([1], [gf.pack(values, 1)], 256, q, 1) == tuple(v % q for v in values)
+
+    @pytest.mark.parametrize("q", [127, 131])
+    def test_every_two_byte_slot_value(self, q):
+        # 2*(127-1) < 256 reduces on byte lanes; 2*(131-1) does not.
+        values = range(256**2)
+        assert gf.combine([1], [gf.pack(values, 2)], len(values), q, 2) == tuple(
+            v % q for v in values
+        )
+
+    @pytest.mark.parametrize("q,width", [(61, 4), (67, 4), (31, 8), (37, 8)])
+    def test_lane_boundary_at_wide_struct_widths(self, q, width):
+        # 61 and 31 are the largest primes on the byte-lane path at their
+        # width, 67 and 37 the smallest beyond it.
+        rng = random.Random(q * width)
+        terms, m = 9, 300
+        top = [q - 1] * m
+        expected = (terms * (q - 1) ** 2 % q,) * m
+        assert gf.combine([q - 1] * terms, [gf.pack(top, width)] * terms, m, q, width) == expected
+        vecs = [[rng.randrange(q) for _ in range(m)] for _ in range(terms)]
+        coeffs = [rng.randrange(-q, 2 * q) for _ in range(terms)]
+        naive = tuple(sum(c * v[t] for c, v in zip(coeffs, vecs)) % q for t in range(m))
+        packed = [gf.pack(v, width) for v in vecs]
+        assert gf.combine(coeffs, packed, m, q, width) == naive
+        # Raw slot values over the whole width, led by the one whose every
+        # byte maps to q-1: the largest sum of translated lanes.
+        worst = sum((q - 1) * pow(256**k, -1, q) % q * 256**k for k in range(width))
+        slots = [worst, 256**width - 1] + [rng.randrange(256**width) for _ in range(m)]
+        assert gf.combine([1], [gf.pack(slots, width)], len(slots), q, width) == tuple(
+            v % q for v in slots
+        )
+
+    @pytest.mark.parametrize("q", [3, 7, 13])
+    def test_lane_path_agrees_with_slot_path(self, q):
+        # The same vectors in narrow slots (byte lanes) and in the narrowest
+        # slots with width*(q-1) >= 256 (one reduction per slot).
+        rng = random.Random(q)
+        terms, m = 12, 300
+        vecs = [[rng.randrange(q) for _ in range(m)] for _ in range(terms)]
+        coeffs = [rng.randrange(q) for _ in range(terms)]
+        narrow, wide = gf.slot_width(terms, q), -(-256 // (q - 1))
+        assert narrow * (q - 1) < 256 <= wide * (q - 1)
+        narrow_result, wide_result = (
+            gf.combine(coeffs, [gf.pack(v, w) for v in vecs], m, q, w) for w in (narrow, wide)
+        )
+        assert narrow_result == wide_result
+
     def test_zero_combination(self):
         width = gf.slot_width(2, 3)
         packed = [gf.pack((1, 2), width), gf.pack((2, 2), width)]

@@ -105,6 +105,13 @@ class TestFrames:
         with pytest.raises(net.ProtocolError):
             net.read_frame(io.BytesIO(frame[:7]), {net.MSG_QUERY: 6})
 
+    @pytest.mark.parametrize("pos", [0, 7])
+    def test_element_out_of_range_rejected(self, params, pos):
+        values = [0] * params.m
+        values[pos] = params.q
+        with pytest.raises(net.ProtocolError, match="out of range"):
+            net.unpack_elements(net.pack_elements(values), params.m, params.q)
+
     def test_clean_close(self):
         with pytest.raises(net.ConnectionClosed):
             net.read_frame(io.BytesIO(b""), {net.MSG_QUERY: 0})
@@ -146,6 +153,15 @@ class TestStoreFile:
         struct.pack_into("<Q", raw, 21, store.q)  # first element now == q
         path.write_bytes(bytes(raw))
         with pytest.raises(net.StoreFormatError):
+            net.read_store(path)
+
+    def test_last_element_out_of_range(self, tmp_path, store):
+        path = tmp_path / "store.bin"
+        net.write_store(path, store)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, len(raw) - 8, store.q)  # last slot of the last message
+        path.write_bytes(bytes(raw))
+        with pytest.raises(net.StoreFormatError, match="element >= q"):
             net.read_store(path)
 
 

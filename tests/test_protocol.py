@@ -295,6 +295,11 @@ class TestMessageStore:
         with pytest.raises(ValueError):
             make_store(3, 2, [(0,)])
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_last_entry_of_last_message_checked(self, bad):
+        with pytest.raises(ValueError, match=r"message 3 has entries outside \[0, 3\)"):
+            make_store(3, 2, [(0, 1), (2, 2), (1, bad)])
+
     def test_random_store_shape(self):
         params = Params(K=6, D=2, q=7, m=5)
         store = MessageStore.random(params, random.Random(8))
