@@ -15,6 +15,13 @@ _AnswerHandler.timeout seconds.  The client likewise checks each reply
 header (ANSWER 8*m bytes, EMPTY_ANSWER none, ERROR at most _MAX_ERROR)
 before it reads the payload.
 
+A server answers from a pool of at most StoreServer.max_workers reused
+threads.  A connection holds its worker until it closes, idle or not; a new
+one that sends no query for _AnswerHandler.first_query_timeout is dropped.
+One that arrives while every worker is held is not queued: it gets ERROR
+"server busy" and is closed.  server_close() ends every open connection,
+then joins the workers.
+
 Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
 elements as u64 in message-major order (21 + 8*K*m bytes total).
 
@@ -29,7 +36,9 @@ import random
 import socket
 import socketserver
 import struct
-from contextlib import ExitStack
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -154,38 +163,83 @@ def read_store(path: str | Path) -> MessageStore:
 class _AnswerHandler(socketserver.StreamRequestHandler):
     # Seconds a read may stall before the connection is dropped.
     timeout = 30.0
+    # Seconds a new connection may wait for its first query.  A client sends
+    # one as soon as it connects, so a silent socket holds a worker no longer.
+    first_query_timeout = 2.0
 
     def handle(self) -> None:
         store: MessageStore = self.server.store  # type: ignore[attr-defined]
-        while True:
-            try:
-                _, payload = read_frame(self.rfile, {MSG_QUERY: 8 * store.K})
-                query = unpack_elements(payload, store.K, store.q)
-            except (ConnectionClosed, TimeoutError):
-                return
-            except ProtocolError as exc:
-                self.wfile.write(pack_frame(MSG_ERROR, str(exc).encode()))
-                return
-            answer = server_answer(store, query)
-            if answer is None:
-                self.wfile.write(pack_frame(MSG_EMPTY_ANSWER))
-            else:
-                self.wfile.write(pack_frame(MSG_ANSWER, pack_elements(answer)))
+        self.connection.settimeout(self.first_query_timeout)
+        try:
+            while True:
+                try:
+                    _, payload = read_frame(self.rfile, {MSG_QUERY: 8 * store.K})
+                    query = unpack_elements(payload, store.K, store.q)
+                except ConnectionClosed:
+                    return
+                except ProtocolError as exc:
+                    self.wfile.write(pack_frame(MSG_ERROR, str(exc).encode()))
+                    return
+                self.connection.settimeout(self.timeout)
+                answer = server_answer(store, query)
+                if answer is None:
+                    self.wfile.write(pack_frame(MSG_EMPTY_ANSWER))
+                else:
+                    self.wfile.write(pack_frame(MSG_ANSWER, pack_elements(answer)))
+        except (ConnectionError, TimeoutError):
+            # A reset, a broken pipe or a stalled read or write ends the
+            # connection as a close does: nobody is left to reply to.
+            return
 
 
-class StoreServer(socketserver.ThreadingTCPServer):
-    """TCP server answering queries against one immutable store."""
+class StoreServer(socketserver.TCPServer):
+    """TCP server answering queries against one immutable store from a pool
+    of worker threads, which server_close() joins."""
 
     allow_reuse_address = True
-    daemon_threads = True
+    # Worker threads, hence the most connections served at once.  No
+    # workload measures concurrent clients, so the value is a guess.
+    max_workers = 16
 
     def __init__(self, store: MessageStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
+        self._idle = threading.Semaphore(self.max_workers)
+        self._pool = ThreadPoolExecutor(self.max_workers, thread_name_prefix="mpir-answer")
+        self._open: set[socket.socket] = set()
         super().__init__((host, port), _AnswerHandler)
 
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def process_request(self, request, client_address) -> None:
+        if self._idle.acquire(blocking=False):
+            self._open.add(request)
+            self._pool.submit(self._serve, request, client_address)
+            return
+        with suppress(OSError):  # the client may already be gone
+            request.sendall(pack_frame(MSG_ERROR, b"server busy"))
+        self.shutdown_request(request)
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        # The worker counts as idle before the close, so a client that has
+        # seen its connection end can count on a free worker.
+        self._idle.release()
+        self._open.discard(request)
+        self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        # A worker blocked on a read sees EOF at once instead of waiting out
+        # its timeout, so the join below does not wait on clients.
+        for request in list(self._open):
+            with suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
+        self._pool.shutdown()
 
 
 @dataclass(frozen=True)

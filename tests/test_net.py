@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import io
+import queue
 import random
 import socket
 import struct
 import threading
 import time
+from contextlib import ExitStack, contextmanager
 
 import pytest
 
@@ -26,8 +28,8 @@ def store(params):
     return MessageStore.random(params, random.Random(2024))
 
 
-@pytest.fixture
-def cluster(store):
+@contextmanager
+def serving(store):
     servers = [net.StoreServer(store) for _ in range(3)]
     for s in servers:
         # A short poll keeps shutdown() from waiting out the default 0.5 s.
@@ -38,6 +40,35 @@ def cluster(store):
         for s in servers:
             s.shutdown()
             s.server_close()
+
+
+@pytest.fixture
+def cluster(store):
+    with serving(store) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def capped_cluster(store, monkeypatch):
+    """A cluster whose servers have two worker threads each."""
+    monkeypatch.setattr(net.StoreServer, "max_workers", 2)
+    with serving(store) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def connection_ends(monkeypatch):
+    """A queue that gets each connection a server has finished with, after
+    any error report for it."""
+    ended = queue.SimpleQueue()
+    close = net.StoreServer.shutdown_request
+
+    def recording_close(server, request):
+        close(server, request)
+        ended.put(request)
+
+    monkeypatch.setattr(net.StoreServer, "shutdown_request", recording_close)
+    return ended
 
 
 @pytest.fixture
@@ -68,6 +99,33 @@ def stalling_server():
 
 # What a server may reply to a query at the params fixture's m = 8.
 REPLIES = {net.MSG_ANSWER: 8 * 8, net.MSG_EMPTY_ANSWER: 0, net.MSG_ERROR: net._MAX_ERROR}
+
+
+QUERY_X1 = net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0]))
+
+
+def answered(sock):
+    """Send a query on an open connection and read its answer, so that a
+    worker is known to hold the connection."""
+    sock.sendall(QUERY_X1)
+    with sock.makefile("rb") as stream:
+        return net.read_frame(stream, REPLIES)[0] == net.MSG_ANSWER
+
+
+def assert_busy(endpoint):
+    """Connect, send nothing, and expect ERROR "server busy" and then EOF."""
+    with socket.create_connection(endpoint, timeout=5) as sock, sock.makefile("rb") as stream:
+        msg_type, payload = net.read_frame(stream, REPLIES)
+        assert msg_type == net.MSG_ERROR
+        assert b"busy" in payload
+        with pytest.raises(net.ConnectionClosed):
+            net.read_frame(stream, REPLIES)
+
+
+def reset(sock):
+    """Close a connection with an RST instead of a FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
 
 
 def raw_exchange(endpoint, payload_bytes):
@@ -221,17 +279,102 @@ class TestServer:
         )
         assert msg_type == net.MSG_ERROR
 
-    def test_stalled_read_is_dropped(self, cluster, monkeypatch, capsys):
+    def test_stalled_read_is_dropped(self, capped_cluster, monkeypatch, capsys):
         # Half a frame header and then silence: the server gives up on the
         # read after its timeout and closes the connection quietly, with
-        # neither a reply nor a traceback.
+        # neither a reply nor a traceback.  That frees its worker: with the
+        # other one held, a new connection is still answered.
         assert net._AnswerHandler.timeout is not None
-        monkeypatch.setattr(net._AnswerHandler, "timeout", 0.2)
-        with socket.create_connection(cluster[0], timeout=5) as sock:
-            sock.sendall(b"\x20\x00")
+        with socket.create_connection(capped_cluster[0], timeout=5) as held:
+            # Its handler set its read timeout before the timeout is lowered
+            # and keeps 30 s.
+            assert answered(held)
+            monkeypatch.setattr(net._AnswerHandler, "timeout", 0.2)
+            with socket.create_connection(capped_cluster[0], timeout=5) as sock:
+                # After a first query, so that the 0.2 s applies to the stall.
+                assert answered(sock)
+                sock.sendall(b"\x20\x00")
+                start = time.monotonic()
+                assert sock.recv(64) == b""
+                assert time.monotonic() - start < 3
+            reply = raw_exchange(capped_cluster[0], QUERY_X1)
+            assert net.read_frame(io.BytesIO(reply), REPLIES)[0] == net.MSG_ANSWER
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_connection_past_the_cap_gets_busy(self, capped_cluster, params, store):
+        with ExitStack() as stack:
+            held = [stack.enter_context(socket.create_connection(capped_cluster[0], timeout=5))
+                    for _ in range(2)]
+            assert all(answered(sock) for sock in held)
+            assert_busy(capped_cluster[0])
+            # Once the server has closed a held connection, its worker is idle.
+            held[0].shutdown(socket.SHUT_WR)
+            assert held[0].recv(64) == b""
+            result = net.retrieve(capped_cluster, (1, 2), params, seed=3)
+            assert result.transcript.recovered == (store.messages[0], store.messages[1])
+
+    def test_silent_connection_holds_a_worker_until_first_query_timeout(
+        self, capped_cluster, monkeypatch, capsys
+    ):
+        # A connection holds its worker from accept on, idle or not, so two
+        # that send nothing fill a pool of two.  Each is dropped once it has
+        # sent no query for first_query_timeout, which frees its worker.
+        monkeypatch.setattr(net._AnswerHandler, "first_query_timeout", 1.0)
+        with ExitStack() as stack:
+            silent = [stack.enter_context(socket.create_connection(capped_cluster[0], timeout=5))
+                      for _ in range(2)]
+            assert_busy(capped_cluster[0])
             start = time.monotonic()
-            assert sock.recv(64) == b""
+            assert all(sock.recv(64) == b"" for sock in silent)
             assert time.monotonic() - start < 3
+        reply = raw_exchange(capped_cluster[0], QUERY_X1)
+        assert net.read_frame(io.BytesIO(reply), REPLIES)[0] == net.MSG_ANSWER
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_first_query_timeout_spares_idle_between_queries(self, cluster, monkeypatch):
+        # Once a connection has sent a query, its reads wait the full timeout.
+        monkeypatch.setattr(net._AnswerHandler, "first_query_timeout", 0.2)
+        with socket.create_connection(cluster[0], timeout=5) as sock:
+            assert answered(sock)
+            time.sleep(0.6)
+            assert answered(sock)
+
+    def test_close_ends_open_connections(self, store):
+        # After a query the worker waits up to _AnswerHandler.timeout (30 s)
+        # for the next one; server_close() ends the connection instead of
+        # waiting for that.
+        with serving(store) as endpoints:
+            sock = socket.create_connection(endpoints[0], timeout=5)
+            assert answered(sock)
+            start = time.monotonic()
+        with sock:
+            assert time.monotonic() - start < 3
+            assert sock.recv(64) == b""
+
+    def test_peer_reset_mid_read_is_quiet(self, cluster, connection_ends, capsys):
+        sock = socket.create_connection(cluster[0], timeout=5)
+        sock.sendall(b"\x20\x00")
+        reset(sock)
+        connection_ends.get(timeout=5)
+        assert "Traceback" not in capsys.readouterr().err
+        reply = raw_exchange(cluster[0], QUERY_X1)
+        assert net.read_frame(io.BytesIO(reply), REPLIES)[0] == net.MSG_ANSWER
+
+    def test_peer_reset_before_reply_is_quiet(self, cluster, connection_ends, monkeypatch, capsys):
+        queried, was_reset = threading.Event(), threading.Event()
+
+        def answer_after_reset(store, query):
+            queried.set()
+            was_reset.wait(5)
+            return server_answer(store, query)
+
+        monkeypatch.setattr(net, "server_answer", answer_after_reset)
+        sock = socket.create_connection(cluster[0], timeout=5)
+        sock.sendall(QUERY_X1)
+        assert queried.wait(5)
+        reset(sock)
+        was_reset.set()
+        connection_ends.get(timeout=5)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_multiple_queries_per_connection(self, cluster, store):
