@@ -27,8 +27,18 @@ elements as u64 in message-major order (21 + 8*K*m bytes total).
 
 The server handler receives nothing but coefficient vectors; the demand set
 never crosses the wire.  The client runs :func:`protocol.execute_round` with
-an answerer that opens one connection per server, writes every query, and
+an answerer that takes one connection per server, writes every query, and
 only then reads the answers in order.
+
+Client connections outlive a round: each process keeps at most one idle
+connection per endpoint, for at most _MAX_IDLE endpoints, and puts a round's
+connections back only once all N answers are read in full.  A pooled
+connection the server has closed since (idle for _AnswerHandler.timeout, or
+restarted) is retried once on a new connection with the same query, which
+that server has seen already.  Reuse lets a server link one client's rounds;
+rounds draw independent randomness and a server's view of one has the same
+distribution for every W, so linked views leak nothing more.  An idle pooled
+connection holds a server worker until the server drops it.
 """
 from __future__ import annotations
 
@@ -38,7 +48,7 @@ import socketserver
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -248,23 +258,75 @@ class RetrieveResult:
     downloaded_bytes: int
 
 
+# Idle client connections, least recently returned first.  A round pops the
+# ones it uses, so concurrent rounds never share a socket.
+_MAX_IDLE = 16
+_idle: dict[tuple[str, int], BinaryIO] = {}
+_idle_lock = threading.Lock()
+
+
 def _answer_over_tcp(
     endpoints: Sequence[tuple[str, int]], queries: Sequence[Sequence[int]], m: int, q: int
 ) -> tuple[Answer, ...]:
-    """Send query n to endpoints[n], one connection each, and read the answers.
+    """Send query n to endpoints[n], on a pooled or new connection, and read the answers.
 
     Every query is sent before the first answer is read, so the servers
     compute at the same time without a client thread per server.
     """
-    with ExitStack() as stack:
+    frames = [pack_frame(MSG_QUERY, pack_elements(query)) for query in queries]
+    with _idle_lock:
+        pooled = [_idle.pop(endpoint, None) for endpoint in endpoints]
+    held = [stream for stream in pooled if stream]  # every stream the round holds
+    try:
         streams = []
-        for endpoint, query in zip(endpoints, queries, strict=True):
-            sock = stack.enter_context(socket.create_connection(endpoint, timeout=30))
-            stream = stack.enter_context(sock.makefile("rwb"))
-            stream.write(pack_frame(MSG_QUERY, pack_elements(query)))
-            stream.flush()
+        for endpoint, frame, stream in zip(endpoints, frames, pooled, strict=True):
+            if stream is None:
+                stream = _connect(endpoint, frame, held)
+            else:
+                with suppress(OSError):  # a stale one: the read below finds out
+                    stream.write(frame)
+                    stream.flush()
             streams.append(stream)
-        return tuple(_read_answer(s, e, m, q) for s, e in zip(streams, endpoints))
+        answers = []
+        for n, endpoint in enumerate(endpoints):
+            if pooled[n] and not _reply_begins(pooled[n]):
+                _discard(pooled[n])
+                streams[n] = _connect(endpoint, frames[n], held)
+            answers.append(_read_answer(streams[n], endpoint, m, q))
+    except BaseException:
+        # A reply left unread must not pass for a later round's answer.
+        for stream in held:
+            _discard(stream)
+        raise
+    with _idle_lock:
+        surplus = [s for e, s in zip(endpoints, streams) if _idle.setdefault(e, s) is not s]
+        while len(_idle) > _MAX_IDLE:
+            surplus.append(_idle.pop(next(iter(_idle))))
+    for stream in surplus:
+        _discard(stream)
+    return tuple(answers)
+
+
+def _connect(endpoint: tuple[str, int], frame: bytes, held: list[BinaryIO]) -> BinaryIO:
+    with socket.create_connection(endpoint, timeout=30) as sock:
+        stream = sock.makefile("rwb")  # keeps the socket open past this close
+    held.append(stream)
+    stream.write(frame)
+    stream.flush()
+    return stream
+
+
+def _reply_begins(stream: BinaryIO) -> bool:
+    # False when the server closed the connection before this query.
+    try:
+        return bool(stream.peek(1))  # type: ignore[attr-defined]
+    except ConnectionResetError:
+        return False
+
+
+def _discard(stream: BinaryIO) -> None:
+    with suppress(OSError):  # a flush of an unsent query may fail again
+        stream.close()
 
 
 def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) -> Answer:
@@ -317,6 +379,12 @@ def retrieve(
     identical to an in-memory round driven by random.Random(seed).
     Endpoints that resolve to a common (address, port) are rejected with
     ValueError before any query is sent.
+
+    Connections are reused across calls, at most one idle per endpoint, and
+    a failed round closes its own.  A reused one the server has closed is
+    retried once on a new connection with the same query.  Reuse lets a
+    server link rounds, but its view of each has the same distribution for
+    every W, so that leaks nothing more.
     """
     if len(endpoints) != params.N:
         raise ValueError(f"need exactly N={params.N} endpoints, got {len(endpoints)}")

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from mpir import net
+
 
 @pytest.fixture(autouse=True)
 def no_leaked_answer_workers():
@@ -19,3 +21,13 @@ def no_leaked_answer_workers():
               if t not in before and t.name.startswith("mpir-answer")]
     if leaked:
         pytest.fail(f"answer worker threads still running: {', '.join(leaked)}")
+
+
+@pytest.fixture(autouse=True)
+def empty_connection_pool():
+    """Close the retrieval client's idle connections after each test, so no
+    test reuses a connection to an earlier test's server on a reused port."""
+    yield
+    with net._idle_lock:
+        while net._idle:
+            net._idle.popitem()[1].close()

@@ -6,9 +6,12 @@ import queue
 import random
 import socket
 import struct
+import sys
 import threading
 import time
+from collections import Counter
 from contextlib import ExitStack, contextmanager
+from itertools import combinations
 
 import pytest
 
@@ -29,8 +32,8 @@ def store(params):
 
 
 @contextmanager
-def serving(store):
-    servers = [net.StoreServer(store) for _ in range(3)]
+def serving(store, ports=(0, 0, 0)):
+    servers = [net.StoreServer(store, port=port) for port in ports]
     for s in servers:
         # A short poll keeps shutdown() from waiting out the default 0.5 s.
         threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
@@ -69,6 +72,20 @@ def connection_ends(monkeypatch):
 
     monkeypatch.setattr(net.StoreServer, "shutdown_request", recording_close)
     return ended
+
+
+@pytest.fixture
+def accepts(monkeypatch):
+    """A Counter of the connections each server, by port, has accepted."""
+    counts = Counter()
+    accept = net.StoreServer.process_request
+
+    def counting_accept(server, request, client_address):
+        counts[server.port] += 1
+        accept(server, request, client_address)
+
+    monkeypatch.setattr(net.StoreServer, "process_request", counting_accept)
+    return counts
 
 
 @pytest.fixture
@@ -474,3 +491,76 @@ class TestRetrieve:
         wrong = Params(K=4, D=2, q=3, m=4)
         with pytest.raises(net.ProtocolError, match="inconsistent"):
             net.retrieve(cluster, (1, 2), wrong, seed=1)
+
+
+def replayed(params, W, store, seed):
+    """The transcript bytes of the in-memory round that a seeded retrieve replays."""
+    return run_round(params, build_prob_table(params), W, store, random.Random(seed)).to_bytes()
+
+
+class TestConnectionPool:
+    def test_one_connection_per_server_across_rounds(self, cluster, params, store, accepts):
+        for seed in range(20):
+            result = net.retrieve(cluster, (1, 2), params, seed)
+            assert result.transcript.recovered == (store.messages[0], store.messages[1])
+        assert [accepts[port] for _, port in cluster] == [1, 1, 1]
+
+    def test_connection_dropped_while_idle_is_replaced(self, cluster, params, store, accepts,
+                                                       monkeypatch):
+        monkeypatch.setattr(net._AnswerHandler, "timeout", 0.2)
+        net.retrieve(cluster, (1, 2), params, seed=1)
+        time.sleep(0.5)
+        result = net.retrieve(cluster, (3, 4), params, seed=2)
+        assert result.transcript.recovered == (store.messages[2], store.messages[3])
+        assert [accepts[port] for _, port in cluster] == [2, 2, 2]
+
+    def test_restarted_servers_are_reached(self, params, store):
+        with serving(store) as endpoints:
+            net.retrieve(endpoints, (1, 2), params, seed=1)
+        restarted = MessageStore.random(params, random.Random(7))
+        with serving(restarted, [port for _, port in endpoints]) as again:
+            assert again == endpoints
+            result = net.retrieve(again, (1, 2), params, seed=3)
+        assert result.transcript.recovered == (restarted.messages[0], restarted.messages[1])
+
+    def test_failed_round_leaves_no_reply_for_the_next(self, cluster, params, store):
+        with pytest.raises(net.ProtocolError, match="inconsistent"):
+            net.retrieve(cluster, (1, 2), Params(K=4, D=2, q=3, m=4), seed=1)
+        result = net.retrieve(cluster, (1, 3), params, seed=5)
+        assert result.transcript.to_bytes() == replayed(params, (1, 3), store, 5)
+
+    def test_pool_keeps_the_most_recent_endpoints(self, cluster, params, accepts, monkeypatch):
+        # With room for two, each round's first connection is the oldest
+        # returned and is closed, so only that server sees a new one per round.
+        monkeypatch.setattr(net, "_MAX_IDLE", 2)
+        for seed in range(3):
+            net.retrieve(cluster, (1, 2), params, seed)
+        assert list(net._idle) == cluster[1:]
+        assert [accepts[port] for _, port in cluster] == [3, 1, 1]
+
+    def test_concurrent_rounds_never_share_a_connection(self, cluster, params, store):
+        demands = list(combinations(range(1, 5), 2))
+        mismatched, errors = [], []
+
+        def rounds(first_seed):
+            try:
+                for seed in range(first_seed, first_seed + 50):
+                    W = demands[seed % len(demands)]
+                    wire = net.retrieve(cluster, W, params, seed).transcript.to_bytes()
+                    if wire != replayed(params, W, store, seed):
+                        mismatched.append(seed)
+            except Exception as exc:  # reported below, with the thread's seeds
+                errors.append((first_seed, exc))
+
+        threads = [threading.Thread(target=rounds, args=(50 * t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (mismatched, errors) == ([], [])
