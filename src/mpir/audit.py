@@ -207,8 +207,12 @@ def perturb_prob_table(prob: ProbTable, i: int, j: int) -> ProbTable:
 
     The result intentionally bypasses construction-time validation; it exists
     so tests and the CLI can confirm the privacy auditor actually detects
-    broken probability assignments.
+    broken probability assignments.  Raises ValueError unless
+    0 <= i <= K-D and 1 <= j <= D.
     """
+    if not (0 <= i < len(prob.P) and 1 <= j <= len(prob.P[0])):
+        raise ValueError(f"no entry P[{i}][{j}]: need 0 <= i <= {len(prob.P) - 1}, "
+                         f"1 <= j <= {len(prob.P[0])}")
     rows = [list(r) for r in prob.P]
     rows[i][j - 1] += _PERTURB_DELTA
     mass = table_mass(rows)

@@ -134,6 +134,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.check in ("privacy", "recoverability") and args.K is None:
         raise ValueError(f"--K is required for the {args.check} check")
     if args.check == "privacy":
+        if args.coefficient_level and args.no_permute:
+            raise ValueError("--no-permute applies to the support-level audit only")
         params = Params(K=args.K, D=args.D, q=args.q)
         table = build_prob_table(params)
         if args.mutate is not None:

@@ -15,12 +15,12 @@ _AnswerHandler.timeout seconds.  The client likewise checks each reply
 header (ANSWER 8*m bytes, EMPTY_ANSWER none, ERROR at most _MAX_ERROR)
 before it reads the payload.
 
-A server answers from a pool of at most StoreServer.max_workers reused
-threads.  A connection holds its worker until it closes, idle or not; a new
-one that sends no query for _AnswerHandler.first_query_timeout is dropped.
-One that arrives while every worker is held is not queued: it gets ERROR
-"server busy" and is closed.  server_close() ends every open connection,
-then joins the workers.
+A server answers each connection on a thread of its own, with at most
+StoreServer.max_workers connections open at once.  A connection holds its
+slot until it closes, idle or not; a new one that sends no query for
+_AnswerHandler.first_query_timeout is dropped.  One that arrives while every
+slot is held is not queued: it gets ERROR "server busy" and is closed.
+server_close() ends every open connection, then joins their threads.
 
 Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
 elements as u64 in message-major order (21 + 8*K*m bytes total).
@@ -38,7 +38,7 @@ restarted) is retried once on a new connection with the same query, which
 that server has seen already.  Reuse lets a server link one client's rounds;
 rounds draw independent randomness and a server's view of one has the same
 distribution for every W, so linked views leak nothing more.  An idle pooled
-connection holds a server worker until the server drops it.
+connection holds a server slot until the server drops it.
 """
 from __future__ import annotations
 
@@ -47,14 +47,13 @@ import socket
 import socketserver
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
-from .params import Params
+from .params import Params, is_prime
 from .prob import ProbTable, build_prob_table
 from .protocol import Answer, MessageStore, Transcript, execute_round, server_answer
 
@@ -160,6 +159,8 @@ def read_store(path: str | Path) -> MessageStore:
     if len(raw) < 21 or raw[:5] != MAGIC:
         raise StoreFormatError(f"{path}: not a message store file")
     q, K, m = struct.unpack_from("<QII", raw, 5)
+    if not is_prime(q) or K < 2 or m < 1:
+        raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
     expected = 21 + 8 * K * m
     if len(raw) != expected:
         raise StoreFormatError(f"{path}: size {len(raw)}, expected {expected}")
@@ -174,7 +175,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
     # Seconds a read may stall before the connection is dropped.
     timeout = 30.0
     # Seconds a new connection may wait for its first query.  A client sends
-    # one as soon as it connects, so a silent socket holds a worker no longer.
+    # one as soon as it connects, so a silent socket holds a slot no longer.
     first_query_timeout = 2.0
 
     def handle(self) -> None:
@@ -202,19 +203,17 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
             return
 
 
-class StoreServer(socketserver.TCPServer):
-    """TCP server answering queries against one immutable store from a pool
-    of worker threads, which server_close() joins."""
+class StoreServer(socketserver.ThreadingTCPServer):
+    """TCP server answering queries against one immutable store, one thread
+    per connection, which server_close() joins."""
 
     allow_reuse_address = True
-    # Worker threads, hence the most connections served at once.  No
-    # workload measures concurrent clients, so the value is a guess.
+    # The most connections served at once.  No workload measures concurrent
+    # clients, so the value is a guess.
     max_workers = 16
 
     def __init__(self, store: MessageStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
-        self._idle = threading.Semaphore(self.max_workers)
-        self._pool = ThreadPoolExecutor(self.max_workers, thread_name_prefix="mpir-answer")
         self._open: set[socket.socket] = set()
         super().__init__((host, port), _AnswerHandler)
 
@@ -223,33 +222,28 @@ class StoreServer(socketserver.TCPServer):
         return self.server_address[1]
 
     def process_request(self, request, client_address) -> None:
-        if self._idle.acquire(blocking=False):
+        # Only the serving thread adds to _open, so the check needs no lock.
+        if len(self._open) < self.max_workers:
             self._open.add(request)
-            self._pool.submit(self._serve, request, client_address)
+            super().process_request(request, client_address)
             return
         with suppress(OSError):  # the client may already be gone
             request.sendall(pack_frame(MSG_ERROR, b"server busy"))
         self.shutdown_request(request)
 
-    def _serve(self, request, client_address) -> None:
-        try:
-            self.finish_request(request, client_address)
-        except Exception:
-            self.handle_error(request, client_address)
-        # The worker counts as idle before the close, so a client that has
-        # seen its connection end can count on a free worker.
-        self._idle.release()
+    def shutdown_request(self, request) -> None:
+        # The slot is free before the close, so a client that has seen its
+        # connection end can count on a free slot.
         self._open.discard(request)
-        self.shutdown_request(request)
+        super().shutdown_request(request)
 
     def server_close(self) -> None:
-        super().server_close()
-        # A worker blocked on a read sees EOF at once instead of waiting out
-        # its timeout, so the join below does not wait on clients.
+        # A thread blocked on a read sees EOF at once instead of waiting out
+        # its timeout, so the join in super() does not wait on clients.
         for request in list(self._open):
             with suppress(OSError):
                 request.shutdown(socket.SHUT_RDWR)
-        self._pool.shutdown()
+        super().server_close()
 
 
 @dataclass(frozen=True)

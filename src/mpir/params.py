@@ -120,57 +120,35 @@ def build_L(D: int) -> RationalVector:
     return tuple(Fraction(x) for x in l)
 
 
+def sub_diagonal(D: int) -> RationalVector:
+    """M's sub-diagonal (m_1/m_2, ..., m_{D-1}/m_D)."""
+    _, m = lj_mj(D)
+    return tuple(Fraction(m[h - 1], m[h]) for h in range(1, D))
+
+
 def build_M(D: int) -> RationalMatrix:
     """D x D transition matrix linking consecutive probability rows.
 
-    First row is (l_1, ..., l_D); the sub-diagonal entry in row h+1 is
+    First row is L = (l_1, ..., l_D); the sub-diagonal entry in row h+1 is
     m_h / m_{h+1}; everything else is zero.
     """
-    l, m = lj_mj(D)
-    rows = [[Fraction(0)] * D for _ in range(D)]
-    rows[0] = [Fraction(x) for x in l]
-    for h in range(1, D):
-        rows[h][h - 1] = Fraction(m[h - 1], m[h])
-    return tuple(tuple(r) for r in rows)
-
-
-def vec_mat_mul(vec: RationalVector, mat: RationalMatrix) -> RationalVector:
-    """Row vector times matrix, exactly."""
-    n = len(mat)
-    if len(vec) != n:
-        raise ValueError("dimension mismatch")
-    return tuple(sum((vec[r] * mat[r][c] for r in range(n)), Fraction(0)) for c in range(n))
-
-
-def mat_vec_mul(mat: RationalMatrix, vec: RationalVector) -> RationalVector:
-    """Matrix times column vector, exactly."""
-    n = len(mat)
-    if len(vec) != n:
-        raise ValueError("dimension mismatch")
-    return tuple(sum((mat[r][c] * vec[c] for c in range(n)), Fraction(0)) for r in range(n))
-
-
-def add_identity(mat: RationalMatrix) -> RationalMatrix:
-    """I + M."""
-    n = len(mat)
-    return tuple(
-        tuple(mat[r][c] + (1 if r == c else 0) for c in range(n)) for r in range(n)
+    S = sub_diagonal(D)
+    return (build_L(D),) + tuple(
+        tuple(S[h - 1] if c == h - 1 else Fraction(0) for c in range(D)) for h in range(1, D)
     )
 
 
 def compute_FG(params: Params) -> tuple[RationalVector, RationalVector]:
     """Weight vectors F^T = L^T M^(K-D) and G^T = L^T (I+M)^(K-D).
 
-    Computed as K-D successive row-vector products; the matrix power is never
-    materialized, which keeps the integers small even for large K.  Every
-    entry of G is strictly positive.
+    Computed as K-D successive row-vector products on M's two nonzero parts,
+    its first row L and its sub-diagonal S: (v^T M)_c = v_1 l_c + v_{c+1} s_c.
+    The matrix power is never materialized, which keeps the integers small
+    even for large K.  Every entry of G is strictly positive.
     """
-    D = params.D
-    L = build_L(D)
-    M = build_M(D)
-    IM = add_identity(M)
+    L, S = build_L(params.D), sub_diagonal(params.D) + (0,)
     F, G = L, L
-    for _ in range(params.K - D):
-        F = vec_mat_mul(F, M)
-        G = vec_mat_mul(G, IM)
+    for _ in range(params.K - params.D):
+        F = tuple(F[0] * l + f * s for l, f, s in zip(L, F[1:] + (0,), S))
+        G = tuple(g + G[0] * l + h * s for l, g, h, s in zip(L, G, G[1:] + (0,), S))
     return F, G

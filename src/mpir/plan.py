@@ -17,7 +17,6 @@ privacy, so it is searched for and verified here instead of assumed.
 """
 from __future__ import annotations
 
-import logging
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -25,8 +24,6 @@ from typing import Iterable, NamedTuple
 
 from .params import Params, binomial, lj_mj
 from .prob import ProbTable
-
-logger = logging.getLogger(__name__)
 
 
 class EvennessError(Exception):
@@ -159,14 +156,6 @@ def _chosen_positions(D: int, j: int) -> tuple[tuple[int, ...], ...]:
                 break
     if len(chosen) != lj or not _positions_even(chosen, D, j, mj):
         raise EvennessError(f"even collection search failed for D={D}, j={j}")
-    if not lex_first_positions_even(D, j):
-        logger.info(
-            "evenness finding: the first %d candidate %d-subsets are uneven for "
-            "D=%d; substituted the orbit-balanced collection",
-            lj,
-            j,
-            D,
-        )
     return tuple(chosen)
 
 

@@ -16,15 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .params import (
-    Params,
-    RationalVector,
-    binomial,
-    build_M,
-    compute_FG,
-    lj_mj,
-    mat_vec_mul,
-)
+from .params import Params, RationalVector, binomial, build_L, compute_FG, lj_mj, sub_diagonal
 
 
 @dataclass(frozen=True)
@@ -109,9 +101,10 @@ def build_prob_table(params: Params) -> ProbTable:
     """Construct the optimal probability table for one protocol instance.
 
     The last row puts mass 1/g_{j*} on column j*, and each earlier row is M
-    times its successor.  The result is validated: every entry must land in
-    [0, 1] and the total mass must be exactly 1; a violation means the
-    construction itself is broken, so it raises rather than clamps.
+    times its successor, taken on M's first row and sub-diagonal.  The
+    result is validated: every entry must land in [0, 1] and the total mass
+    must be exactly 1; a violation means the construction itself is broken,
+    so it raises rather than clamps.
     """
     K, D = params.K, params.D
     F, G = compute_FG(params)
@@ -122,12 +115,14 @@ def build_prob_table(params: Params) -> ProbTable:
             f"1/g_{j_star} = {top} exceeds 1; the box constraint binds, which the "
             "closed-form optimum does not support"
         )
-    M = build_M(D)
+    L, S = build_L(D), sub_diagonal(D)
     rows: list[tuple[Fraction, ...]] = [
         tuple(top if j == j_star else Fraction(0) for j in range(1, D + 1))
     ]
     for _ in range(K - D):
-        rows.append(mat_vec_mul(M, rows[-1]))
+        # M times the row: L . row on top, then the row shifted down by S.
+        row = rows[-1]
+        rows.append((sum(l * p for l, p in zip(L, row)),) + tuple(s * p for s, p in zip(S, row)))
     rows.reverse()
     for i, row in enumerate(rows):
         for j, p in enumerate(row, start=1):

@@ -18,7 +18,7 @@ def no_leaked_answer_workers():
     before = set(threading.enumerate())
     yield
     leaked = [t.name for t in threading.enumerate()
-              if t not in before and t.name.startswith("mpir-answer")]
+              if t not in before and t.name.endswith("(process_request_thread)")]
     if leaked:
         pytest.fail(f"answer worker threads still running: {', '.join(leaked)}")
 

@@ -1,0 +1,45 @@
+"""The tests' dense reference for products with M: general exact
+matrix-vector products, and compute_FG and the probability rows built on them."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from mpir.params import Params, RationalMatrix, RationalVector, build_L, build_M
+from mpir.prob import solve_opt
+
+
+def vec_mat_mul(vec: RationalVector, mat: RationalMatrix) -> RationalVector:
+    """Row vector times matrix, exactly."""
+    n = len(mat)
+    assert len(vec) == n
+    return tuple(sum((vec[r] * mat[r][c] for r in range(n)), Fraction(0)) for c in range(n))
+
+
+def mat_vec_mul(mat: RationalMatrix, vec: RationalVector) -> RationalVector:
+    """Matrix times column vector, exactly."""
+    n = len(mat)
+    assert len(vec) == n
+    return tuple(sum((mat[r][c] * vec[c] for c in range(n)), Fraction(0)) for r in range(n))
+
+
+def dense_FG(params: Params) -> tuple[RationalVector, RationalVector]:
+    """F^T = L^T M^(K-D) and G^T = L^T (I+M)^(K-D), one dense product per step."""
+    D = params.D
+    M = build_M(D)
+    IM = tuple(tuple(M[r][c] + (r == c) for c in range(D)) for r in range(D))
+    F, G = build_L(D), build_L(D)
+    for _ in range(params.K - D):
+        F, G = vec_mat_mul(F, M), vec_mat_mul(G, IM)
+    return F, G
+
+
+def dense_prob_rows(params: Params) -> tuple[int, tuple[RationalVector, ...]]:
+    """(j*, rows): the last row puts 1/g_{j*} on column j*, and each earlier
+    row is the dense product of M with its successor."""
+    F, G = dense_FG(params)
+    j_star, _ = solve_opt(F, G)
+    rows = [tuple(1 / G[j - 1] if j == j_star else Fraction(0) for j in range(1, params.D + 1))]
+    M = build_M(params.D)
+    for _ in range(params.K - params.D):
+        rows.append(mat_vec_mul(M, rows[-1]))
+    return j_star, tuple(reversed(rows))

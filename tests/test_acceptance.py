@@ -26,7 +26,6 @@ from mpir.params import (
     build_M,
     compute_FG,
     lj_mj,
-    mat_vec_mul,
     smallest_prime_above,
 )
 from mpir.prob import (
@@ -38,6 +37,7 @@ from mpir.prob import (
     _bound_ratio_form,
 )
 from mpir.protocol import MessageStore, run_round
+from dense import mat_vec_mul
 
 
 def F(s):

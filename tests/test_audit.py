@@ -108,6 +108,14 @@ class TestPrivacyCheck:
                 mutated = audit.perturb_prob_table(table, i, j)
                 assert not audit.privacy_check(params, mutated).passed
 
+    @pytest.mark.parametrize("i,j", [(0, 0), (-1, 1), (3, 1), (9, 1), (0, 3), (1, -1)])
+    def test_perturb_outside_the_table_rejected(self, i, j):
+        # K=4, D=2: rows i = 0..2, columns j = 1..2.  Negative indices would
+        # silently perturb another entry, and large ones raise IndexError.
+        table = build_prob_table(Params(K=4, D=2))
+        with pytest.raises(ValueError, match=rf"no entry P\[{i}\]\[{j}\]"):
+            audit.perturb_prob_table(table, i, j)
+
     def test_violations_and_tv_match_exact_distributions(self):
         # Every reported probability and the TV distance must be the exact
         # rational values of the per-demand support distributions.

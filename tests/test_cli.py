@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
+
+import pytest
 
 from mpir import cli, net
 from mpir.params import Params
@@ -81,6 +84,38 @@ class TestRateTable:
         assert a == b
 
 
+# SHA-256 of the full stdout of `mpir params` and `mpir rate-table`.  Their
+# output is exact and must not change: a change that moves a hash here
+# changes behaviour.
+PINNED_OUTPUT = {
+    ("params", "--K", "5", "--D", "2"):
+        "562d39658f89625a5cc972a77707653631b0e054e02180ee79b670176338c4bc",
+    ("params", "--K", "7", "--D", "3"):
+        "7be924cc968cb4727857feb912761d4d403161be1970f86f87acdf7d1d650b33",
+    ("params", "--K", "12", "--D", "5", "--q", "11", "--m", "4"):
+        "ec8b23beb0ea3eec509c1649a72504f7904c8125a1d17bb81d8b0c688d7e518d",
+    ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "markdown"):
+        "f1d42bff176e304e0b4808a84d2f5ba2a3a28ddf3a2acb439e247f0a34c75cdd",
+    ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "csv"):
+        "df2035da2aeaba0c4eaf0be218605968363c376ccfd44211cc1ef26a104117c2",
+    ("rate-table", "--D", "3", "--k-min", "3", "--k-max", "12", "--format", "markdown"):
+        "cab6d57dd7b1b9cc79b74a34470ee9d37415a90923aa043eca5107e50d383f0f",
+    ("rate-table", "--D", "3", "--k-min", "3", "--k-max", "12", "--format", "csv"):
+        "58871bbc3b370e3fdd909c680366d71f7f04ee051fa15c8b74c256f042356e8c",
+    ("rate-table", "--D", "4", "--k-min", "4", "--k-max", "12", "--format", "markdown"):
+        "42686f817b3f901270000ea36b4408794861b67257216d6e042324c829dca1d3",
+    ("rate-table", "--D", "4", "--k-min", "4", "--k-max", "12", "--format", "csv"):
+        "315725a90bd091539ac86ce2d434f1b6116e331dad77f5f7e9b8a5ead5402fde",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUT, ids=" ".join)
+def test_pinned_output(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
+
+
 class TestSimulate:
     def test_small_run(self, capsys):
         code, out, _ = run_cli(
@@ -111,6 +146,23 @@ class TestAudit:
     def test_privacy_no_permute_fails(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "privacy", "--K", "4", "--D", "2", "--no-permute")
         assert code == 1
+
+    @pytest.mark.parametrize("mutate", [("0", "0"), ("-1", "1"), ("9", "1"), ("0", "3")])
+    def test_privacy_mutate_outside_the_table_is_usage_error(self, capsys, mutate):
+        code, out, err = run_cli(capsys, "audit", "privacy", "--K", "4", "--D", "2",
+                                 "--mutate", *mutate)
+        assert code == 2
+        assert "no entry" in err
+        assert out == ""
+
+    def test_coefficient_level_no_permute_is_usage_error(self, capsys):
+        # The replay audits the shipped client, which always permutes: a PASS
+        # here would answer a question the user did not ask.
+        code, out, err = run_cli(capsys, "audit", "privacy", "--K", "4", "--D", "2",
+                                 "--coefficient-level", "--no-permute")
+        assert code == 2
+        assert "--no-permute" in err
+        assert out == ""
 
     def test_privacy_coefficient_level(self, capsys):
         code, out, _ = run_cli(

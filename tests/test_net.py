@@ -230,6 +230,15 @@ class TestStoreFile:
         with pytest.raises(net.StoreFormatError):
             net.read_store(path)
 
+    @pytest.mark.parametrize("q,K,m", [(4, 4, 8), (9, 4, 8), (1, 4, 8), (3, 1, 8), (3, 4, 0)])
+    def test_header_not_an_instance(self, tmp_path, q, K, m):
+        # Z/4 is not a field, and a store needs K >= 2 messages of m >= 1
+        # elements; the file is otherwise well formed.
+        path = tmp_path / "store.bin"
+        path.write_bytes(net.MAGIC + struct.pack("<QII", q, K, m) + bytes(8 * K * m))
+        with pytest.raises(net.StoreFormatError, match="not an instance"):
+            net.read_store(path)
+
     def test_last_element_out_of_range(self, tmp_path, store):
         path = tmp_path / "store.bin"
         net.write_store(path, store)

@@ -9,17 +9,16 @@ import pytest
 
 from mpir.params import (
     Params,
-    add_identity,
     binomial,
     build_L,
     build_M,
     compute_FG,
     is_prime,
     lj_mj,
-    mat_vec_mul,
     smallest_prime_above,
-    vec_mat_mul,
+    sub_diagonal,
 )
+from dense import vec_mat_mul
 
 
 def F(*args):
@@ -83,6 +82,11 @@ class TestBuildM:
             (F(0), F(1, 3), F(0)),
         )
 
+    def test_sub_diagonal(self):
+        assert sub_diagonal(1) == ()
+        assert sub_diagonal(2) == (F(1, 2),)
+        assert sub_diagonal(3) == (F(1), F(1, 3))
+
     @pytest.mark.parametrize("D", range(1, 8))
     def test_structure(self, D):
         M = build_M(D)
@@ -139,18 +143,6 @@ class TestRationalExactness:
             assert (a + b) - b == a
             assert a.denominator > 0
             assert math.gcd(a.numerator, a.denominator) == 1
-
-    def test_mat_vec_roundtrip_dimensions(self):
-        M = build_M(3)
-        v = (F(1), F(2), F(3))
-        assert len(mat_vec_mul(M, v)) == 3
-        assert len(vec_mat_mul(v, M)) == 3
-        with pytest.raises(ValueError):
-            mat_vec_mul(M, (F(1),))
-
-    def test_add_identity(self):
-        M = build_M(2)
-        assert add_identity(M) == ((F(2), F(1)), (F(1, 2), F(1)))
 
 
 class TestParams:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpir.params import Params, binomial, build_M, compute_FG, lj_mj, mat_vec_mul
+from mpir.params import Params, binomial, build_M, compute_FG, lj_mj
 from mpir.prob import (
     ProbTable,
     achievable_rate,
@@ -19,6 +19,7 @@ from mpir.prob import (
     _bound_geometric_form,
     _bound_ratio_form,
 )
+from dense import dense_FG, dense_prob_rows, mat_vec_mul
 
 
 def F(*args):
@@ -113,6 +114,17 @@ class TestTableLaws:
         bad = ProbTable(P=((F(1, 2), F(1, 4)),), j_star=1)
         with pytest.raises(ValueError):
             bad.sampling_layout
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_products_on_two_parts_equal_dense_products(self, D):
+        # M's first row and sub-diagonal give exactly the dense products.
+        for K in range(D, 31):
+            params = Params(K=K, D=D)
+            assert compute_FG(params) == dense_FG(params)
+            table = build_prob_table(params)
+            assert (table.j_star, table.P) == dense_prob_rows(params)
 
 
 class TestRates:
