@@ -12,7 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
-from . import audit, net
+from . import audit, gf, net
 from .params import Params, build_L, build_M, compute_FG, lj_mj
 from .prob import build_prob_table, rate_report
 from .protocol import MessageStore
@@ -210,7 +210,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     W = tuple(int(x) for x in args.W.split(","))
     result = net.retrieve(endpoints, W, params, args.seed)
     for idx, msg in zip(sorted(W), result.transcript.recovered):
-        print(f"X_{idx} = {list(msg)}")
+        print(f"X_{idx} = {list(gf.decode(msg, params.q))}")
     print(f"downloaded bytes = {result.downloaded_bytes}")
     return 0
 

@@ -6,8 +6,10 @@ width*(q-1) < 256 (see :func:`combine`), and one slot at a time otherwise.
 
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
-that q is prime.  Vectors over the field are tuples of ints of length K,
-entry t holding the coefficient of message t+1.
+that q is prime.  Coefficient vectors are tuples of ints of length K,
+entry t holding the coefficient of message t+1.  Element vectors (messages,
+answers, recovered messages) are one ``bytes`` each: little-endian elements
+of ``element_width(q)`` bytes, one byte for every q <= 256.
 """
 from __future__ import annotations
 
@@ -99,23 +101,54 @@ def slot_width(terms: int, q: int) -> int:
     return next((w for w in _SLOT_FORMATS if nbytes <= w), nbytes)
 
 
-def pack(vec: Sequence[int], width: int) -> int:
-    """One int holding vec's entries, each in [0, q), in `width`-byte slots,
-    entry 0 in the lowest slot.  One-byte slots are the bytes of vec."""
-    if width == 1:
-        raw = bytes(vec)
-    elif fmt := _SLOT_FORMATS.get(width):
-        raw = struct.pack(f"<{len(vec)}{fmt}", *vec)
-    else:
-        raw = b"".join(v.to_bytes(width, "little") for v in vec)
-    return int.from_bytes(raw, "little")
+def element_width(q: int) -> int:
+    """Bytes per element of GF(q): the byte length of q-1, at least 1."""
+    return max(1, -(-(q - 1).bit_length() // 8))
+
+
+def restride(vec: bytes, width: int, new_width: int) -> bytes:
+    """vec's little-endian `width`-byte slots as `new_width`-byte ones, one
+    slice assignment per byte lane; narrowing drops high bytes."""
+    if width == new_width:
+        return vec
+    if new_width == 1:
+        return vec[::width]
+    out = bytearray(len(vec) // width * new_width)
+    for k in range(min(width, new_width)):
+        out[k::new_width] = vec[k::width]
+    return bytes(out)
+
+
+def encode(values: Sequence[int], q: int) -> bytes:
+    """The element vector of ints in [0, q)."""
+    return restride(struct.pack(f"<{len(values)}Q", *values), 8, element_width(q))
+
+
+def decode(vec: bytes, q: int) -> tuple[int, ...]:
+    """The ints of an element vector over GF(q)."""
+    w = element_width(q)
+    return struct.unpack(f"<{len(vec) // w}Q", restride(vec, w, 8))
+
+
+def out_of_range(vec: bytes, q: int) -> bool:
+    """Whether an element of the element vector vec is q or more."""
+    if element_width(q) == 1:  # one translate marks each byte >= q
+        return vec.translate(bytes(b >= q for b in range(256))).find(1) != -1
+    return max(decode(vec, q), default=0) >= q
+
+
+def pack(vec: bytes, w: int, width: int) -> int:
+    """One int holding the element vector vec, of w-byte elements, in
+    `width`-byte slots, entry 0 in the lowest slot."""
+    return int.from_bytes(restride(vec, w, width), "little")
 
 
 def combine(
     coeffs: Sequence[int], packed: Sequence[int], m: int, q: int, width: int
-) -> FieldVector:
-    """sum_t coeffs[t] * vec_t mod q, elementwise, for length-m vectors packed
-    by :func:`pack` into slots of ``slot_width(len(packed), q)`` bytes.
+) -> bytes:
+    """sum_t coeffs[t] * vec_t mod q, elementwise, as an element vector, for
+    length-m vectors packed by :func:`pack` into slots of
+    ``slot_width(len(packed), q)`` bytes.
 
     Coefficients are reduced mod q first, so the slots never carry: one
     big-int multiply-add per term, then one reduction of every slot.  A slot
@@ -132,16 +165,16 @@ def combine(
     if width * (q - 1) < 256:
         tables = _lane_tables(q, width)
         if width == 1:
-            return tuple(raw.translate(tables[0]))
+            return raw.translate(tables[0])
         lanes = (raw[k::width].translate(table) for k, table in enumerate(tables))
         total = sum(int.from_bytes(lane, "little") for lane in lanes)
-        return tuple(total.to_bytes(m, "little").translate(tables[0]))
+        return total.to_bytes(m, "little").translate(tables[0])
     fmt = _SLOT_FORMATS.get(width)
     if fmt:
         slots: Iterable[int] = struct.unpack(f"<{m}{fmt}", raw)
     else:
         slots = (int.from_bytes(raw[t : t + width], "little") for t in range(0, len(raw), width))
-    return tuple([v % q for v in slots])
+    return encode([v % q for v in slots], q)
 
 
 @functools.lru_cache(maxsize=64)

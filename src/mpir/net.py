@@ -7,10 +7,11 @@ Frame layout (all integers little-endian):
     payload  bytes
 
 A QUERY payload is K field elements, an ANSWER payload m field elements,
-each a u64.  EMPTY_ANSWER carries no payload and is the reply to an all-zero
-query.  ERROR carries a UTF-8 message and the server closes the connection;
-a QUERY header declaring other than 8*K bytes gets ERROR before any payload
-is read, and a connection that stalls mid-read is closed after
+each a u64; both ends convert answers from and to :mod:`mpir.gf` element
+bytes only here.  EMPTY_ANSWER carries no payload and is the reply to an
+all-zero query.  ERROR carries a UTF-8 message and the server closes the
+connection; a QUERY header declaring other than 8*K bytes gets ERROR before
+any payload is read, and a connection that stalls mid-read is closed after
 _AnswerHandler.timeout seconds.  The client likewise checks each reply
 header (ANSWER 8*m bytes, EMPTY_ANSWER none, ERROR at most _MAX_ERROR)
 before it reads the payload.
@@ -23,7 +24,8 @@ slot is held is not queued: it gets ERROR "server busy" and is closed.
 server_close() ends every open connection, then joins their threads.
 
 Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
-elements as u64 in message-major order (21 + 8*K*m bytes total).
+elements as u64 in message-major order (21 + 8*K*m bytes total),
+converted a whole store at a time.
 
 The server handler receives nothing but coefficient vectors; the demand set
 never crosses the wire.  The client runs :func:`protocol.execute_round` with
@@ -53,6 +55,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
+from . import gf
 from .params import Params, is_prime
 from .prob import ProbTable, build_prob_table
 from .protocol import Answer, MessageStore, Transcript, execute_round, server_answer
@@ -149,8 +152,7 @@ def write_store(path: str | Path, store: MessageStore) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<QII", store.q, store.K, store.m))
-        for msg in store.messages:
-            fh.write(pack_elements(msg))
+        fh.write(gf.restride(b"".join(store.messages), gf.element_width(store.q), 8))
 
 
 def read_store(path: str | Path) -> MessageStore:
@@ -164,10 +166,11 @@ def read_store(path: str | Path) -> MessageStore:
     expected = 21 + 8 * K * m
     if len(raw) != expected:
         raise StoreFormatError(f"{path}: size {len(raw)}, expected {expected}")
-    flat = struct.unpack_from(f"<{K * m}Q", raw, 21)
-    if flat and max(flat) >= q:
+    if max(struct.unpack_from(f"<{K * m}Q", raw, 21)) >= q:
         raise StoreFormatError(f"{path}: element >= q")
-    messages = tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(K))
+    size = m * gf.element_width(q)
+    flat = gf.restride(raw[21:], 8, gf.element_width(q))
+    messages = tuple(flat[i : i + size] for i in range(0, K * size, size))
     return MessageStore(q=q, m=m, messages=messages)
 
 
@@ -180,6 +183,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         store: MessageStore = self.server.store  # type: ignore[attr-defined]
+        width = gf.element_width(store.q)
         self.connection.settimeout(self.first_query_timeout)
         try:
             while True:
@@ -196,7 +200,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
                 if answer is None:
                     self.wfile.write(pack_frame(MSG_EMPTY_ANSWER))
                 else:
-                    self.wfile.write(pack_frame(MSG_ANSWER, pack_elements(answer)))
+                    self.wfile.write(pack_frame(MSG_ANSWER, gf.restride(answer, width, 8)))
         except (ConnectionError, TimeoutError):
             # A reset, a broken pipe or a stalled read or write ends the
             # connection as a close does: nobody is left to reply to.
@@ -327,12 +331,13 @@ def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) ->
     sizes = {MSG_ANSWER: 8 * m, MSG_EMPTY_ANSWER: 0, MSG_ERROR: _MAX_ERROR}
     try:
         msg_type, payload = read_frame(stream, sizes)
-        answer = unpack_elements(payload, m, q) if msg_type == MSG_ANSWER else None
+        if msg_type == MSG_ANSWER:  # every element < q, so narrowing drops only zeros
+            unpack_elements(payload, m, q)
     except ProtocolError as exc:
         raise ProtocolError(f"inconsistent reply from {endpoint}: {exc}") from exc
     if msg_type == MSG_ERROR:
         raise ProtocolError(f"server {endpoint} reported: {payload.decode(errors='replace')}")
-    return answer
+    return gf.restride(payload, 8, gf.element_width(q)) if msg_type == MSG_ANSWER else None
 
 
 def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:

@@ -20,24 +20,26 @@ from . import gf, plan
 from .params import Params
 from .prob import ProbTable
 
-Message = tuple[int, ...]
+Message = bytes  # m elements of gf.element_width(q) bytes each, little-endian
 Answer = Message | None  # None when the query was the zero vector
 AnswerAll = Callable[[tuple[gf.FieldVector, ...]], Sequence[Answer]]
 
 
 @dataclass(frozen=True)
 class MessageStore:
-    """K messages of length m over the prime field, identical on every server."""
+    """K messages of m field elements, each one element vector (see
+    :mod:`mpir.gf`), identical on every server."""
 
     q: int
     m: int
     messages: tuple[Message, ...]
 
     def __post_init__(self) -> None:
+        size = self.m * gf.element_width(self.q)
         for idx, msg in enumerate(self.messages, start=1):
-            if len(msg) != self.m:
-                raise ValueError(f"message {idx} has length {len(msg)}, expected {self.m}")
-            if msg and (min(msg) < 0 or max(msg) >= self.q):
+            if len(msg) != size:
+                raise ValueError(f"message {idx} has {len(msg)} bytes, expected {size}")
+            if gf.out_of_range(msg, self.q):
                 raise ValueError(f"message {idx} has entries outside [0, {self.q})")
 
     @property
@@ -49,12 +51,13 @@ class MessageStore:
         """(slot width, one packed int per message) for :func:`gf.combine`,
         built on first use; the slots hold a K-term combination."""
         width = gf.slot_width(self.K, self.q)
-        return width, tuple(gf.pack(msg, width) for msg in self.messages)
+        w = gf.element_width(self.q)
+        return width, tuple(gf.pack(msg, w, width) for msg in self.messages)
 
     @classmethod
     def random(cls, params: Params, rng: random.Random) -> "MessageStore":
         msgs = tuple(
-            tuple(rng.randrange(params.q) for _ in range(params.m))
+            gf.encode([rng.randrange(params.q) for _ in range(params.m)], params.q)
             for _ in range(params.K)
         )
         return cls(q=params.q, m=params.m, messages=msgs)
@@ -85,9 +88,12 @@ class Transcript:
     answers: tuple[Answer, ...]
     recovered: tuple[Message, ...]
     download_elements: int
+    q: int
 
     def to_bytes(self) -> bytes:
-        """Canonical byte serialization, for exact transcript comparison."""
+        """Canonical byte serialization, for exact transcript comparison;
+        answer and recovered elements are written as u64."""
+        w = gf.element_width(self.q)
         out = bytearray()
         out += struct.pack("<I", len(self.W)) + struct.pack(f"<{len(self.W)}I", *self.W)
         out += struct.pack("<4I", *self.query_set.row)
@@ -98,9 +104,9 @@ class Transcript:
             if ans is None:
                 out += b"\x00"
             else:
-                out += b"\x01" + struct.pack(f"<{len(ans)}Q", *ans)
+                out += b"\x01" + gf.restride(ans, w, 8)
         for msg in self.recovered:
-            out += struct.pack(f"<{len(msg)}Q", *msg)
+            out += gf.restride(msg, w, 8)
         out += struct.pack("<Q", self.download_elements)
         return bytes(out)
 
@@ -158,17 +164,19 @@ def recover(
     sum_h inv(A)[t][h] * (column h+1 - column 0): one linear combination of
     the N columns per demand message.
     """
-    w = sorted(set().union(*(gf.support(v) for v in query_set.V)))
-    if len(w) != params.D:
+    demand = sorted(set().union(*(gf.support(v) for v in query_set.V)))
+    if len(demand) != params.D:
         raise ValueError("demand vectors do not cover a full demand set")
-    inv = gf.inverse(params.q, [[vec[x - 1] for x in w] for vec in query_set.V])
+    inv = gf.inverse(params.q, [[vec[x - 1] for x in demand] for vec in query_set.V])
     width = gf.slot_width(params.N, params.q)
+    w = gf.element_width(params.q)
+    size = params.m * w
     packed = []
     for n in range(params.N):
         ans = answers[query_set.permutation[n]]
-        if ans is not None and len(ans) != params.m:
-            raise ValueError(f"answer length {len(ans)} != m={params.m}")
-        packed.append(0 if ans is None else gf.pack(ans, width))
+        if ans is not None and len(ans) != size:
+            raise ValueError(f"answer of {len(ans)} bytes, expected {size} (m={params.m})")
+        packed.append(0 if ans is None else gf.pack(ans, w, width))
     return tuple(
         gf.combine((-sum(row),) + row, packed, params.m, params.q, width) for row in inv
     )
@@ -192,6 +200,7 @@ def execute_round(
         answers=answers,
         recovered=recover(params, qs, answers),
         download_elements=params.m * sum(1 for a in answers if a is not None),
+        q=params.q,
     )
 
 

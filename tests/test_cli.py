@@ -4,10 +4,11 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
+from contextlib import contextmanager
 
 import pytest
 
-from mpir import cli, net
+from mpir import cli, gf, net
 from mpir.params import Params
 from mpir.protocol import MessageStore
 
@@ -16,6 +17,20 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+@contextmanager
+def serving(store):
+    """Three answer servers on one store; yields their --endpoints value."""
+    servers = [net.StoreServer(store) for _ in range(3)]
+    for s in servers:
+        threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield ",".join(f"127.0.0.1:{s.port}" for s in servers)
+    finally:
+        for s in servers:
+            s.shutdown()
+            s.server_close()
 
 
 class TestParamsCommand:
@@ -221,11 +236,7 @@ class TestStoreAndNetwork:
     def test_retrieve_end_to_end(self, capsys):
         params = Params(K=4, D=2, q=3, m=8)
         store = MessageStore.random(params, random.Random(44))
-        servers = [net.StoreServer(store) for _ in range(3)]
-        for s in servers:
-            threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
-        try:
-            endpoints = ",".join(f"127.0.0.1:{s.port}" for s in servers)
+        with serving(store) as endpoints:
             code, out, _ = run_cli(
                 capsys,
                 "retrieve",
@@ -234,13 +245,34 @@ class TestStoreAndNetwork:
                 "--K", "4", "--D", "2", "--m", "8",
                 "--seed", "5",
             )
-            assert code == 0
-            assert f"X_1 = {list(store.messages[0])}" in out
-            assert "downloaded bytes" in out
-        finally:
-            for s in servers:
-                s.shutdown()
-                s.server_close()
+        assert code == 0
+        assert f"X_1 = {list(gf.decode(store.messages[0], 3))}" in out
+        assert "downloaded bytes" in out
+
+    # SHA-256 of the full stdout of seeded `mpir retrieve` rounds against a
+    # store drawn from random.Random(44), at the default q (3, no --q) and
+    # at q = 65521, whose elements take two bytes.  Seed 1 at q = 3 and
+    # seed 2 at q = 65521 have a silent server.  How elements are held in
+    # memory must not move what the command prints.
+    PINNED_RETRIEVE = {
+        (None, "1,2", 1): "110f9284f63f82830ec48ca968c8c78d52c527a80c79ffc4bc7fafaebefbfa8a",
+        (None, "2,4", 5): "ae2f800b301c2977f589b97d5e3a37eaf8ea42a960bee3977565236c95138b66",
+        (65521, "1,3", 2): "ba6ee91a5441138fea47191d96c0cc84bd1d2cd59f3a64f5340124f076b62c5e",
+        (65521, "3,4", 7): "f39fd80f02c855a3e60448a938b8ac78243f65f708cdaa4e929299fe65dd735d",
+    }
+
+    @pytest.mark.parametrize("q,W,seed", PINNED_RETRIEVE, ids=str)
+    def test_retrieve_pinned_output(self, capsys, q, W, seed):
+        params = Params(K=4, D=2, q=q, m=6)
+        q_args = () if q is None else ("--q", str(q))
+        with serving(MessageStore.random(params, random.Random(44))) as endpoints:
+            code, out, _ = run_cli(
+                capsys,
+                "retrieve", "--endpoints", endpoints, "--W", W,
+                "--K", "4", "--D", "2", *q_args, "--m", "6", "--seed", str(seed),
+            )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_RETRIEVE[q, W, seed]
 
     def test_retrieve_bad_endpoints(self, capsys):
         code, _, err = run_cli(

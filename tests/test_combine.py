@@ -6,6 +6,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from mpir import gf  # noqa: E402
 from mpir.protocol import MessageStore, server_answer  # noqa: E402
 
 # Small and large fields, each slot-width path: 1, 2 and 8 byte struct slots,
@@ -15,10 +16,14 @@ FIELDS = [2, 3, 7, 61, 67, 127, 131, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
 
 def naive_answer(store, query):
+    messages = [gf.decode(msg, store.q) for msg in store.messages]
     return tuple(
-        sum(c * msg[t] for c, msg in zip(query, store.messages)) % store.q
-        for t in range(store.m)
+        sum(c * msg[t] for c, msg in zip(query, messages)) % store.q for t in range(store.m)
     )
+
+
+def store_of(q, m, messages):
+    return MessageStore(q=q, m=m, messages=tuple(gf.encode(msg, q) for msg in messages))
 
 
 @st.composite
@@ -32,14 +37,14 @@ def store_and_query(draw, m, nonzero):
     if nonzero:
         coeff = coeff.filter(lambda c: c != 0)
     query = tuple(draw(st.lists(coeff, min_size=K, max_size=K)))
-    return MessageStore(q=q, m=m, messages=messages), query
+    return store_of(q, m, messages), query
 
 
 def check(store, query):
     if all(c == 0 for c in query):
         assert server_answer(store, query) is None
     else:
-        assert server_answer(store, query) == naive_answer(store, query)
+        assert gf.decode(server_answer(store, query), store.q) == naive_answer(store, query)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -62,9 +67,9 @@ def test_all_nonzero_queries(case):
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_coefficients_congruent_mod_q_agree(q):
-    store = MessageStore(q=q, m=3, messages=((q - 1, 1, 0), (q - 1, q - 1, 1)))
+    store = store_of(q, 3, ((q - 1, 1, 0), (q - 1, q - 1, 1)))
     reduced = server_answer(store, (q - 1, 1))
     assert server_answer(store, (-1, q + 1)) == reduced
     assert server_answer(store, (2 * q - 1, 1 - q)) == reduced
     # A nonzero query that is zero mod q answers, with all-zero entries.
-    assert server_answer(store, (q, -q)) == (0, 0, 0)
+    assert gf.decode(server_answer(store, (q, -q)), q) == (0, 0, 0)

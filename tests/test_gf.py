@@ -16,7 +16,18 @@ def add(a, b, q):
 
 def mul(a, b, q):
     width = gf.slot_width(1, q)
-    return gf.combine((a,), (gf.pack((b,), width),), 1, q, width)[0]
+    packed = gf.pack(gf.encode((b,), q), gf.element_width(q), width)
+    return gf.decode(gf.combine((a,), (packed,), 1, q, width), q)[0]
+
+
+def slots(values, width):
+    """One int holding raw `width`-byte slot values, entry 0 lowest: what
+    gf.pack makes of an element vector, without its range limit."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def combined(coeffs, packed, m, q, width):
+    return gf.decode(gf.combine(coeffs, packed, m, q, width), q)
 
 
 def inv(a, q):
@@ -139,10 +150,10 @@ class TestSolvers:
         rhs_rows = [[rng.randrange(q) for _ in range(6)] for _ in range(3)]
         inv = gf.inverse(q, mat)
         width = gf.slot_width(3, q)
-        packed = [gf.pack(row, width) for row in rhs_rows]
-        combined = [gf.combine(row, packed, 6, q, width) for row in inv]
+        packed = [gf.pack(gf.encode(row, q), 1, width) for row in rhs_rows]
+        solved = [combined(row, packed, 6, q, width) for row in inv]
         for c in range(6):
-            x = [combined[t][c] for t in range(3)]
+            x = [solved[t][c] for t in range(3)]
             assert [sum(mat[r][t] * x[t] for t in range(3)) % q for r in range(3)] == [
                 rhs_rows[r][c] for r in range(3)
             ]
@@ -164,23 +175,22 @@ class TestCombine:
         terms, m = 9, 5
         width = gf.slot_width(terms, q)
         vec = [q - 1] * m
-        packed = [gf.pack(vec, width)] * terms
+        packed = [gf.pack(gf.encode(vec, q), gf.element_width(q), width)] * terms
         expected = (terms * (q - 1) ** 2 % q,) * m
-        assert gf.combine([q - 1] * terms, packed, m, q, width) == expected
-        assert gf.combine([-1] * terms, packed, m, q, width) == expected
+        assert combined([q - 1] * terms, packed, m, q, width) == expected
+        assert combined([-1] * terms, packed, m, q, width) == expected
 
     @pytest.mark.parametrize("q", [p for p in range(2, 252) if all(p % d for d in range(2, p))])
     def test_every_one_byte_slot_value(self, q):
-        # pack does not check entries against q, so one term with coefficient
-        # 1 hands combine every value a slot can hold.
+        # One term with coefficient 1 hands combine every value a slot can hold.
         values = range(256)
-        assert gf.combine([1], [gf.pack(values, 1)], 256, q, 1) == tuple(v % q for v in values)
+        assert combined([1], [slots(values, 1)], 256, q, 1) == tuple(v % q for v in values)
 
     @pytest.mark.parametrize("q", [127, 131])
     def test_every_two_byte_slot_value(self, q):
         # 2*(127-1) < 256 reduces on byte lanes; 2*(131-1) does not.
         values = range(256**2)
-        assert gf.combine([1], [gf.pack(values, 2)], len(values), q, 2) == tuple(
+        assert combined([1], [slots(values, 2)], len(values), q, 2) == tuple(
             v % q for v in values
         )
 
@@ -192,18 +202,18 @@ class TestCombine:
         terms, m = 9, 300
         top = [q - 1] * m
         expected = (terms * (q - 1) ** 2 % q,) * m
-        assert gf.combine([q - 1] * terms, [gf.pack(top, width)] * terms, m, q, width) == expected
+        assert combined([q - 1] * terms, [slots(top, width)] * terms, m, q, width) == expected
         vecs = [[rng.randrange(q) for _ in range(m)] for _ in range(terms)]
         coeffs = [rng.randrange(-q, 2 * q) for _ in range(terms)]
         naive = tuple(sum(c * v[t] for c, v in zip(coeffs, vecs)) % q for t in range(m))
-        packed = [gf.pack(v, width) for v in vecs]
-        assert gf.combine(coeffs, packed, m, q, width) == naive
+        packed = [slots(v, width) for v in vecs]
+        assert combined(coeffs, packed, m, q, width) == naive
         # Raw slot values over the whole width, led by the one whose every
         # byte maps to q-1: the largest sum of translated lanes.
         worst = sum((q - 1) * pow(256**k, -1, q) % q * 256**k for k in range(width))
-        slots = [worst, 256**width - 1] + [rng.randrange(256**width) for _ in range(m)]
-        assert gf.combine([1], [gf.pack(slots, width)], len(slots), q, width) == tuple(
-            v % q for v in slots
+        raw = [worst, 256**width - 1] + [rng.randrange(256**width) for _ in range(m)]
+        assert combined([1], [slots(raw, width)], len(raw), q, width) == tuple(
+            v % q for v in raw
         )
 
     @pytest.mark.parametrize("q", [3, 7, 13])
@@ -217,18 +227,69 @@ class TestCombine:
         narrow, wide = gf.slot_width(terms, q), -(-256 // (q - 1))
         assert narrow * (q - 1) < 256 <= wide * (q - 1)
         narrow_result, wide_result = (
-            gf.combine(coeffs, [gf.pack(v, w) for v in vecs], m, q, w) for w in (narrow, wide)
+            gf.combine(coeffs, [gf.pack(gf.encode(v, q), 1, w) for v in vecs], m, q, w)
+            for w in (narrow, wide)
         )
         assert narrow_result == wide_result
 
     def test_zero_combination(self):
         width = gf.slot_width(2, 3)
-        packed = [gf.pack((1, 2), width), gf.pack((2, 2), width)]
-        assert gf.combine((0, 3), packed, 2, 3, width) == (0, 0)
+        packed = [gf.pack(bytes((1, 2)), 1, width), gf.pack(bytes((2, 2)), 1, width)]
+        assert gf.combine((0, 3), packed, 2, 3, width) == bytes(2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            gf.combine((1, 2), [gf.pack((1,), 1)], 1, 3, 1)
+            gf.combine((1, 2), [gf.pack(b"\x01", 1, 1)], 1, 3, 1)
+
+    @pytest.mark.parametrize("q", [3, 251, 257, 65521, 2**31 - 1, 2**64 - 59])
+    def test_pack_matches_slot_values(self, q):
+        # Element vectors of every width, widened to slots wider, equal and
+        # (for the lane path's one-byte slots) as wide as an element.
+        rng = random.Random(q)
+        values = [q - 1, 0] + [rng.randrange(q) for _ in range(40)]
+        vec = gf.encode(values, q)
+        for width in sorted({gf.element_width(q), 8, gf.slot_width(7, q)}):
+            assert gf.pack(vec, gf.element_width(q), width) == slots(values, width)
+
+
+class TestElementVectors:
+    @pytest.mark.parametrize(
+        "q,w", [(2, 1), (3, 1), (251, 1), (257, 2), (65521, 2), (65537, 3),
+                (2**31 - 1, 4), (2**61 - 1, 8), (2**64 - 59, 8)],
+    )
+    def test_element_width(self, q, w):
+        assert gf.element_width(q) == w
+        assert q - 1 < 256**w
+
+    @pytest.mark.parametrize("q", [3, 251, 65521, 65537, 2**31 - 1, 2**64 - 59])
+    def test_encode_is_little_endian_and_decodes(self, q):
+        rng = random.Random(q)
+        values = (q - 1, 0, 1) + tuple(rng.randrange(q) for _ in range(50))
+        w = gf.element_width(q)
+        vec = gf.encode(values, q)
+        assert vec == b"".join(v.to_bytes(w, "little") for v in values)
+        assert gf.decode(vec, q) == values
+
+    @pytest.mark.parametrize("width,new_width", [(1, 2), (2, 8), (3, 8), (8, 17), (2, 1), (8, 3)])
+    def test_restride(self, width, new_width):
+        rng = random.Random(width * 100 + new_width)
+        fit = 256 ** min(width, new_width)
+        values = [fit - 1, 0] + [rng.randrange(fit) for _ in range(30)]
+        vec = b"".join(v.to_bytes(width, "little") for v in values)
+        assert gf.restride(vec, width, new_width) == b"".join(
+            v.to_bytes(new_width, "little") for v in values
+        )
+
+    @pytest.mark.parametrize("q", [2, 3, 251, 257, 65521, 2**31 - 1, 2**64 - 59])
+    def test_out_of_range(self, q):
+        w = gf.element_width(q)
+        valid = gf.encode([q - 1, 0, q - 1], q)
+        assert not gf.out_of_range(valid, q)
+        for bad in (q, 256**w - 1):
+            for pos in range(3):
+                vec = bytearray(valid)
+                vec[pos * w : (pos + 1) * w] = bad.to_bytes(w, "little")
+                assert gf.out_of_range(bytes(vec), q)
 
 
 class TestMatrixRank:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import pytest
 
-from mpir import net
+from mpir import gf, net
 from mpir.params import Params
 from mpir.prob import build_prob_table
 from mpir.protocol import MessageStore, run_round, server_answer
@@ -205,6 +205,15 @@ class TestStoreFile:
         assert path.stat().st_size == 21 + 8 * store.K * store.m
         assert net.read_store(path) == store
 
+    @pytest.mark.parametrize("q", [65521, 2**31 - 1, 2**64 - 59])
+    def test_wide_field_round_trip_is_u64(self, tmp_path, q):
+        store = MessageStore.random(Params(K=3, D=2, q=q, m=5), random.Random(q))
+        path = tmp_path / "store.bin"
+        net.write_store(path, store)
+        values = [v for msg in store.messages for v in gf.decode(msg, q)]
+        assert path.read_bytes()[21:] == struct.pack(f"<{len(values)}Q", *values)
+        assert net.read_store(path) == store
+
     def test_bad_magic(self, tmp_path, store):
         path = tmp_path / "store.bin"
         net.write_store(path, store)
@@ -260,7 +269,7 @@ class TestServer:
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0])))
         msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_ANSWER
-        assert net.unpack_elements(payload, store.m, store.q) == store.messages[0]
+        assert net.unpack_elements(payload, store.m, store.q) == gf.decode(store.messages[0], store.q)
 
     def test_differential_against_in_memory(self, cluster, store):
         rng = random.Random(7)
@@ -273,7 +282,7 @@ class TestServer:
                 assert msg_type == net.MSG_EMPTY_ANSWER
             else:
                 assert msg_type == net.MSG_ANSWER
-                assert net.unpack_elements(payload, store.m, store.q) == expected
+                assert net.unpack_elements(payload, store.m, store.q) == gf.decode(expected, store.q)
 
     def test_malformed_length_gets_error(self, cluster):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, b"\x01\x02\x03"))
@@ -411,8 +420,8 @@ class TestServer:
         t1, p1 = net.read_frame(reply, REPLIES)
         t2, p2 = net.read_frame(reply, REPLIES)
         assert t1 == t2 == net.MSG_ANSWER
-        assert net.unpack_elements(p1, store.m, store.q) == store.messages[0]
-        assert net.unpack_elements(p2, store.m, store.q) == store.messages[1]
+        assert net.unpack_elements(p1, store.m, store.q) == gf.decode(store.messages[0], store.q)
+        assert net.unpack_elements(p2, store.m, store.q) == gf.decode(store.messages[1], store.q)
 
 
 class TestRetrieve:
@@ -432,6 +441,18 @@ class TestRetrieve:
             networked = net.retrieve(cluster, (1, 3), params, seed)
             in_memory = run_round(params, prob, (1, 3), store, random.Random(seed))
             assert networked.transcript.to_bytes() == in_memory.to_bytes()
+
+    def test_wide_field_transcript_equals_in_memory(self):
+        # Dataclass equality, not only to_bytes: the client's conversion of
+        # two-byte elements off the wire builds the objects memory builds.
+        params = Params(K=4, D=2, q=65521, m=8)
+        store = MessageStore.random(params, random.Random(2024))
+        prob = build_prob_table(params)
+        with serving(store) as endpoints:
+            for seed in range(10):
+                networked = net.retrieve(endpoints, (2, 3), params, seed)
+                in_memory = run_round(params, prob, (2, 3), store, random.Random(seed))
+                assert networked.transcript == in_memory
 
     def test_prob_table_built_once_per_params(self, cluster, params, monkeypatch):
         builds = []

@@ -38,7 +38,12 @@ class ScriptedRng:
 
 
 def make_store(q, m, rows):
-    return MessageStore(q=q, m=m, messages=tuple(tuple(r) for r in rows))
+    return MessageStore(q=q, m=m, messages=tuple(gf.encode(r, q) for r in rows))
+
+
+def decoded(vecs, q):
+    """Element vectors (None for a silent server) as tuples of ints."""
+    return tuple(None if v is None else gf.decode(v, q) for v in vecs)
 
 
 class TestServerAnswer:
@@ -48,12 +53,12 @@ class TestServerAnswer:
 
     def test_single_message(self):
         store = make_store(5, 3, [(1, 2, 3), (4, 0, 1)])
-        assert server_answer(store, (1, 0)) == (1, 2, 3)
+        assert gf.decode(server_answer(store, (1, 0)), 5) == (1, 2, 3)
 
     def test_weighted_combination(self):
         store = make_store(3, 1, [(1,), (2,), (1,), (2,)])
         # coefficient 1 on message 3, coefficient 2 on message 4
-        assert server_answer(store, (0, 0, 1, 2)) == ((1 + 2 * 2) % 3,)
+        assert gf.decode(server_answer(store, (0, 0, 1, 2)), 3) == ((1 + 2 * 2) % 3,)
 
     def test_length_mismatch(self):
         store = make_store(3, 1, [(1,), (2,)])
@@ -87,11 +92,11 @@ class TestWorkedExample:
         params, qs = self.build()
         store = make_store(3, 1, [(1,), (2,), (0,), (1,)])
         answers = tuple(server_answer(store, qvec) for qvec in qs.queries)
-        x1, x2, x3, x4 = (m[0] for m in store.messages)
-        assert answers[0] == ((x3 + 2 * x4) % 3,)
-        assert answers[1] == ((2 * x1 + x3 + 2 * x4) % 3,)
-        assert answers[2] == ((x2 + x3 + 2 * x4) % 3,)
-        assert recover(params, qs, answers) == ((x1,), (x2,))
+        x1, x2, x3, x4 = (m[0] for m in decoded(store.messages, 3))
+        assert decoded(answers, 3) == (
+            ((x3 + 2 * x4) % 3,), ((2 * x1 + x3 + 2 * x4) % 3,), ((x2 + x3 + 2 * x4) % 3,)
+        )
+        assert decoded(recover(params, qs, answers), 3) == ((x1,), (x2,))
 
 
 class TestMakeQuerySet:
@@ -152,7 +157,7 @@ class TestRecover:
         )
         store = make_store(5, 2, [(1, 2), (3, 4), (0, 0), (0, 0)])
         answers = tuple(server_answer(store, qvec) for qvec in qs.queries)
-        assert recover(params, qs, answers) == ((1, 2), (3, 4))
+        assert decoded(recover(params, qs, answers), 5) == ((1, 2), (3, 4))
 
     def test_random_rounds_match_store(self):
         params = Params(K=5, D=2, q=3, m=4)
@@ -169,9 +174,9 @@ class TestRecover:
         # different store, is refused instead of decoded.
         params = Params(K=4, D=2, q=3, m=2)
         table = build_prob_table(params)
-        with pytest.raises(ValueError, match="answer length 3 != m=2"):
+        with pytest.raises(ValueError, match=r"answer of 3 bytes, expected 2 \(m=2\)"):
             execute_round(
-                params, table, (1, 2), random.Random(5), lambda queries: [(0, 0, 0)] * len(queries)
+                params, table, (1, 2), random.Random(5), lambda queries: [bytes(3)] * len(queries)
             )
 
 
@@ -236,7 +241,7 @@ class TestRunRound:
             qs = make_query_set(params, table, w, rng)
             messages = list(store_a.messages)
             for x in other:
-                messages[x - 1] = tuple(rng.randrange(3) for _ in range(4))
+                messages[x - 1] = gf.encode([rng.randrange(3) for _ in range(4)], 3)
             store_b = MessageStore(q=3, m=4, messages=tuple(messages))
             rec_a = recover(params, qs, tuple(server_answer(store_a, c) for c in qs.queries))
             rec_b = recover(params, qs, tuple(server_answer(store_b, c) for c in qs.queries))
@@ -288,17 +293,72 @@ class TestTranscriptBytes:
         )
 
 
+    def test_many_shapes_digest(self):
+        # 540 rounds over nine shapes, every combine path among them, with
+        # the demand set drawn from each round's own rng.
+        shapes = [(20, 6, 7, 4096), (9, 2, 3, 16), (9, 4, 5, 64), (5, 3, 2**64 - 59, 9),
+                  (4, 2, 3, 8), (7, 2, 3, 64), (12, 3, 5, 300), (6, 5, 251, 50), (30, 2, 3, 100)]
+        digest = hashlib.sha256()
+        for K, D, q, m in shapes:
+            params = Params(K=K, D=D, q=q, m=m)
+            table = build_prob_table(params)
+            store = MessageStore.random(params, random.Random(f"store:{K}"))
+            for seed in range(60):
+                rng = random.Random(seed)
+                W = tuple(sorted(rng.sample(range(1, K + 1), D)))
+                digest.update(run_round(params, table, W, store, rng).to_bytes())
+        assert digest.hexdigest() == (
+            "8d2b32f82ba1580265a40da81e27739bd0584dcc77478b7fbd92af06880e755c"
+        )
+
+    def test_wide_field_digest(self):
+        # Elements of two, four and eight bytes, reduced one slot at a time
+        # (no byte lanes): q = 65521, 2**31 - 1 and 2**64 - 59.
+        cases = [
+            (Params(K=6, D=2, q=65521, m=40), (2, 5)),
+            (Params(K=7, D=3, q=2**31 - 1, m=20), (1, 4, 7)),
+            (Params(K=5, D=4, q=2**64 - 59, m=12), (1, 2, 3, 5)),
+        ]
+        digest = hashlib.sha256()
+        silent = 0
+        for params, W in cases:
+            table = build_prob_table(params)
+            store = MessageStore.random(params, random.Random(f"store:{params.K}"))
+            for seed in range(10):
+                t = run_round(params, table, W, store, random.Random(seed))
+                assert t.recovered == tuple(store.messages[x - 1] for x in W)
+                silent += None in t.answers
+                digest.update(t.to_bytes())
+        assert silent == 9
+        assert digest.hexdigest() == (
+            "16e982f92191e0b1cd0993f2d04875a09d9bf8cb3bc2f64243cba3314c43cd9a"
+        )
+
 class TestMessageStore:
     def test_validates_entries(self):
-        with pytest.raises(ValueError):
-            make_store(3, 2, [(0, 3)])
-        with pytest.raises(ValueError):
-            make_store(3, 2, [(0,)])
+        # Short, long and out-of-range vectors at one- and two-byte elements.
+        for q in (3, 65521):
+            w = gf.element_width(q)
+            make_store(q, 2, [(0, q - 1), (q - 1, 0)])
+            with pytest.raises(ValueError, match=rf"message 1 has entries outside \[0, {q}\)"):
+                make_store(q, 2, [(0, q), (0, 0)])
+            with pytest.raises(ValueError, match=rf"message 2 has {w} bytes, expected {2 * w}"):
+                make_store(q, 2, [(0, 0), (0,)])
+            with pytest.raises(ValueError, match=rf"message 1 has {3 * w} bytes, expected {2 * w}"):
+                make_store(q, 2, [(0, 0, 0), (0, 0)])
+            with pytest.raises(ValueError, match=rf"message 1 has {2 * w + 1} bytes"):
+                MessageStore(q=q, m=2, messages=(bytes(2 * w + 1), bytes(2 * w)))
 
-    @pytest.mark.parametrize("bad", [3, -1])
+    @pytest.mark.parametrize("bad", [3, 255])
     def test_last_entry_of_last_message_checked(self, bad):
         with pytest.raises(ValueError, match=r"message 3 has entries outside \[0, 3\)"):
             make_store(3, 2, [(0, 1), (2, 2), (1, bad)])
+
+    @pytest.mark.parametrize("bad", [65521, 65535])
+    def test_last_two_byte_entry_checked(self, bad):
+        # q = 65521 = 0xFFF1 shares its top byte with q - 1 = 0xFFF0.
+        with pytest.raises(ValueError, match=r"message 3 has entries outside \[0, 65521\)"):
+            make_store(65521, 2, [(0, 1), (2, 2), (1, bad)])
 
     def test_random_store_shape(self):
         params = Params(K=6, D=2, q=7, m=5)
@@ -306,3 +366,11 @@ class TestMessageStore:
         assert store.K == 6
         assert all(len(msg) == 5 for msg in store.messages)
         assert all(0 <= v < 7 for msg in store.messages for v in msg)
+
+    def test_random_store_draws(self):
+        # The same randrange draws, in the same order, as a store of int tuples.
+        params = Params(K=3, D=2, q=65521, m=4)
+        rng = random.Random(8)
+        expected = [[rng.randrange(params.q) for _ in range(params.m)] for _ in range(params.K)]
+        store = MessageStore.random(params, random.Random(8))
+        assert [list(gf.decode(msg, params.q)) for msg in store.messages] == expected
