@@ -91,6 +91,7 @@ def _row_reduce(q: int, work: list[list[int]], ncols: int) -> int:
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@functools.lru_cache(maxsize=256)
 def slot_width(terms: int, q: int) -> int:
     """Bytes per packed slot that hold a sum of `terms` products of two
     elements of [0, q) without carrying into the next slot.
@@ -147,8 +148,8 @@ def combine(
     coeffs: Sequence[int], packed: Sequence[int], m: int, q: int, width: int
 ) -> bytes:
     """sum_t coeffs[t] * vec_t mod q, elementwise, as an element vector, for
-    length-m vectors packed by :func:`pack` into slots of
-    ``slot_width(len(packed), q)`` bytes.
+    length-m vectors packed by :func:`pack` into ``slot_width(n, q)``-byte
+    slots, n at least the number of coefficients nonzero mod q.
 
     Coefficients are reduced mod q first, so the slots never carry: one
     big-int multiply-add per term, then one reduction of every slot.  A slot
@@ -189,20 +190,22 @@ def random_full_rank_V(
 
     Each vector has nonzero entries drawn uniformly from the multiplicative
     group, filled in ascending index order; the whole batch is redrawn until
-    the stacked D x K matrix is full rank.  Success is expected quickly for
-    any q > D, so exhausting the attempt budget indicates a broken caller.
-    An rng with a redraw_until(draw, accept) method runs the retry itself.
+    the stack has rank D on the columns the supports cover (the rest are
+    zero).  Success is expected quickly for any q > D, so exhausting the
+    attempt budget indicates a broken caller.  An rng with a
+    redraw_until(draw, accept) method runs the retry itself.
     """
     q, D = params.q, len(supports)
     sorted_supports = [sorted(s) for s in supports]
     if any(not s for s in sorted_supports):
         raise ValueError("every support must be nonempty")
+    covered = sorted(set().union(*sorted_supports))
     return getattr(rng, "redraw_until", _redraw_until)(
         lambda: tuple(
             vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
             for sup in sorted_supports
         ),
-        lambda vecs: matrix_rank(q, vecs) == D,
+        lambda vecs: matrix_rank(q, ([v[idx - 1] for idx in covered] for v in vecs)) == D,
     )
 
 

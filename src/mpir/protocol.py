@@ -28,7 +28,8 @@ AnswerAll = Callable[[tuple[gf.FieldVector, ...]], Sequence[Answer]]
 @dataclass(frozen=True)
 class MessageStore:
     """K messages of m field elements, each one element vector (see
-    :mod:`mpir.gf`), identical on every server."""
+    :mod:`mpir.gf`), identical on every server.  :meth:`packed` caches its
+    packings outside the fields, so equality, hash and repr ignore them."""
 
     q: int
     m: int
@@ -47,12 +48,16 @@ class MessageStore:
         return len(self.messages)
 
     @cached_property
-    def packed(self) -> tuple[int, tuple[int, ...]]:
-        """(slot width, one packed int per message) for :func:`gf.combine`,
-        built on first use; the slots hold a K-term combination."""
-        width = gf.slot_width(self.K, self.q)
-        w = gf.element_width(self.q)
-        return width, tuple(gf.pack(msg, w, width) for msg in self.messages)
+    def _packings(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def packed(self, width: int) -> tuple[int, ...]:
+        """One int per message in `width`-byte slots, for :func:`gf.combine`,
+        built on first use at each width."""
+        if width not in self._packings:
+            w = gf.element_width(self.q)
+            self._packings[width] = tuple(gf.pack(msg, w, width) for msg in self.messages)
+        return self._packings[width]
 
     @classmethod
     def random(cls, params: Params, rng: random.Random) -> "MessageStore":
@@ -143,14 +148,16 @@ def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
     """Linear combination of the stored messages, or None for a zero query.
 
     This is the only computation a server performs; it sees nothing but the
-    coefficient vector.
+    coefficient vector.  The sum is packed in the narrowest slots that hold
+    as many terms as the query has nonzero coefficients.
     """
     if len(query) != store.K:
         raise ValueError(f"query length {len(query)} != K={store.K}")
-    if all(c == 0 for c in query):
+    terms = store.K - query.count(0)
+    if not terms:
         return None
-    width, packed = store.packed
-    return gf.combine(query, packed, store.m, store.q, width)
+    width = gf.slot_width(terms, store.q)
+    return gf.combine(query, store.packed(width), store.m, store.q, width)
 
 
 def recover(

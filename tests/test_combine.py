@@ -1,6 +1,9 @@
 """Property tests: the packed-integer server answer equals the per-element sum."""
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -73,3 +76,29 @@ def test_coefficients_congruent_mod_q_agree(q):
     assert server_answer(store, (2 * q - 1, 1 - q)) == reduced
     # A nonzero query that is zero mod q answers, with all-zero entries.
     assert gf.decode(server_answer(store, (q, -q)), q) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_largest_sums_at_every_term_count(q):
+    # The answer's slot width follows the query's nonzero count n; with
+    # every entry and coefficient at q-1 each slot holds the largest sum
+    # n*(q-1)**2, so a width one term too narrow carries into the next slot.
+    K, m = 20, 3
+    store = store_of(q, m, [(q - 1,) * m] * K)
+    for c in (q - 1, -1):
+        for n in range(1, K + 1):
+            query = (c,) * n + (0,) * (K - n)
+            assert gf.decode(server_answer(store, query), q) == naive_answer(store, query), (c, n)
+
+
+def test_store_identity_ignores_cached_packings():
+    q, m = 7, 4
+    msgs = [tuple((t * 3 + i) % q for i in range(m)) for t in range(20)]
+    used, fresh = store_of(q, m, msgs), store_of(q, m, msgs)
+    answers = [server_answer(used, (1,) * n + (0,) * (20 - n)) for n in (7, 8)]
+    # 7 terms fit 1-byte slots at q=7 (7*36 < 256) and 8 do not.
+    assert [gf.slot_width(n, q) for n in (7, 8)] == [1, 2]
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
+        assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
+        assert [server_answer(clone, (1,) * n + (0,) * (20 - n)) for n in (7, 8)] == answers
