@@ -1,16 +1,16 @@
 """Exhaustive privacy verification and statistical protocol checks.
 
 The privacy auditor does not reuse the analysis that motivated the
-probability table; it enumerates every row of every demand set's plan table
-and tallies, per server position, the exact probability of each query
-support.  Privacy holds iff those distributions are identical (rational
-equality, not approximate) across all C(K, D) demand sets.  The tallies are
-integers over the probability table's common denominator, so the equality is
-exact without building a Fraction per row.  A tally is keyed by the support
-as an int bitmask (bit t-1 for message t): each row's base and shifted
-demand subsets are masks, and a column's support is their bitwise or.
-Frozensets are built only for what leaves the module, a distribution or a
-violation.
+probability table; per demand set and server position, it sums the plan
+table's rows per (sub-table, demand part), then crosses those sums with the
+complement subsets, giving the exact probability of each query support.
+Privacy holds iff those distributions are identical (rational equality, not
+approximate) across all C(K, D) demand sets.  The tallies are integers over
+the probability table's common denominator, so the equality is exact without
+building a Fraction per row.  A tally is keyed by the support as an int
+bitmask (bit t-1 for message t): complement subsets and shifted demand
+subsets are masks, and a support is their bitwise or.  Frozensets are built
+only for what leaves the module, a distribution or a violation.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -53,29 +53,39 @@ def _support_tallies(
 ) -> list[SupportTally]:
     """Per server position, each support's probability times the scale.
 
-    Every column of every row (i, k, j, l) adds the row's weight
-    nums[i][j-1]: to the one tally under the permutation, else column n to
-    position n's.  Rows of weight 0 add nothing and are skipped.
+    Rows are summed per (sub-table i, demand part t), then crossed with the
+    complement subsets.  Row (i, k, j, l) weighs nums[i][j-1]; its column 1
+    has demand part t = {} and column 1+h has t = shift(T_l, h).  count_j[t]
+    counts sub-block j's columns with demand part t (all columns under the
+    permutation, else column n's alone at position n), so t weighs
+    w_i[t] = sum_j nums[i][j-1] count_j[t] in sub-table i, at each support
+    b | t, b an i-subset of the complement.  b and t are disjoint, so each
+    support is written once.
     """
-    tallies: list[SupportTally] = [defaultdict(int) for _ in range(1 if permute else params.N)]
-    columns = tallies * (params.N // len(tallies))
+    positions = 1 if permute else params.N
     comp = [1 << (t - 1) for t in plan.complement(params, w)]
-    for j in range(1, params.D + 1):
-        # (tally, mask) of each column of each row l: column 1 adds nothing
-        # to the row's base, column 1+h adds shift(T, h).
-        cells: list[tuple[SupportTally, int]] = []
+    counts = [[Counter() for _ in range(positions)] for _ in range(params.D)]  # [j-1][n][t]
+    for j, count in enumerate(counts, start=1):
         for T in plan.choose_T_collection(params, w, j):
             shifts = [
                 sum(1 << (t - 1) for t in plan.shift_subset(w, T, h)) for h in range(1, params.D + 1)
             ]
-            cells.extend(zip(columns, [0, *shifts]))
-        for i in range(params.K - params.D + 1):
-            num = nums[i][j - 1]
-            if num == 0:
-                continue
-            for base in map(sum, combinations(comp, i)):
-                for tally, t in cells:
-                    tally[base | t] += num
+            for n, t in enumerate([0, *shifts]):
+                count[n % positions][t] += 1
+    tallies: list[SupportTally] = []
+    for n in range(positions):
+        weights: list[dict[int, int]] = [{} for _ in nums]  # [i][t]
+        for row, weight in zip(nums, weights):
+            for num, count in zip(row, counts):
+                if num:
+                    for t, c in count[n].items():
+                        weight[t] = weight.get(t, 0) + num * c
+        tallies.append({
+            base | t: v
+            for i, weight in enumerate(weights)
+            for base in map(sum, combinations(comp, i))
+            for t, v in weight.items()
+        })
     return tallies
 
 
@@ -112,7 +122,8 @@ def support_distribution(
 ) -> SupportDistribution:
     """Exact distribution of the query support seen by one server position.
 
-    Every row id is enumerated and weighted by its selection probability.
+    Rows are weighted by their selection probability, summed per (sub-table,
+    demand part) and then crossed with the complement subsets.
     With permute=True each of a row's N columns reaches server n with
     probability 1/N (the uniform-permutation marginal); permute=False models
     a broken client that always sends column n to server n, which is what

@@ -83,16 +83,15 @@ def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...
 
 def shift_subset(W: Iterable[int], T: Iterable[int], h: int) -> frozenset[int]:
     """Advance each element of T by h-1 positions, cyclically within sorted W."""
-    w = tuple(sorted(W))
+    w = sorted(W)
     D = len(w)
     if not 1 <= h <= D:
         raise ValueError(f"h must be in [1, {D}], got {h}")
-    pos = {x: r for r, x in enumerate(w)}
-    out = set()
+    out = []
     for x in T:
-        if x not in pos:
+        if x not in w:
             raise ValueError(f"{x} is not a demand element")
-        out.add(w[(pos[x] + h - 1) % D])
+        out.append(w[(w.index(x) + h - 1) % D])
     return frozenset(out)
 
 

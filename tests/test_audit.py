@@ -51,7 +51,7 @@ class TestSupportDistribution:
         ]
         assert all(d == dists[0] for d in dists)
 
-    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3), (7, 3)])
+    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3), (7, 3), (6, 4), (7, 4)])
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("permute", [True, False])
     def test_matches_enumeration_of_sent_supports(self, K, D, perturbed, permute):
@@ -84,7 +84,7 @@ class TestSupportDistribution:
 
 
 class TestPrivacyCheck:
-    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3)])
+    @pytest.mark.parametrize("K,D", [(4, 2), (5, 2), (6, 3), (7, 4)])
     def test_passes_exactly(self, K, D):
         report = audit.privacy_check(Params(K=K, D=D))
         assert report.passed
