@@ -17,10 +17,11 @@ it: a ReplayRng branches each randrange(n) over its n values and each
 shuffle over all N! orders, and plan.sample_row (stage 1), then
 protocol.draw_queries on every drawn row (stage 2), run once per choice
 sequence.  Only gf's full-rank retry does not run verbatim: the shipped
-builder hands it to its rng's redraw_until when the rng has one, and a
-ReplayRng's makes one attempt.  Attempts are i.i.d., so the retry's value
-is uniform over one attempt's accepted values; the replay drops rejected
-leaves and scales each prefix's accepted ones up to the prefix's weight.
+builder hands its attempt (a draw, then the inversion that accepts it, or
+None) to its rng's redraw_until when the rng has one, and a ReplayRng's
+calls it once.  Attempts are i.i.d., so the retry's value is uniform over
+one attempt's accepted values; the replay drops rejected leaves and scales
+each prefix's accepted ones up to the prefix's weight.
 """
 from __future__ import annotations
 
@@ -280,13 +281,14 @@ class ReplayRng:
             j = self._choose(i + 1)
             x[i], x[j] = x[j], x[i]
 
-    def redraw_until(self, draw: Callable, accept: Callable) -> tuple[gf.FieldVector, ...]:
+    def redraw_until(self, attempt: Callable[[], gf.FullRankDraw | None]) -> gf.FullRankDraw:
         """gf's full-rank retry as one attempt: records the choices made so
-        far, the prefix _replay rescales, and raises _Rejected on rejection."""
+        far, the prefix _replay rescales, and raises _Rejected when the
+        attempt returns None."""
         if self.prefix is not None:
             raise RuntimeError("the replay rescales one full-rank retry per run")
         self.prefix = tuple(c for c, _ in self.path[: self.depth]), self.den
-        if not accept(value := draw()):
+        if (value := attempt()) is None:
             raise _Rejected
         return value
 

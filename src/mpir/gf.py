@@ -22,6 +22,7 @@ if TYPE_CHECKING:
     from .params import Params
 
 FieldVector = tuple[int, ...]
+FullRankDraw = tuple[tuple[FieldVector, ...], tuple[FieldVector, ...]]  # (V, inverse)
 
 _MAX_FULL_RANK_ATTEMPTS = 1000
 
@@ -29,11 +30,6 @@ _MAX_FULL_RANK_ATTEMPTS = 1000
 def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> FieldVector:
     """Elementwise a + b mod q."""
     return tuple((x + y) % q for x, y in zip(a, b, strict=True))
-
-
-def support(vec: Sequence[int]) -> frozenset[int]:
-    """1-based indices of the nonzero entries."""
-    return frozenset(t + 1 for t, v in enumerate(vec) if v != 0)
 
 
 def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
@@ -44,48 +40,29 @@ def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
     return tuple(vec)
 
 
-def matrix_rank(q: int, rows: Iterable[Sequence[int]]) -> int:
-    """Rank over GF(q), by Gaussian elimination."""
-    work = [list(r) for r in rows]
-    if not work:
-        return 0
-    return _row_reduce(q, work, len(work[0]))
+def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | None:
+    """Inverse of a matrix over GF(q), as a tuple of rows, or None when it
+    has none (it is singular or not square).
 
-
-def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...]:
-    """Inverse of a square matrix over GF(q), as a tuple of rows.
-
-    Raises ValueError if the matrix is not square or is singular.
+    Gauss-Jordan on [mat | I], reducing entries mod q as rows are touched;
+    it stops at the first column with no pivot.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
-        raise ValueError("matrix must be square")
+        return None
     work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(mat)]
-    if _row_reduce(q, work, n) < n:
-        raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def _row_reduce(q: int, work: list[list[int]], ncols: int) -> int:
-    # Gauss-Jordan on the first ncols columns, in place; returns the rank.
-    # Entries are reduced mod q as rows are touched; with full rank on an
-    # [A | I] augmentation the right half ends as A's inverse.
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] % q), None)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] % q), None)
         if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, q)
-        work[rank] = [(x * inv) % q for x in work[rank]]
-        for r in range(len(work)):
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, q)
+        work[col] = [(x * inv) % q for x in work[col]]
+        for r in range(n):
             f = work[r][col] % q
-            if r != rank and f:
-                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+            if r != col and f:
+                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
 
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -134,8 +111,13 @@ def decode(vec: bytes, q: int) -> tuple[int, ...]:
 def out_of_range(vec: bytes, q: int) -> bool:
     """Whether an element of the element vector vec is q or more."""
     if element_width(q) == 1:  # one translate marks each byte >= q
-        return vec.translate(bytes(b >= q for b in range(256))).find(1) != -1
+        return vec.translate(_range_table(q)).find(1) != -1
     return max(decode(vec, q), default=0) >= q
+
+
+@functools.lru_cache(maxsize=64)
+def _range_table(q: int) -> bytes:
+    return bytes(b >= q for b in range(256))
 
 
 def pack(vec: bytes, w: int, width: int) -> int:
@@ -185,37 +167,43 @@ def _lane_tables(q: int, width: int) -> tuple[bytes, ...]:
 
 def random_full_rank_V(
     params: "Params", supports: Sequence[Iterable[int]], rng: random.Random
-) -> tuple[FieldVector, ...]:
-    """D random vectors with the given supports whose stack has rank D.
+) -> FullRankDraw:
+    """(V, inverse): D random vectors V with the given supports, and the
+    inverse of their D x D submatrix on the columns the supports cover.
 
     Each vector has nonzero entries drawn uniformly from the multiplicative
     group, filled in ascending index order; the whole batch is redrawn until
-    the stack has rank D on the columns the supports cover (the rest are
-    zero).  Success is expected quickly for any q > D, so exhausting the
-    attempt budget indicates a broken caller.  An rng with a
-    redraw_until(draw, accept) method runs the retry itself.
+    that submatrix inverts, which is the stack having rank D (the other
+    columns are zero).  Supports covering fewer than D columns never invert,
+    and more than D raise ValueError up front.  Success is expected quickly
+    for any q > D, so exhausting the attempt budget indicates a broken
+    caller.  An rng with a redraw_until(attempt) method runs the retry
+    itself; an attempt returns None when the draw is rejected.
     """
-    q, D = params.q, len(supports)
+    q = params.q
     sorted_supports = [sorted(s) for s in supports]
     if any(not s for s in sorted_supports):
         raise ValueError("every support must be nonempty")
     covered = sorted(set().union(*sorted_supports))
-    return getattr(rng, "redraw_until", _redraw_until)(
-        lambda: tuple(
+    if len(covered) > len(supports):
+        raise ValueError(f"the supports cover {len(covered)} columns, more than {len(supports)}")
+
+    def attempt() -> FullRankDraw | None:
+        V = tuple(
             vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
             for sup in sorted_supports
-        ),
-        lambda vecs: matrix_rank(q, ([v[idx - 1] for idx in covered] for v in vecs)) == D,
-    )
+        )
+        inv = inverse(q, [[v[idx - 1] for idx in covered] for v in V])
+        return None if inv is None else (V, inv)
+
+    return getattr(rng, "redraw_until", _redraw_until)(attempt)
 
 
-def _redraw_until(
-    draw: Callable[[], tuple[FieldVector, ...]], accept: Callable[[tuple[FieldVector, ...]], bool]
-) -> tuple[FieldVector, ...]:
-    """The first draw() that accept() takes, of up to _MAX_FULL_RANK_ATTEMPTS
+def _redraw_until(attempt: Callable[[], FullRankDraw | None]) -> FullRankDraw:
+    """The first attempt() other than None, of up to _MAX_FULL_RANK_ATTEMPTS
     independent attempts."""
     for _ in range(_MAX_FULL_RANK_ATTEMPTS):
-        if accept(value := draw()):
+        if (value := attempt()) is not None:
             return value
     raise RuntimeError(
         f"no full-rank draw in {_MAX_FULL_RANK_ATTEMPTS} attempts; "

@@ -103,8 +103,8 @@ def build_prob_table(params: Params) -> ProbTable:
     The last row puts mass 1/g_{j*} on column j*, and each earlier row is M
     times its successor, taken on M's first row and sub-diagonal.  The
     result is validated: every entry must land in [0, 1] and the total mass
-    must be exactly 1; a violation means the construction itself is broken,
-    so it raises rather than clamps.
+    must be exactly 1 (checked by building the sampling layout); a violation
+    means the construction itself is broken, so it raises rather than clamps.
     """
     K, D = params.K, params.D
     F, G = compute_FG(params)
@@ -128,10 +128,9 @@ def build_prob_table(params: Params) -> ProbTable:
         for j, p in enumerate(row, start=1):
             if not 0 <= p <= 1:
                 raise ValueError(f"P[{i}][{j}] = {p} outside [0, 1]")
-    mass = table_mass(rows)
-    if mass != 1:
-        raise ValueError(f"total row mass is {mass}, expected exactly 1")
-    return ProbTable(P=tuple(rows), j_star=j_star)
+    table = ProbTable(P=tuple(rows), j_star=j_star)
+    table.sampling_layout  # its exact integer mass check raises here, not at the first draw
+    return table
 
 
 def achievable_rate(params: Params) -> Fraction:

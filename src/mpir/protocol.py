@@ -74,7 +74,10 @@ class QuerySet:
 
     permutation[n] is the 0-based server receiving column n, where column 0
     is the pure mixing vector U and column h is U + V[h-1];
-    queries[permutation[n]] holds that column.
+    queries[permutation[n]] holds that column.  inverse is the inverse of
+    V's D x D demand submatrix (columns in ascending message order), kept
+    from the full-rank draw for :func:`recover`; a transcript does not
+    write it, since V fixes it.
     """
 
     row: plan.RowId
@@ -82,6 +85,7 @@ class QuerySet:
     queries: tuple[gf.FieldVector, ...]
     U: gf.FieldVector
     V: tuple[gf.FieldVector, ...]
+    inverse: tuple[gf.FieldVector, ...]
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ def draw_queries(
     # Draws in ascending index order: a frozenset's own order is not, and
     # the order of draws fixes the transcript for a seed.
     U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in sorted(base)})
-    V = gf.random_full_rank_V(params, [c - base for c in cols], rng)
+    V, inverse = gf.random_full_rank_V(params, [c - base for c in cols], rng)
     columns = (U,) + tuple(gf.vec_add(U, v, params.q) for v in V)
     servers = list(range(params.N))
     rng.shuffle(servers)
@@ -141,7 +145,9 @@ def draw_queries(
     queries: list[gf.FieldVector] = [()] * params.N
     for n, col in enumerate(columns):
         queries[permutation[n]] = col
-    return QuerySet(row=row, permutation=permutation, queries=tuple(queries), U=U, V=V)
+    return QuerySet(
+        row=row, permutation=permutation, queries=tuple(queries), U=U, V=V, inverse=inverse
+    )
 
 
 def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
@@ -169,12 +175,9 @@ def recover(
     zero).  Column h is the first column plus V[h-1]'s demand part, so with
     A the D x D demand submatrix of V, demand message t is
     sum_h inv(A)[t][h] * (column h+1 - column 0): one linear combination of
-    the N columns per demand message.
+    the N columns per demand message.  inv(A) is the query set's inverse,
+    so recovery eliminates nothing.
     """
-    demand = sorted(set().union(*(gf.support(v) for v in query_set.V)))
-    if len(demand) != params.D:
-        raise ValueError("demand vectors do not cover a full demand set")
-    inv = gf.inverse(params.q, [[vec[x - 1] for x in demand] for vec in query_set.V])
     width = gf.slot_width(params.N, params.q)
     w = gf.element_width(params.q)
     size = params.m * w
@@ -185,7 +188,8 @@ def recover(
             raise ValueError(f"answer of {len(ans)} bytes, expected {size} (m={params.m})")
         packed.append(0 if ans is None else gf.pack(ans, w, width))
     return tuple(
-        gf.combine((-sum(row),) + row, packed, params.m, params.q, width) for row in inv
+        gf.combine((-sum(row),) + row, packed, params.m, params.q, width)
+        for row in query_set.inverse
     )
 
 

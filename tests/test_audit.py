@@ -11,6 +11,7 @@ import pytest
 from mpir import audit, gf, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
+from field import inverts, support
 from rows import iter_row_ids
 
 
@@ -233,7 +234,7 @@ class TestCoefficientPrivacy:
             for n, dist in enumerate(dists, start=1):
                 projected = defaultdict(Fraction)
                 for query, p in dist.items():
-                    projected[gf.support(query)] += p
+                    projected[support(query)] += p
                 assert projected == audit.support_distribution(params, table, w, n), (w, n)
 
 
@@ -271,7 +272,7 @@ class TestReplay:
         assert sum(p for (u, _), p in dist.items() if u == 0) == F(1, 2)
         assert {p for (u, _), p in dist.items() if u == 0} == {F(1, 8)}
         assert {p for (u, _), p in dist.items() if u == 1} == {F(1, 16)}
-        assert all(gf.matrix_rank(3, vecs) == 2 for _, vecs in dist)
+        assert all(inverts(3, vecs, inverse) for _, (vecs, inverse) in dist)
 
     def test_never_full_rank_raises(self):
         with pytest.raises(RuntimeError, match="no full-rank draw"):
@@ -285,7 +286,7 @@ class TestReplay:
         # attempt here is rank-deficient, so a one-attempt retry would raise.
         params = Params(K=2, D=2, q=3)
         shipped = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], random.Random(3))
-        assert shipped == ((2, 1), (1, 1))
+        assert shipped == (((2, 1), (1, 1)), ((1, 2), (2, 2)))
         dist = audit._replay(
             lambda rng: [
                 (

@@ -1,13 +1,15 @@
 """Tests for prime-field arithmetic, the small linear solvers and the packed combine."""
 from __future__ import annotations
 
+import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from mpir import gf
 from mpir.params import Params
+from field import inverts, support
 
 
 def add(a, b, q):
@@ -47,8 +49,7 @@ class TestFieldOps:
         assert mul(3, 4, 5) == 2
 
     def test_zero_inverse_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            inv(0, 5)
+        assert gf.inverse(5, [[0]]) is None
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_axioms_exhaustive(self, q):
@@ -76,8 +77,8 @@ class TestFieldOps:
 
 class TestSupport:
     def test_support_indices_are_one_based(self):
-        assert gf.support((0, 2, 0, 1)) == frozenset({2, 4})
-        assert gf.support((0, 0)) == frozenset()
+        assert support((0, 2, 0, 1)) == frozenset({2, 4})
+        assert support((0, 0)) == frozenset()
 
     def test_vector_with_support(self):
         assert gf.vector_with_support(4, {3: 1, 4: 2}) == (0, 0, 1, 2)
@@ -91,6 +92,17 @@ def eye(n):
     return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
+def det(mat, q):
+    """The determinant mod q, by the Leibniz sum: an oracle that shares no
+    code with the elimination."""
+    n = len(mat)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total += (-1) ** inversions * math.prod(mat[r][perm[r]] for r in range(n))
+    return total % q
+
+
 class TestSolvers:
     def test_identity(self):
         assert gf.inverse(5, eye(3)) == tuple(tuple(row) for row in eye(3))
@@ -99,10 +111,17 @@ class TestSolvers:
         assert gf.inverse(3, [[2, 0], [0, 1]]) == ((2, 0), (0, 1))
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            gf.inverse(5, [[1, 2], [2, 4]])
-        with pytest.raises(ValueError, match="square"):
-            gf.inverse(5, [[1, 2]])
+        assert gf.inverse(5, [[1, 2], [2, 4]]) is None
+        assert gf.inverse(5, [[1, 2]]) is None  # not square
+        assert gf.inverse(5, [[1], [2]]) is None
+
+    def test_known_cases(self):
+        assert gf.inverse(3, [[1, 2], [2, 2]]) == ((2, 1), (1, 1))
+        assert gf.inverse(3, [[1, 2], [2, 4]]) is None
+        assert gf.inverse(3, [[1, 2], [2, 1]]) is None  # det = -3 = 0 mod 3
+        assert gf.inverse(3, [[0, 0], [0, 0]]) is None
+        assert gf.inverse(3, [[0, 1], [1, 0]]) == ((0, 1), (1, 0))  # pivot needs a swap
+        assert gf.inverse(3, []) == ()
 
     def test_against_exhaustive_search(self):
         # Oracle: column c of the inverse is the unique one of all 125
@@ -110,11 +129,15 @@ class TestSolvers:
         rng = random.Random(17)
         for _ in range(20):
             mat = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-            if gf.matrix_rank(5, mat) < 3:
-                with pytest.raises(ValueError, match="singular"):
-                    gf.inverse(5, mat)
-                continue
             inv = gf.inverse(5, mat)
+            if inv is None:
+                # Singular: some nonzero x has mat @ x = 0.
+                assert any(
+                    all(sum(mat[r][k] * x[k] for k in range(3)) % 5 == 0 for r in range(3))
+                    for x in product(range(5), repeat=3)
+                    if any(x)
+                )
+                continue
             for c in range(3):
                 brute = [
                     x
@@ -130,9 +153,11 @@ class TestSolvers:
             for _ in range(50):
                 n = rng.randrange(1, 6)
                 mat = [[rng.randrange(-q, 2 * q) for _ in range(n)] for _ in range(n)]
-                if gf.matrix_rank(q, mat) < n:
+                result = gf.inverse(q, mat)
+                assert (result is None) == (det(mat, q) == 0)
+                if result is None:
                     continue
-                inv = [list(row) for row in gf.inverse(q, mat)]
+                inv = [list(row) for row in result]
                 assert all(0 <= x < q for row in inv for x in row)
                 assert mat_mul(inv, mat, q) == eye(n)
                 assert mat_mul(mat, inv, q) == eye(n)
@@ -145,10 +170,9 @@ class TestSolvers:
         q = 5
         rng = random.Random(31)
         mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-        while gf.matrix_rank(q, mat) < 3:
+        while (inv := gf.inverse(q, mat)) is None:
             mat = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
         rhs_rows = [[rng.randrange(q) for _ in range(6)] for _ in range(3)]
-        inv = gf.inverse(q, mat)
         width = gf.slot_width(3, q)
         packed = [gf.pack(gf.encode(row, q), 1, width) for row in rhs_rows]
         solved = [combined(row, packed, 6, q, width) for row in inv]
@@ -292,49 +316,55 @@ class TestElementVectors:
                 assert gf.out_of_range(bytes(vec), q)
 
 
-class TestMatrixRank:
-    def test_known_ranks(self):
-        assert gf.matrix_rank(3, [[1, 2], [2, 2]]) == 2
-        assert gf.matrix_rank(3, [[1, 2], [2, 4]]) == 1
-        assert gf.matrix_rank(3, [[1, 2], [2, 1]]) == 1  # det = -3 = 0 mod 3
-        assert gf.matrix_rank(3, [[0, 0], [0, 0]]) == 0
-        assert gf.matrix_rank(3, []) == 0
-
-
 class TestRandomFullRankV:
     def test_disjoint_supports(self):
         params = Params(K=4, D=2, q=3)
         rng = random.Random(1)
-        vecs = gf.random_full_rank_V(params, [{1}, {2}], rng)
-        assert gf.support(vecs[0]) == frozenset({1})
-        assert gf.support(vecs[1]) == frozenset({2})
-        assert gf.matrix_rank(3, vecs) == 2
+        vecs, inverse = gf.random_full_rank_V(params, [{1}, {2}], rng)
+        assert support(vecs[0]) == frozenset({1})
+        assert support(vecs[1]) == frozenset({2})
+        assert inverts(3, vecs, inverse)
 
     def test_overlapping_supports_reject_proportional(self):
-        # Oracle: of the 16 nonzero-entry pairs on {1,2}, exactly 8 are full
-        # rank over GF(3); the draw must always land among those.
+        # Oracle: of the 16 nonzero-entry pairs on {1,2}, exactly 8 have a
+        # nonzero determinant over GF(3); the draw must always land among
+        # those, and reach each of them.
         params = Params(K=4, D=2, q=3)
-        full_rank = 0
-        for a1, a2, b1, b2 in product((1, 2), repeat=4):
-            v1 = (a1, a2, 0, 0)
-            v2 = (b1, b2, 0, 0)
-            full_rank += gf.matrix_rank(3, [v1, v2]) == 2
-        assert full_rank == 8
+        full_rank = {
+            ((a1, a2, 0, 0), (b1, b2, 0, 0))
+            for a1, a2, b1, b2 in product((1, 2), repeat=4)
+            if (a1 * b2 - a2 * b1) % 3
+        }
+        assert len(full_rank) == 8
         rng = random.Random(99)
+        seen = set()
         for _ in range(200):
-            vecs = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], rng)
-            assert gf.matrix_rank(3, vecs) == 2
-            assert all(vecs[t][idx] != 0 for t in range(2) for idx in (0, 1))
+            vecs, inverse = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], rng)
+            assert vecs in full_rank
+            assert inverts(3, vecs, inverse)
+            seen.add(vecs)
+        assert seen == full_rank
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_rank_for_both_small_primes(self, q):
         params = Params(K=5, D=2, q=q)
         rng = random.Random(q)
         for _ in range(100):
-            vecs = gf.random_full_rank_V(params, [{2, 4}, {2, 4}], rng)
-            assert gf.matrix_rank(q, vecs) == 2
+            vecs, inverse = gf.random_full_rank_V(params, [{2, 4}, {2, 4}], rng)
+            assert support(vecs[0]) == support(vecs[1]) == frozenset({2, 4})
+            assert inverts(q, vecs, inverse)
 
     def test_empty_support_rejected(self):
         params = Params(K=4, D=2, q=3)
         with pytest.raises(ValueError):
             gf.random_full_rank_V(params, [set(), {1}], random.Random(0))
+
+    def test_more_covered_columns_than_vectors_rejected(self):
+        # Rank D on more than D columns has no D x D inverse to keep: the
+        # draw refuses up front, before consuming any randomness.
+        params = Params(K=4, D=2, q=3)
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="cover 3 columns"):
+            gf.random_full_rank_V(params, [{1, 2}, {2, 3}], rng)
+        assert rng.getstate() == state

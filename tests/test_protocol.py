@@ -20,6 +20,7 @@ from mpir.protocol import (
     run_round,
     server_answer,
 )
+from field import inverts, support
 
 
 class ScriptedRng:
@@ -85,6 +86,7 @@ class TestWorkedExample:
         assert qs.row == plan.RowId(2, 1, 1, 1)
         assert qs.U == (0, 0, 1, 2)
         assert qs.V == ((2, 0, 0, 0), (0, 1, 0, 0))
+        assert qs.inverse == ((2, 0), (0, 1))
         assert qs.permutation == (0, 1, 2)
         assert qs.queries == ((0, 0, 1, 2), (2, 0, 1, 2), (0, 1, 1, 2))
 
@@ -109,15 +111,15 @@ class TestMakeQuerySet:
         for _ in range(50):
             qs = make_query_set(params, table, W, rng)
             base = frozenset(plan.r_subset(params, W, qs.row.i, qs.row.k))
-            assert gf.support(qs.U) == base
+            assert support(qs.U) == base
             assert sorted(qs.permutation) == list(range(D + 1))
             columns = (qs.U,) + tuple(gf.vec_add(qs.U, v, q) for v in qs.V)
             for n, col in enumerate(columns):
                 assert qs.queries[qs.permutation[n]] == col
             T = plan.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
             for h, v in enumerate(qs.V, start=1):
-                assert gf.support(v) == plan.shift_subset(W, T, h)
-            assert gf.matrix_rank(q, qs.V) == D
+                assert support(v) == plan.shift_subset(W, T, h)
+            assert inverts(q, qs.V, qs.inverse)
 
     def test_zero_query_when_base_empty(self):
         params = Params(K=4, D=2, q=3)
@@ -154,10 +156,31 @@ class TestRecover:
             queries=((0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0)),
             U=(0, 0, 0, 0),
             V=((3, 0, 0, 0), (0, 2, 0, 0)),
+            inverse=((2, 0), (0, 3)),
         )
         store = make_store(5, 2, [(1, 2), (3, 4), (0, 0), (0, 0)])
         answers = tuple(server_answer(store, qvec) for qvec in qs.queries)
         assert decoded(recover(params, qs, answers), 5) == ((1, 2), (3, 4))
+
+    def test_recovery_eliminates_nothing(self, monkeypatch):
+        # The full-rank draw's inversion is the round's only elimination:
+        # recover decodes from the inverse the query set keeps.
+        params = Params(K=6, D=3, q=5, m=4)
+        table = build_prob_table(params)
+        rng = random.Random(11)
+        store = MessageStore.random(params, rng)
+        rounds = []
+        for _ in range(20):
+            w = tuple(sorted(rng.sample(range(1, 7), 3)))
+            qs = make_query_set(params, table, w, rng)
+            rounds.append((w, qs, tuple(server_answer(store, qv) for qv in qs.queries)))
+
+        def no_elimination(*args):
+            raise AssertionError("recover ran an elimination")
+
+        monkeypatch.setattr(gf, "inverse", no_elimination)
+        for w, qs, answers in rounds:
+            assert recover(params, qs, answers) == tuple(store.messages[x - 1] for x in w)
 
     def test_random_rounds_match_store(self):
         params = Params(K=5, D=2, q=3, m=4)
