@@ -1,16 +1,20 @@
 """Exhaustive privacy verification and statistical protocol checks.
 
 The privacy auditor does not reuse the analysis that motivated the
-probability table; per demand set and server position, it sums the plan
-table's rows per (sub-table, demand part), then crosses those sums with the
-complement subsets, giving the exact probability of each query support.
-Privacy holds iff those distributions are identical (rational equality, not
-approximate) across all C(K, D) demand sets.  The tallies are integers over
-the probability table's common denominator, so the equality is exact without
-building a Fraction per row.  A tally is keyed by the support as an int
-bitmask (bit t-1 for message t): complement subsets and shifted demand
-subsets are masks, and a support is their bitwise or.  Frozensets are built
-only for what leaves the module, a distribution or a violation.
+probability table; per demand set W and server position, it sums the plan
+table's rows into integer weights w_i[t] over the table's common denominator,
+one per sub-table i and demand part t ⊆ W: the exact probability of each
+support b | t, b an i-subset of the complement.  Privacy holds iff these
+distributions are identical (rational equality, not approximate) across all
+C(K, D) demand sets.  W passes by a size-class certificate, (K-D+1)·2^D
+comparisons: a vector c with w_i[t] == c[i + |t|] for every i and t ⊆ W,
+zero weights included, equal to the reference demand set's c.  Then every
+support S weighs c[|S|] under both, with no relabelling and no symmetry
+assumed.  Any other W falls back to crossing its weights with the 2^(K-D)
+complement subsets and diffing the tallies against the reference's.  A tally
+is keyed by the support as an int bitmask (bit t-1 for message t), a
+complement mask or'd with a shifted demand mask; frozensets are built only
+for what leaves the module, a distribution or a violation.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -49,22 +53,20 @@ SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weig
 _PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
 
 
-def _support_tallies(
+def _support_weights(
     params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
-) -> list[SupportTally]:
-    """Per server position, each support's probability times the scale.
+) -> list[list[dict[int, int]]]:
+    """Per server position n and sub-table i, the weight w_i[t] of each demand
+    part t, as weights[n][i][t].
 
-    Rows are summed per (sub-table i, demand part t), then crossed with the
-    complement subsets.  Row (i, k, j, l) weighs nums[i][j-1]; its column 1
-    has demand part t = {} and column 1+h has t = shift(T_l, h).  count_j[t]
-    counts sub-block j's columns with demand part t (all columns under the
-    permutation, else column n's alone at position n), so t weighs
-    w_i[t] = sum_j nums[i][j-1] count_j[t] in sub-table i, at each support
-    b | t, b an i-subset of the complement.  b and t are disjoint, so each
-    support is written once.
+    Row (i, k, j, l) weighs nums[i][j-1]; its column 1 has demand part t = {}
+    and column 1+h has t = shift(T_l, h).  count_j[t] counts sub-block j's
+    columns with demand part t (all columns under the permutation, else
+    column n's alone at position n), so w_i[t] = sum_j nums[i][j-1] count_j[t]
+    is the probability, times the scale, of each support b | t with b an
+    i-subset of the complement.  A t of weight 0 has no entry.
     """
     positions = 1 if permute else params.N
-    comp = [1 << (t - 1) for t in plan.complement(params, w)]
     counts = [[Counter() for _ in range(positions)] for _ in range(params.D)]  # [j-1][n][t]
     for j, count in enumerate(counts, start=1):
         for T in plan.choose_T_collection(params, w, j):
@@ -73,21 +75,50 @@ def _support_tallies(
             ]
             for n, t in enumerate([0, *shifts]):
                 count[n % positions][t] += 1
-    tallies: list[SupportTally] = []
-    for n in range(positions):
-        weights: list[dict[int, int]] = [{} for _ in nums]  # [i][t]
-        for row, weight in zip(nums, weights):
+    weights: list[list[dict[int, int]]] = [[{} for _ in nums] for _ in range(positions)]
+    for n, by_i in enumerate(weights):
+        for row, weight in zip(nums, by_i):
             for num, count in zip(row, counts):
                 if num:
                     for t, c in count[n].items():
                         weight[t] = weight.get(t, 0) + num * c
-        tallies.append({
+    return weights
+
+
+def _support_tallies(
+    params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
+) -> list[SupportTally]:
+    """Per server position, each support's probability times the scale.
+
+    The weights w_i[t] of _support_weights crossed with the complement
+    subsets: support b | t, b an i-subset of the complement, weighs w_i[t].
+    b and t are disjoint, so each support is written once.
+    """
+    comp = [1 << (t - 1) for t in plan.complement(params, w)]
+    return [
+        {
             base | t: v
             for i, weight in enumerate(weights)
             for base in map(sum, combinations(comp, i))
             for t, v in weight.items()
-        })
-    return tallies
+        }
+        for weights in _support_weights(params, w, nums, permute)
+    ]
+
+
+def _size_classes(w: tuple[int, ...], weights: list[dict[int, int]]) -> tuple[int, ...] | None:
+    """The size-class certificate of one demand set at one server position:
+    the c with w_i[t] == c[i + |t|] for every sub-table i and every one of
+    the 2^D subsets t of w, a t without weight counting as 0, else None."""
+    bits = [1 << (x - 1) for x in w]
+    parts = [(sum(t), size) for size in range(len(w) + 1) for t in combinations(bits, size)]
+    c: dict[int, int] = {}
+    for i, weight in enumerate(weights):
+        for t, size in parts:
+            v = weight.get(t, 0)
+            if c.setdefault(i + size, v) != v:
+                return None
+    return tuple(c[size] for size in range(len(c)))
 
 
 def _support(mask: int) -> frozenset[int]:
@@ -166,25 +197,35 @@ def privacy_check(
     Reports the maximum total-variation distance between any demand set's
     distribution and the reference (first) demand set, per server position.
     A correct construction yields distance exactly 0; any nonzero entry is
-    returned as a violation.  Distributions are compared as integer tallies
+    returned as a violation.  Distributions are compared as integer weights
     over one common scale, which is exact equality of the probabilities.
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
+
+    A demand set whose certificate (_size_classes) equals the reference's at
+    every position passes, as both weigh every support S c[|S|].  Any other,
+    or every one if the reference has none, is crossed out and diffed.
     """
     if prob is None:
         prob = build_prob_table(params)
     den, nums = common_denominator(prob)
     scale = params.N * den if permute else den
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
+
+    def certificate(w: tuple[int, ...]) -> list[tuple[int, ...] | None]:
+        return [_size_classes(w, weights) for weights in _support_weights(params, w, nums, permute)]
+
+    w_ref = demands[0]
+    c_ref = certificate(w_ref)
     reference: list[SupportTally] | None = None
-    w_ref: tuple[int, ...] = demands[0]
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
-    for w in demands:
-        tallies = _support_tallies(params, w, nums, permute)
-        if reference is None:
-            reference = tallies
+    for w in demands[1:]:
+        if None not in c_ref and certificate(w) == c_ref:
             continue
+        if reference is None:
+            reference = _support_tallies(params, w_ref, nums, permute)
+        tallies = _support_tallies(params, w, nums, permute)
         compared = [
             (sorted(((_support(mask), a, b) for mask, a, b in diffs),
                     key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)

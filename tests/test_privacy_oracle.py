@@ -1,0 +1,122 @@
+"""The exact privacy audit against the full crossing it certifies away.
+
+privacy_check accepts a demand set by its size-class certificate and crosses
+out its support tallies only when the certificate fails.  The oracle here
+crosses out and diffs every demand set, so the two reports must be equal:
+on the instances of acceptance criterion 3, on every single-entry
+perturbation of small tables, with and without the permutation, and on two
+broken plans built to slip past a weaker certificate.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from mpir import audit, plan
+from mpir.params import Params
+from mpir.prob import ProbTable, build_prob_table, common_denominator, table_mass
+
+# Acceptance criterion 3's instances up to K = 12; its (13, 6) and (14, 6)
+# are left out, since their full crossing alone takes about 16 s.
+CRITERION_3 = [(K, D) for D in range(2, 7) for K in range(D + 1, 13)]
+MUTATED = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]
+# Without the permutation no certificate holds at position 1 (it sees
+# complement subsets alone), so every demand set falls back to the crossing
+# there; (8, 4) is left out, as its 21 reports of ~31k violations each take
+# about 20 s for nothing the smaller instances do not cover.
+MUTATED_UNPERMUTED = MUTATED[:-1]
+
+
+def full_crossing_report(params: Params, prob: ProbTable, permute: bool) -> audit.PrivacyReport:
+    """privacy_check without the certificate: every demand set's tallies are
+    crossed out and diffed against the reference's."""
+    den, nums = common_denominator(prob)
+    scale = params.N * den if permute else den
+    demands = list(combinations(range(1, params.K + 1), params.D))
+    w_ref = demands[0]
+    reference = audit._support_tallies(params, w_ref, nums, permute)
+    max_abs_sum = 0
+    violations = []
+    for w in demands[1:]:
+        tallies = audit._support_tallies(params, w, nums, permute)
+        compared = [
+            (sorted(((audit._support(mask), a, b) for mask, a, b in diffs),
+                    key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
+            for diffs, abs_sum in map(audit._differences, reference, tallies)
+        ]
+        for n, (diffs, abs_sum) in enumerate(compared * (params.N // len(compared)), start=1):
+            violations.extend(
+                audit.PrivacyViolation(W_ref=w_ref, W=w, server_n=n, support=sup,
+                                       p_ref=Fraction(v_ref, scale), p=Fraction(v, scale))
+                for sup, v_ref, v in diffs
+            )
+            max_abs_sum = max(max_abs_sum, abs_sum)
+    return audit.PrivacyReport(
+        params=params,
+        passed=not violations,
+        max_tv_distance=Fraction(max_abs_sum, 2 * scale),
+        demands_checked=len(demands),
+        violations=tuple(violations),
+    )
+
+
+@pytest.mark.parametrize("K,D", CRITERION_3)
+def test_equals_full_crossing_on_criterion_3(K, D):
+    params = Params(K=K, D=D)
+    table = build_prob_table(params)
+    report = audit.privacy_check(params, table)
+    assert report.passed
+    assert report == full_crossing_report(params, table, permute=True)
+
+
+@pytest.mark.parametrize(
+    "K,D,permute",
+    [(K, D, True) for K, D in MUTATED] + [(K, D, False) for K, D in MUTATED_UNPERMUTED],
+)
+def test_equals_full_crossing_on_every_single_entry_mutation(K, D, permute):
+    params = Params(K=K, D=D)
+    table = build_prob_table(params)
+    entries = [(i, j) for i in range(K - D + 1) for j in range(1, D + 1)]
+    for entry in [None, *entries]:
+        prob = table if entry is None else audit.perturb_prob_table(table, *entry)
+        report = audit.privacy_check(params, prob, permute=permute)
+        assert report == full_crossing_report(params, prob, permute), entry
+        if entry is not None:
+            assert not report.passed, entry
+
+
+@pytest.mark.parametrize("permute", [True, False])
+def test_uniform_weights_unlike_the_reference_fail(monkeypatch, permute):
+    # A plan that lists one demand set's collections twice doubles all of its
+    # weights: its own certificate holds, with twice the reference's c.
+    params = Params(K=6, D=3)
+    table = build_prob_table(params)
+    doubled = (4, 5, 6)
+    chosen = plan.choose_T_collection
+
+    def choose(params, W, j):
+        collection = chosen(params, W, j)
+        return collection * 2 if tuple(W) == doubled else collection
+
+    monkeypatch.setattr(plan, "choose_T_collection", choose)
+    report = audit.privacy_check(params, table, permute=permute)
+    assert not report.passed
+    assert {v.W for v in report.violations} >= {doubled}
+    assert report == full_crossing_report(params, table, permute)
+
+
+@pytest.mark.parametrize("permute", [True, False])
+def test_asking_for_the_demand_itself_fails(permute):
+    # All mass on sub-table 0, sub-block D: each answering server is asked
+    # for W itself.  Every weight but w_0[{}] and w_0[W] is 0, so only a
+    # certificate that counts zero weights sees sizes 0 and D clash with them.
+    params = Params(K=5, D=2)
+    rows = [[Fraction(0)] * params.D for _ in range(params.K - params.D + 1)]
+    rows[0][-1] = Fraction(1)
+    mass = table_mass(rows)
+    table = ProbTable(P=tuple(tuple(p / mass for p in row) for row in rows), j_star=params.D)
+    report = audit.privacy_check(params, table, permute=permute)
+    assert not report.passed
+    assert report == full_crossing_report(params, table, permute)
