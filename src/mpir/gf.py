@@ -89,8 +89,6 @@ def restride(vec: bytes, width: int, new_width: int) -> bytes:
     slice assignment per byte lane; narrowing drops high bytes."""
     if width == new_width:
         return vec
-    if new_width == 1:
-        return vec[::width]
     out = bytearray(len(vec) // width * new_width)
     for k in range(min(width, new_width)):
         out[k::new_width] = vec[k::width]
@@ -99,12 +97,17 @@ def restride(vec: bytes, width: int, new_width: int) -> bytes:
 
 def encode(values: Sequence[int], q: int) -> bytes:
     """The element vector of ints in [0, q)."""
-    return restride(struct.pack(f"<{len(values)}Q", *values), 8, element_width(q))
+    w = element_width(q)
+    if w == 1:
+        return bytes(values)
+    return restride(struct.pack(f"<{len(values)}Q", *values), 8, w)
 
 
 def decode(vec: bytes, q: int) -> tuple[int, ...]:
     """The ints of an element vector over GF(q)."""
     w = element_width(q)
+    if w == 1:
+        return tuple(vec)
     return struct.unpack(f"<{len(vec) // w}Q", restride(vec, w, 8))
 
 

@@ -7,14 +7,15 @@ Frame layout (all integers little-endian):
     payload  bytes
 
 A QUERY payload is K field elements, an ANSWER payload m field elements,
-each a u64; both ends convert answers from and to :mod:`mpir.gf` element
-bytes only here.  EMPTY_ANSWER carries no payload and is the reply to an
-all-zero query.  ERROR carries a UTF-8 message and the server closes the
-connection; a QUERY header declaring other than 8*K bytes gets ERROR before
-any payload is read, and a connection that stalls mid-read is closed after
-_AnswerHandler.timeout seconds.  The client likewise checks each reply
-header (ANSWER 8*m bytes, EMPTY_ANSWER none, ERROR at most _MAX_ERROR)
-before it reads the payload.
+each of w = gf.element_width(q) bytes, as :mod:`mpir.gf` holds them in
+memory.  EMPTY_ANSWER carries no payload and is the reply to an all-zero
+query.  ERROR carries a UTF-8 message and the server closes the
+connection; a QUERY header declaring other than K*w bytes, or a query
+element of q or more, gets ERROR, the first before any payload is read.
+A connection that stalls mid-read is closed after _AnswerHandler.timeout
+seconds.  The client likewise checks each reply header (ANSWER m*w bytes,
+EMPTY_ANSWER none, ERROR at most _MAX_ERROR) before it reads the payload,
+and every ANSWER element against q.
 
 A server answers each connection on a thread of its own, with at most
 StoreServer.max_workers connections open at once.  A connection holds its
@@ -23,9 +24,9 @@ _AnswerHandler.first_query_timeout is dropped.  One that arrives while every
 slot is held is not queued: it gets ERROR "server busy" and is closed.
 server_close() ends every open connection, then joins their threads.
 
-Store file layout: magic "MPIR1", q u64, K u32, m u32, then K*m field
-elements as u64 in message-major order (21 + 8*K*m bytes total),
-converted a whole store at a time.
+Store file layout (format version 2): magic "MPIR2", q u64, K u32, m u32,
+then the K messages' element bytes in message order (21 + w*K*m bytes
+total).  Version 1 files (magic "MPIR1", u64 elements) are rejected by name.
 
 The server handler receives nothing but coefficient vectors; the demand set
 never crosses the wire.  The client runs :func:`protocol.execute_round` with
@@ -60,7 +61,7 @@ from .params import Params, is_prime
 from .prob import ProbTable, build_prob_table
 from .protocol import Answer, MessageStore, Transcript, execute_round, server_answer
 
-MAGIC = b"MPIR1"
+MAGIC = b"MPIR2"
 MSG_QUERY = 1
 MSG_ANSWER = 2
 MSG_EMPTY_ANSWER = 3
@@ -132,46 +133,34 @@ def _read_up_to(stream: BinaryIO, n: int) -> bytes:
     return bytes(buf)
 
 
-def pack_elements(values: Sequence[int]) -> bytes:
-    return struct.pack(f"<{len(values)}Q", *values)
-
-
-def unpack_elements(payload: bytes, count: int, q: int) -> tuple[int, ...]:
-    if len(payload) != 8 * count:
-        raise ProtocolError(f"payload is {len(payload)} bytes, expected {8 * count}")
-    values = struct.unpack(f"<{count}Q", payload)
-    if values and max(values) >= q:
-        raise ProtocolError("field element out of range for the store's modulus")
-    return values
-
-
 def write_store(path: str | Path, store: MessageStore) -> None:
     """Serialize a message store to its on-disk format."""
     if store.q >= 2**64:
         raise StoreFormatError("field order does not fit in 64 bits")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QII", store.q, store.K, store.m))
-        fh.write(gf.restride(b"".join(store.messages), gf.element_width(store.q), 8))
+        fh.write(MAGIC + struct.pack("<QII", store.q, store.K, store.m))
+        fh.write(b"".join(store.messages))
 
 
 def read_store(path: str | Path) -> MessageStore:
     """Load and validate a store file."""
     raw = Path(path).read_bytes()
+    if raw[:5] == b"MPIR1":
+        raise StoreFormatError(f"{path}: store format version 1 is no longer read; "
+                               "re-run `mpir store init` to write version 2")
     if len(raw) < 21 or raw[:5] != MAGIC:
         raise StoreFormatError(f"{path}: not a message store file")
     q, K, m = struct.unpack_from("<QII", raw, 5)
     if not is_prime(q) or K < 2 or m < 1:
         raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
-    expected = 21 + 8 * K * m
-    if len(raw) != expected:
-        raise StoreFormatError(f"{path}: size {len(raw)}, expected {expected}")
-    if max(struct.unpack_from(f"<{K * m}Q", raw, 21)) >= q:
-        raise StoreFormatError(f"{path}: element >= q")
     size = m * gf.element_width(q)
-    flat = gf.restride(raw[21:], 8, gf.element_width(q))
-    messages = tuple(flat[i : i + size] for i in range(0, K * size, size))
-    return MessageStore(q=q, m=m, messages=messages)
+    if len(raw) != 21 + K * size:
+        raise StoreFormatError(f"{path}: size {len(raw)}, expected {21 + K * size}")
+    messages = tuple(raw[i : i + size] for i in range(21, len(raw), size))
+    try:  # MessageStore's own check is the one element range check on load
+        return MessageStore(q=q, m=m, messages=messages)
+    except ValueError as exc:
+        raise StoreFormatError(f"{path}: element >= q ({exc})") from exc
 
 
 class _AnswerHandler(socketserver.StreamRequestHandler):
@@ -183,13 +172,15 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         store: MessageStore = self.server.store  # type: ignore[attr-defined]
-        width = gf.element_width(store.q)
+        size = store.K * gf.element_width(store.q)
         self.connection.settimeout(self.first_query_timeout)
         try:
             while True:
                 try:
-                    _, payload = read_frame(self.rfile, {MSG_QUERY: 8 * store.K})
-                    query = unpack_elements(payload, store.K, store.q)
+                    _, payload = read_frame(self.rfile, {MSG_QUERY: size})
+                    query = gf.decode(payload, store.q)
+                    if max(query) >= store.q:
+                        raise ProtocolError("field element out of range for the store's modulus")
                 except ConnectionClosed:
                     return
                 except ProtocolError as exc:
@@ -200,7 +191,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
                 if answer is None:
                     self.wfile.write(pack_frame(MSG_EMPTY_ANSWER))
                 else:
-                    self.wfile.write(pack_frame(MSG_ANSWER, gf.restride(answer, width, 8)))
+                    self.wfile.write(pack_frame(MSG_ANSWER, answer))
         except (ConnectionError, TimeoutError):
             # A reset, a broken pipe or a stalled read or write ends the
             # connection as a close does: nobody is left to reply to.
@@ -254,6 +245,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
 class RetrieveResult:
     transcript: Transcript
     downloaded_bytes: int
+    """ANSWER payload bytes read in the round: m*w per answering server,
+    frame headers not counted."""
 
 
 # Idle client connections, least recently returned first.  A round pops the
@@ -271,7 +264,7 @@ def _answer_over_tcp(
     Every query is sent before the first answer is read, so the servers
     compute at the same time without a client thread per server.
     """
-    frames = [pack_frame(MSG_QUERY, pack_elements(query)) for query in queries]
+    frames = [pack_frame(MSG_QUERY, gf.encode(query, q)) for query in queries]
     with _idle_lock:
         pooled = [_idle.pop(endpoint, None) for endpoint in endpoints]
     held = [stream for stream in pooled if stream]  # every stream the round holds
@@ -328,16 +321,16 @@ def _discard(stream: BinaryIO) -> None:
 
 
 def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) -> Answer:
-    sizes = {MSG_ANSWER: 8 * m, MSG_EMPTY_ANSWER: 0, MSG_ERROR: _MAX_ERROR}
+    sizes = {MSG_ANSWER: m * gf.element_width(q), MSG_EMPTY_ANSWER: 0, MSG_ERROR: _MAX_ERROR}
     try:
         msg_type, payload = read_frame(stream, sizes)
-        if msg_type == MSG_ANSWER:  # every element < q, so narrowing drops only zeros
-            unpack_elements(payload, m, q)
+        if msg_type == MSG_ANSWER and gf.out_of_range(payload, q):
+            raise ProtocolError("field element out of range for the store's modulus")
     except ProtocolError as exc:
         raise ProtocolError(f"inconsistent reply from {endpoint}: {exc}") from exc
     if msg_type == MSG_ERROR:
         raise ProtocolError(f"server {endpoint} reported: {payload.decode(errors='replace')}")
-    return gf.restride(payload, 8, gf.element_width(q)) if msg_type == MSG_ANSWER else None
+    return payload if msg_type == MSG_ANSWER else None
 
 
 def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:
@@ -396,4 +389,5 @@ def retrieve(
         rng,
         lambda queries: _answer_over_tcp(endpoints, queries, params.m, params.q),
     )
-    return RetrieveResult(transcript=transcript, downloaded_bytes=8 * transcript.download_elements)
+    downloaded = gf.element_width(params.q) * transcript.download_elements
+    return RetrieveResult(transcript=transcript, downloaded_bytes=downloaded)

@@ -69,7 +69,7 @@ class Params:
         # Checked before primality: is_prime is only proven below 3.3e24.
         if isinstance(self.q, int) and self.q >= 2**64:
             raise ValueError(
-                f"q must be below 2**64, since store and wire elements are u64; got {self.q}"
+                f"q must be below 2**64, since the store file header holds q as a u64; got {self.q}"
             )
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q!r}")

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 import threading
 from contextlib import contextmanager
 
@@ -253,12 +254,13 @@ class TestStoreAndNetwork:
     # store drawn from random.Random(44), at the default q (3, no --q) and
     # at q = 65521, whose elements take two bytes.  Seed 1 at q = 3 and
     # seed 2 at q = 65521 have a silent server.  How elements are held in
-    # memory must not move what the command prints.
+    # memory must not move what the command prints.  "downloaded bytes"
+    # counts w-byte answer elements (wire format 2).
     PINNED_RETRIEVE = {
-        (None, "1,2", 1): "110f9284f63f82830ec48ca968c8c78d52c527a80c79ffc4bc7fafaebefbfa8a",
-        (None, "2,4", 5): "ae2f800b301c2977f589b97d5e3a37eaf8ea42a960bee3977565236c95138b66",
-        (65521, "1,3", 2): "ba6ee91a5441138fea47191d96c0cc84bd1d2cd59f3a64f5340124f076b62c5e",
-        (65521, "3,4", 7): "f39fd80f02c855a3e60448a938b8ac78243f65f708cdaa4e929299fe65dd735d",
+        (None, "1,2", 1): "0193dd4f9d0123799f58485ffea35f32de14f10fe98c7c277677e1b158752838",
+        (None, "2,4", 5): "791533e21098fffb466adc303278505afc2d03cfaeb8fb616121725733f50a0b",
+        (65521, "1,3", 2): "7bff9dc4d8fb7cab93add84f12daf44a3637b66cdf6170271d7ed0f8de1c6442",
+        (65521, "3,4", 7): "0ed1ac86f150a816dd9916621abb0db14d8c6d59eb95dda92580933beff479a9",
     }
 
     @pytest.mark.parametrize("q,W,seed", PINNED_RETRIEVE, ids=str)
@@ -273,6 +275,15 @@ class TestStoreAndNetwork:
             )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_RETRIEVE[q, W, seed]
+
+    def test_serve_rejects_version_1_store(self, capsys, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"MPIR1" + struct.pack("<QII", 3, 4, 8) + bytes(8 * 4 * 8))
+        code, out, err = run_cli(capsys, "serve", "--store", str(path), "--port", "0")
+        assert code == 2
+        assert "format version 1" in err
+        assert "re-run `mpir store init`" in err
+        assert out == ""
 
     def test_retrieve_bad_endpoints(self, capsys):
         code, _, err = run_cli(

@@ -14,6 +14,7 @@ from contextlib import ExitStack, contextmanager
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpir import gf, net
 from mpir.params import Params
@@ -114,11 +115,12 @@ def stalling_server():
         listener.close()
 
 
-# What a server may reply to a query at the params fixture's m = 8.
-REPLIES = {net.MSG_ANSWER: 8 * 8, net.MSG_EMPTY_ANSWER: 0, net.MSG_ERROR: net._MAX_ERROR}
+# What a server may reply to a query at the params fixture's m = 8 and
+# q = 3, whose elements take one byte.
+REPLIES = {net.MSG_ANSWER: 8, net.MSG_EMPTY_ANSWER: 0, net.MSG_ERROR: net._MAX_ERROR}
 
 
-QUERY_X1 = net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0]))
+QUERY_X1 = net.pack_frame(net.MSG_QUERY, bytes([1, 0, 0, 0]))
 
 
 def answered(sock):
@@ -184,8 +186,9 @@ class TestFrames:
     def test_element_out_of_range_rejected(self, params, pos):
         values = [0] * params.m
         values[pos] = params.q
+        frame = net.pack_frame(net.MSG_ANSWER, gf.encode(values, params.q))
         with pytest.raises(net.ProtocolError, match="out of range"):
-            net.unpack_elements(net.pack_elements(values), params.m, params.q)
+            net._read_answer(io.BytesIO(frame), ("127.0.0.1", 1), params.m, params.q)
 
     def test_clean_close(self):
         with pytest.raises(net.ConnectionClosed):
@@ -202,17 +205,25 @@ class TestStoreFile:
     def test_round_trip(self, tmp_path, store):
         path = tmp_path / "store.bin"
         net.write_store(path, store)
-        assert path.stat().st_size == 21 + 8 * store.K * store.m
+        assert path.stat().st_size == 21 + store.K * store.m * gf.element_width(store.q)
         assert net.read_store(path) == store
 
     @pytest.mark.parametrize("q", [65521, 2**31 - 1, 2**64 - 59])
-    def test_wide_field_round_trip_is_u64(self, tmp_path, q):
+    def test_wide_field_round_trip_is_w_bytes(self, tmp_path, q):
         store = MessageStore.random(Params(K=3, D=2, q=q, m=5), random.Random(q))
         path = tmp_path / "store.bin"
         net.write_store(path, store)
+        w = gf.element_width(q)
         values = [v for msg in store.messages for v in gf.decode(msg, q)]
-        assert path.read_bytes()[21:] == struct.pack(f"<{len(values)}Q", *values)
+        assert path.read_bytes()[21:] == b"".join(v.to_bytes(w, "little") for v in values)
         assert net.read_store(path) == store
+
+    def test_version_1_file_rejected_by_name(self, tmp_path, store):
+        path = tmp_path / "store.bin"
+        header = struct.pack("<QII", store.q, store.K, store.m)
+        path.write_bytes(b"MPIR1" + header + bytes(8 * store.K * store.m))
+        with pytest.raises(net.StoreFormatError, match=r"format version 1 .*`mpir store init`"):
+            net.read_store(path)
 
     def test_bad_magic(self, tmp_path, store):
         path = tmp_path / "store.bin"
@@ -252,37 +263,112 @@ class TestStoreFile:
         path = tmp_path / "store.bin"
         net.write_store(path, store)
         raw = bytearray(path.read_bytes())
-        struct.pack_into("<Q", raw, len(raw) - 8, store.q)  # last slot of the last message
+        raw[-1] = store.q  # the last element of the last message, one byte at q = 3
         path.write_bytes(bytes(raw))
+        with pytest.raises(net.StoreFormatError, match="element >= q"):
+            net.read_store(path)
+
+
+# Payload sizes a fuzzed frame is read against.
+FRAME_SIZES = {net.MSG_QUERY: 4, net.MSG_ANSWER: 8, net.MSG_EMPTY_ANSWER: 0, net.MSG_ERROR: 16}
+
+
+@st.composite
+def near_valid_frames(draw):
+    """A header that read_frame accepts, then a body of any length up to
+    twice the declared one, so mostly mutated or of the wrong length."""
+    msg_type = draw(st.sampled_from(sorted(FRAME_SIZES)))
+    size = FRAME_SIZES[msg_type]
+    length = draw(st.integers(0, size)) if msg_type == net.MSG_ERROR else size
+    return struct.pack("<IB", length, msg_type) + draw(st.binary(max_size=2 * size + 1))
+
+
+@st.composite
+def near_valid_stores(draw):
+    """A version 2 header that is an instance, then a body of random bytes,
+    of the right length or near it."""
+    q = draw(st.sampled_from([2, 3, 7, 251, 65521, 2**64 - 59]))
+    K, m = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    size = K * m * gf.element_width(q)
+    length = draw(st.sampled_from([size, size, size - 1, size + 1]))
+    body = draw(st.binary(min_size=length, max_size=length))
+    return net.MAGIC + struct.pack("<QII", q, K, m) + body
+
+
+def store_bytes():
+    prefixed = st.tuples(st.sampled_from([net.MAGIC, b"MPIR1"]), st.binary(max_size=64))
+    return st.one_of(st.binary(max_size=64), prefixed.map(b"".join), near_valid_stores())
+
+
+class TestReaderFuzz:
+    """Random and near-valid input to the frame and store readers: nothing
+    but their own errors escapes, and no read goes past a declared size."""
+
+    @settings(deadline=None, database=None)
+    @given(st.one_of(st.binary(max_size=64), near_valid_frames()))
+    def test_read_frame(self, data):
+        stream = io.BytesIO(data)
+        try:
+            msg_type, payload = net.read_frame(stream, FRAME_SIZES)
+        except net.ProtocolError:
+            allowed = FRAME_SIZES.get(data[4], 0) if len(data) >= 5 else 0
+            assert stream.tell() <= 5 + allowed
+        else:
+            assert stream.tell() == 5 + len(payload) <= 5 + FRAME_SIZES[msg_type]
+
+    @settings(deadline=None, database=None)
+    @given(store_bytes())
+    def test_read_store(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz-store.bin"
+        path.write_bytes(data)
+        try:
+            store = net.read_store(path)
+        except net.StoreFormatError:
+            return
+        assert data[:5] == net.MAGIC
+        assert net.MAGIC + struct.pack("<QII", store.q, store.K, store.m) == data[:21]
+        assert b"".join(store.messages) == data[21:]
+
+    @settings(deadline=None, database=None)
+    @given(st.binary(min_size=8, max_size=8), st.integers(0, 7), st.integers(3, 255))
+    def test_byte_of_q_or_more_rejected_at_q3(self, tmp_path_factory, body, pos, bad):
+        body = bytearray(b % 3 for b in body)
+        body[pos] = bad
+        frame = net.pack_frame(net.MSG_ANSWER, bytes(body))
+        with pytest.raises(net.ProtocolError, match="out of range"):
+            net._read_answer(io.BytesIO(frame), ("127.0.0.1", 1), 8, 3)
+        path = tmp_path_factory.getbasetemp() / "fuzz-store.bin"
+        path.write_bytes(net.MAGIC + struct.pack("<QII", 3, 2, 4) + body)
         with pytest.raises(net.StoreFormatError, match="element >= q"):
             net.read_store(path)
 
 
 class TestServer:
     def test_zero_query_empty_answer(self, cluster, params):
-        reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, net.pack_elements([0] * 4)))
+        reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, bytes(4)))
         msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_EMPTY_ANSWER
         assert payload == b""
 
     def test_single_message_query(self, cluster, store):
-        reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0])))
+        reply = raw_exchange(cluster[0], QUERY_X1)
         msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_ANSWER
-        assert net.unpack_elements(payload, store.m, store.q) == gf.decode(store.messages[0], store.q)
+        assert payload == store.messages[0]
 
     def test_differential_against_in_memory(self, cluster, store):
         rng = random.Random(7)
         for _ in range(30):
             query = tuple(rng.randrange(store.q) for _ in range(store.K))
-            reply = raw_exchange(cluster[1], net.pack_frame(net.MSG_QUERY, net.pack_elements(query)))
+            frame = net.pack_frame(net.MSG_QUERY, gf.encode(query, store.q))
+            reply = raw_exchange(cluster[1], frame)
             msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
             expected = server_answer(store, query)
             if expected is None:
                 assert msg_type == net.MSG_EMPTY_ANSWER
             else:
                 assert msg_type == net.MSG_ANSWER
-                assert net.unpack_elements(payload, store.m, store.q) == gf.decode(expected, store.q)
+                assert payload == expected
 
     def test_malformed_length_gets_error(self, cluster):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, b"\x01\x02\x03"))
@@ -291,7 +377,7 @@ class TestServer:
         assert payload
 
     def test_element_at_least_q_gets_error(self, cluster, store):
-        bad = net.pack_frame(net.MSG_QUERY, net.pack_elements([store.q, 0, 0, 0]))
+        bad = net.pack_frame(net.MSG_QUERY, gf.encode([store.q, 0, 0, 0], store.q))
         msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], bad)), REPLIES)
         assert msg_type == net.MSG_ERROR
 
@@ -304,7 +390,7 @@ class TestServer:
             with sock.makefile("rb") as stream:
                 msg_type, payload = net.read_frame(stream, REPLIES)
                 assert msg_type == net.MSG_ERROR
-                assert b"expected 32" in payload
+                assert b"expected 4" in payload  # K*w bytes
                 with pytest.raises(net.ConnectionClosed):
                     net.read_frame(stream, REPLIES)
 
@@ -413,15 +499,12 @@ class TestServer:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_multiple_queries_per_connection(self, cluster, store):
-        frames = net.pack_frame(net.MSG_QUERY, net.pack_elements([1, 0, 0, 0])) + net.pack_frame(
-            net.MSG_QUERY, net.pack_elements([0, 1, 0, 0])
-        )
+        frames = QUERY_X1 + net.pack_frame(net.MSG_QUERY, bytes([0, 1, 0, 0]))
         reply = io.BytesIO(raw_exchange(cluster[0], frames))
         t1, p1 = net.read_frame(reply, REPLIES)
         t2, p2 = net.read_frame(reply, REPLIES)
         assert t1 == t2 == net.MSG_ANSWER
-        assert net.unpack_elements(p1, store.m, store.q) == gf.decode(store.messages[0], store.q)
-        assert net.unpack_elements(p2, store.m, store.q) == gf.decode(store.messages[1], store.q)
+        assert (p1, p2) == store.messages[:2]
 
 
 class TestRetrieve:
@@ -442,17 +525,22 @@ class TestRetrieve:
             in_memory = run_round(params, prob, (1, 3), store, random.Random(seed))
             assert networked.transcript.to_bytes() == in_memory.to_bytes()
 
-    def test_wide_field_transcript_equals_in_memory(self):
-        # Dataclass equality, not only to_bytes: the client's conversion of
-        # two-byte elements off the wire builds the objects memory builds.
-        params = Params(K=4, D=2, q=65521, m=8)
+    @pytest.mark.parametrize("K,D,q,m", [(4, 2, 65521, 8), (20, 6, 7, 4096), (5, 3, 2**64 - 59, 9)])
+    def test_wide_field_transcript_equals_in_memory(self, K, D, q, m):
+        # Dataclass equality, not only to_bytes: the w-byte elements off the
+        # wire are the objects memory builds.  4-KiB frames, N = 7 servers
+        # and 8-byte elements.
+        params = Params(K=K, D=D, q=q, m=m)
         store = MessageStore.random(params, random.Random(2024))
         prob = build_prob_table(params)
-        with serving(store) as endpoints:
+        W = tuple(range(2, D + 2))
+        with serving(store, ports=(0,) * params.N) as endpoints:
             for seed in range(10):
-                networked = net.retrieve(endpoints, (2, 3), params, seed)
-                in_memory = run_round(params, prob, (2, 3), store, random.Random(seed))
+                networked = net.retrieve(endpoints, W, params, seed)
+                in_memory = run_round(params, prob, W, store, random.Random(seed))
                 assert networked.transcript == in_memory
+                w = gf.element_width(q)
+                assert networked.downloaded_bytes == w * in_memory.download_elements
 
     def test_prob_table_built_once_per_params(self, cluster, params, monkeypatch):
         builds = []
@@ -480,7 +568,7 @@ class TestRetrieve:
         for seed in range(200):
             result = net.retrieve(cluster, (1, 2), params, seed)
             if result.transcript.query_set.row.i == 0:
-                assert result.downloaded_bytes == 2 * params.m * 8
+                assert result.downloaded_bytes == 2 * params.m * gf.element_width(params.q)
                 return
         pytest.fail("no silent round observed in 200 seeds")
 
