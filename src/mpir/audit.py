@@ -1,20 +1,21 @@
 """Exhaustive privacy verification and statistical protocol checks.
 
 The privacy auditor does not reuse the analysis that motivated the
-probability table; per demand set W and server position, it sums the plan
-table's rows into integer weights w_i[t] over the table's common denominator,
-one per sub-table i and demand part t ⊆ W: the exact probability of each
-support b | t, b an i-subset of the complement.  Privacy holds iff these
-distributions are identical (rational equality, not approximate) across all
-C(K, D) demand sets.  W passes by a size-class certificate, (K-D+1)·2^D
-comparisons: a vector c with w_i[t] == c[i + |t|] for every i and t ⊆ W,
-zero weights included, equal to the reference demand set's c.  Then every
-support S weighs c[|S|] under both, with no relabelling and no symmetry
-assumed.  Any other W falls back to crossing its weights with the 2^(K-D)
-complement subsets and diffing the tallies against the reference's.  A tally
-is keyed by the support as an int bitmask (bit t-1 for message t), a
-complement mask or'd with a shifted demand mask; frozensets are built only
-for what leaves the module, a distribution or a violation.
+probability table; per demand set W and server position, it counts how often
+sub-block j's columns carry each demand part t ⊆ W, count_j[t], from the
+shipped plan functions, and folds the counts into integer weights
+w_i[t] = sum_j nums[i][j-1] count_j[t] over the table's common denominator:
+the exact probability of each support b | t, b an i-subset of the
+complement.  Privacy holds iff these distributions are identical (rational
+equality, not approximate) across all C(K, D) demand sets.  W passes by its
+counts, D·2^D comparisons per position: count_j[t] == f_j(|t|) for every j
+and t ⊆ W, zero counts included, with f the reference demand set's, whose
+weights have a size-class certificate c, w_i[t] == c[i + |t|], checked once
+per call.  By linearity every support S then weighs c[|S|] under both, with
+no relabelling and no symmetry assumed.  Any other W falls back to crossing
+its weights with the 2^(K-D) complement subsets and diffing the tallies
+against the reference's.  A tally is keyed by the support as an int bitmask
+(bit t-1 for message t), a complement mask or'd with a demand part's mask.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -34,7 +35,8 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
@@ -53,29 +55,30 @@ SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weig
 _PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
 
 
+def _demand_counts(params: Params, w: tuple[int, ...], permute: bool) -> list[list[Counter]]:
+    """counts[j-1][n][t]: how often sub-block j's columns at server position n
+    carry demand part t, {} in column 1 and shift(T_l, h) in column 1+h; all
+    columns count at the one position under the permutation.  A t never
+    carried has no entry."""
+    counts = []
+    for j in range(1, params.D + 1):
+        rows = [(frozenset(), *plan.shifts(w, T)) for T in plan.choose_T_collection(params, w, j)]
+        columns = [chain.from_iterable(rows)] if permute else zip(*rows)
+        counts.append(list(map(Counter, columns)))
+    return counts
+
+
 def _support_weights(
-    params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
-) -> list[list[dict[int, int]]]:
+    nums: tuple[tuple[int, ...], ...], counts: list[list[Counter]]
+) -> list[list[dict[frozenset[int], int]]]:
     """Per server position n and sub-table i, the weight w_i[t] of each demand
     part t, as weights[n][i][t].
 
-    Row (i, k, j, l) weighs nums[i][j-1]; its column 1 has demand part t = {}
-    and column 1+h has t = shift(T_l, h).  count_j[t] counts sub-block j's
-    columns with demand part t (all columns under the permutation, else
-    column n's alone at position n), so w_i[t] = sum_j nums[i][j-1] count_j[t]
-    is the probability, times the scale, of each support b | t with b an
-    i-subset of the complement.  A t of weight 0 has no entry.
+    Row (i, k, j, l) weighs nums[i][j-1], so w_i[t] = sum_j nums[i][j-1]
+    count_j[t] is the probability, times the scale, of each support b | t
+    with b an i-subset of the complement.  A t of weight 0 has no entry.
     """
-    positions = 1 if permute else params.N
-    counts = [[Counter() for _ in range(positions)] for _ in range(params.D)]  # [j-1][n][t]
-    for j, count in enumerate(counts, start=1):
-        for T in plan.choose_T_collection(params, w, j):
-            shifts = [
-                sum(1 << (t - 1) for t in plan.shift_subset(w, T, h)) for h in range(1, params.D + 1)
-            ]
-            for n, t in enumerate([0, *shifts]):
-                count[n % positions][t] += 1
-    weights: list[list[dict[int, int]]] = [[{} for _ in nums] for _ in range(positions)]
+    weights: list[list[dict]] = [[{} for _ in nums] for _ in counts[0]]
     for n, by_i in enumerate(weights):
         for row, weight in zip(nums, by_i):
             for num, count in zip(row, counts):
@@ -95,23 +98,23 @@ def _support_tallies(
     b and t are disjoint, so each support is written once.
     """
     comp = [1 << (t - 1) for t in plan.complement(params, w)]
-    return [
-        {
-            base | t: v
+    tallies = []
+    for weights in _support_weights(nums, _demand_counts(params, w, permute)):
+        masks = {t: sum(1 << (x - 1) for x in t) for weight in weights for t in weight}
+        tallies.append({
+            base | masks[t]: v
             for i, weight in enumerate(weights)
             for base in map(sum, combinations(comp, i))
             for t, v in weight.items()
-        }
-        for weights in _support_weights(params, w, nums, permute)
-    ]
+        })
+    return tallies
 
 
-def _size_classes(w: tuple[int, ...], weights: list[dict[int, int]]) -> tuple[int, ...] | None:
+def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | None:
     """The size-class certificate of one demand set at one server position:
     the c with w_i[t] == c[i + |t|] for every sub-table i and every one of
     the 2^D subsets t of w, a t without weight counting as 0, else None."""
-    bits = [1 << (x - 1) for x in w]
-    parts = [(sum(t), size) for size in range(len(w) + 1) for t in combinations(bits, size)]
+    parts = [(frozenset(t), size) for size in range(len(w) + 1) for t in combinations(w, size)]
     c: dict[int, int] = {}
     for i, weight in enumerate(weights):
         for t, size in parts:
@@ -202,9 +205,12 @@ def privacy_check(
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
 
-    A demand set whose certificate (_size_classes) equals the reference's at
-    every position passes, as both weigh every support S c[|S|].  Any other,
-    or every one if the reference has none, is crossed out and diffed.
+    A demand set passes by its counts (_demand_counts) when, at every
+    position and sub-block j, they read f_j(|t|) at all 2^D subsets t, zeros
+    included, with f the reference's.  Its weights are then sum_j
+    nums[i][j-1] f_j(|t|), so if the reference's have a certificate c
+    (_size_classes), both weigh every support S c[|S|].  Any other demand
+    set, or every one if the reference has no c, is crossed out and diffed.
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -212,22 +218,29 @@ def privacy_check(
     scale = params.N * den if permute else den
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
 
-    def certificate(w: tuple[int, ...]) -> list[tuple[int, ...] | None]:
-        return [_size_classes(w, weights) for weights in _support_weights(params, w, nums, permute)]
+    def counts_at(w: tuple[int, ...], counts: list) -> list[list[int]]:
+        # Each count_j[n] at every subset t of w by size, zeros included.
+        ts = [frozenset(t) for size in range(params.D + 1) for t in combinations(w, size)]
+        return [[c.get(t, 0) for t in ts] for count in counts for c in count]
 
     w_ref = demands[0]
-    c_ref = certificate(w_ref)
+    counts = _demand_counts(params, w_ref, permute)
+    c_ref = [_size_classes(w_ref, weights) for weights in _support_weights(nums, counts)]
+    f_ref = [_size_classes(w_ref, [c]) for count in counts for c in count]
+    certified = None not in c_ref + f_ref
+    ref_counts = counts_at(w_ref, counts)
     reference: list[SupportTally] | None = None
+    support, fraction = cache(_support), cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
-        if None not in c_ref and certificate(w) == c_ref:
+        if certified and counts_at(w, _demand_counts(params, w, permute)) == ref_counts:
             continue
         if reference is None:
             reference = _support_tallies(params, w_ref, nums, permute)
         tallies = _support_tallies(params, w, nums, permute)
         compared = [
-            (sorted(((_support(mask), a, b) for mask, a, b in diffs),
+            (sorted(((support(mask), a, b) for mask, a, b in diffs),
                     key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
             for diffs, abs_sum in map(_differences, reference, tallies)
         ]
@@ -240,8 +253,8 @@ def privacy_check(
                     W=w,
                     server_n=n,
                     support=sup,
-                    p_ref=Fraction(v_ref, scale),
-                    p=Fraction(v, scale),
+                    p_ref=fraction(v_ref),
+                    p=fraction(v),
                 )
                 for sup, v_ref, v in diffs
             )

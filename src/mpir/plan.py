@@ -81,18 +81,19 @@ def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...
     return tuple(out)
 
 
-def shift_subset(W: Iterable[int], T: Iterable[int], h: int) -> frozenset[int]:
-    """Advance each element of T by h-1 positions, cyclically within sorted W."""
+def shifts(W: Iterable[int], T: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """All D cyclic shifts of T within sorted W: entry h-1 advances each
+    element of T by h-1 positions."""
     w = sorted(W)
-    D = len(w)
-    if not 1 <= h <= D:
-        raise ValueError(f"h must be in [1, {D}], got {h}")
-    out = []
-    for x in T:
-        if x not in w:
-            raise ValueError(f"{x} is not a demand element")
-        out.append(w[(w.index(x) + h - 1) % D])
-    return frozenset(out)
+    successor = dict(zip(w, w[1:] + w[:1]))
+    t = frozenset(T)
+    if not successor.keys() >= t:
+        raise ValueError(f"{min(t.difference(successor))} is not a demand element")
+    out = [t]
+    for _ in w[1:]:
+        t = frozenset(map(successor.__getitem__, t))
+        out.append(t)
+    return tuple(out)
 
 
 def _orbit(positions: frozenset[int], D: int) -> frozenset[frozenset[int]]:
@@ -183,8 +184,7 @@ def verify_evenness(
     _, m = lj_mj(params.D)
     counts = {frozenset(s): 0 for s in combinations(w, j)}
     for T in collection:
-        for h in range(1, params.D + 1):
-            s = shift_subset(w, T, h)
+        for s in shifts(w, T):
             if s not in counts:
                 raise ValueError(f"{set(T)} is not a {j}-subset of the demand")
             counts[s] += 1
@@ -203,7 +203,7 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:
     if not 1 <= row.l <= len(collection):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
     T = collection[row.l - 1]
-    return (base,) + tuple(base | shift_subset(w, T, h) for h in range(1, params.D + 1))
+    return (base,) + tuple(base | s for s in shifts(w, T))
 
 
 def total_rows(params: Params) -> int:

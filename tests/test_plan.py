@@ -42,7 +42,7 @@ class TestRSubset:
 
 class TestShiftSubset:
     def test_single_element(self):
-        assert plan.shift_subset((1, 2), {1}, 2) == frozenset({2})
+        assert plan.shifts((1, 2), {1})[1] == frozenset({2})
 
     def test_identity_shift(self):
         rng = random.Random(3)
@@ -51,10 +51,10 @@ class TestShiftSubset:
             W = tuple(sorted(rng.sample(range(1, 30), D)))
             j = rng.randrange(1, D + 1)
             T = frozenset(rng.sample(W, j))
-            assert plan.shift_subset(W, T, 1) == T
+            assert plan.shifts(W, T)[0] == T
 
     def test_full_set_fixed(self):
-        assert plan.shift_subset((1, 2), {1, 2}, 2) == frozenset({1, 2})
+        assert plan.shifts((1, 2), {1, 2})[1] == frozenset({1, 2})
 
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_bijection_per_shift(self, D):
@@ -62,16 +62,27 @@ class TestShiftSubset:
         for j in range(1, D + 1):
             subsets = [frozenset(c) for c in combinations(W, j)]
             for h in range(1, D + 1):
-                image = {plan.shift_subset(W, T, h) for T in subsets}
+                image = {plan.shifts(W, T)[h - 1] for T in subsets}
                 assert image == set(subsets)
 
     def test_rejects_non_demand_element(self):
         with pytest.raises(ValueError):
-            plan.shift_subset((1, 2), {3}, 1)
+            plan.shifts((1, 2), {3})
 
-    def test_rejects_bad_h(self):
-        with pytest.raises(ValueError):
-            plan.shift_subset((1, 2), {1}, 3)
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_every_shift_of_every_subset(self, D):
+        # Oracle: entry h-1 moves each element h-1 places along sorted W,
+        # wrapping around.  Every D-subset W of 1..8, passed in reverse.
+        for w in combinations(range(1, 9), D):
+            outsider = min(set(range(1, 9)) - set(w))
+            for size in range(D + 1):
+                for T in combinations(w, size):
+                    expected = tuple(
+                        frozenset(w[(w.index(x) + h - 1) % D] for x in T) for h in range(1, D + 1)
+                    )
+                    assert plan.shifts(w[::-1], T) == expected
+                    with pytest.raises(ValueError, match="not a demand element"):
+                        plan.shifts(w, T + (outsider,))
 
 
 class TestChooseCollection:
@@ -84,7 +95,7 @@ class TestChooseCollection:
         params = Params(K=5, D=3)
         (T,) = plan.choose_T_collection(params, (1, 2, 3), 2)
         assert T == frozenset({1, 2})
-        shifts = [plan.shift_subset((1, 2, 3), T, h) for h in (1, 2, 3)]
+        shifts = [plan.shifts((1, 2, 3), T)[h - 1] for h in (1, 2, 3)]
         assert Counter(shifts) == Counter(
             [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
         )

@@ -1,11 +1,12 @@
 """The exact privacy audit against the full crossing it certifies away.
 
-privacy_check accepts a demand set by its size-class certificate and crosses
-out its support tallies only when the certificate fails.  The oracle here
-crosses out and diffs every demand set, so the two reports must be equal:
-on the instances of acceptance criterion 3, on every single-entry
-perturbation of small tables, with and without the permutation, and on two
-broken plans built to slip past a weaker certificate.
+privacy_check accepts a demand set by its demand-part counts and the
+reference's size-class certificate, and crosses out its support tallies only
+when either fails.  The oracle here crosses out and diffs every demand set,
+so the two reports must be equal: on the instances of acceptance criterion
+3, on every single-entry perturbation of small tables, with and without the
+permutation, and on three broken plans built to slip past a weaker
+certificate.
 """
 from __future__ import annotations
 
@@ -104,6 +105,27 @@ def test_uniform_weights_unlike_the_reference_fail(monkeypatch, permute):
     report = audit.privacy_check(params, table, permute=permute)
     assert not report.passed
     assert {v.W for v in report.violations} >= {doubled}
+    assert report == full_crossing_report(params, table, permute)
+
+
+@pytest.mark.parametrize("permute", [True, False])
+def test_demand_parts_never_sent_fail(monkeypatch, permute):
+    # A plan whose rows for one demand set lose their last column when T is
+    # a proper subset of W: each count it keeps equals the reference's, so
+    # only a check that reads the zero counts sees the demand parts it lost.
+    params = Params(K=6, D=3)
+    table = build_prob_table(params)
+    broken = (4, 5, 6)
+    shifts = plan.shifts
+
+    def shifted(W, T):
+        out = shifts(W, T)
+        return out[:-1] if tuple(W) == broken and len(out[0]) < len(out) else out
+
+    monkeypatch.setattr(plan, "shifts", shifted)
+    report = audit.privacy_check(params, table, permute=permute)
+    assert not report.passed
+    assert {v.W for v in report.violations} >= {broken}
     assert report == full_crossing_report(params, table, permute)
 
 

@@ -118,7 +118,7 @@ class TestMakeQuerySet:
                 assert qs.queries[qs.permutation[n]] == col
             T = plan.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
             for h, v in enumerate(qs.V, start=1):
-                assert support(v) == plan.shift_subset(W, T, h)
+                assert support(v) == plan.shifts(W, T)[h - 1]
             assert inverts(q, qs.V, qs.inverse)
 
     def test_zero_query_when_base_empty(self):
