@@ -1,8 +1,9 @@
 """Prime-field arithmetic, small dense linear algebra, and linear
 combinations of whole vectors packed into one int each.
 
-Packed slots are reduced mod q by byte-lane table lookups when
-width*(q-1) < 256 (see :func:`combine`), and one slot at a time otherwise.
+Packed slots are sized by a combination's weight (its coefficients mod q,
+summed) and reduced mod q by byte-lane lookups when width*(q-1) < 256 (see
+:func:`combine`), one slot at a time otherwise; :func:`inverse` is in place.
 
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
@@ -27,11 +28,6 @@ FullRankDraw = tuple[tuple[FieldVector, ...], tuple[FieldVector, ...]]  # (V, in
 _MAX_FULL_RANK_ATTEMPTS = 1000
 
 
-def vec_add(a: Sequence[int], b: Sequence[int], q: int) -> FieldVector:
-    """Elementwise a + b mod q."""
-    return tuple((x + y) % q for x, y in zip(a, b, strict=True))
-
-
 def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
     """Length-K vector with entries[idx] at each 1-based idx, zero elsewhere."""
     vec = [0] * K
@@ -44,25 +40,33 @@ def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | N
     """Inverse of a matrix over GF(q), as a tuple of rows, or None when it
     has none (it is singular or not square).
 
-    Gauss-Jordan on [mat | I], reducing entries mod q as rows are touched;
-    it stops at the first column with no pivot.
+    Gauss-Jordan in place, stopping at the first column with no pivot: each
+    pivot column is written over with the inverse's, and the row swaps are
+    undone as column swaps in reverse order.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    work = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(mat)]
+    work = [list(row) for row in mat]
+    swaps = []
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col] % q), None)
         if pivot is None:
             return None
+        swaps.append((col, pivot))
         work[col], work[pivot] = work[pivot], work[col]
         inv = pow(work[col][col], -1, q)
-        work[col] = [(x * inv) % q for x in work[col]]
+        work[col][col] = 1
+        row = work[col] = [(x * inv) % q for x in work[col]]
         for r in range(n):
-            f = work[r][col] % q
-            if r != col and f:
-                work[r] = [(a - f * b) % q for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+            if r != col:
+                f, work[r][col] = work[r][col] % q, 0
+                if f:
+                    work[r] = [(a - f * b) % q for a, b in zip(work[r], row)]
+    for col, pivot in reversed(swaps):
+        for row in work:
+            row[col], row[pivot] = row[pivot], row[col]
+    return tuple(map(tuple, work))
 
 
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -134,7 +138,7 @@ def combine(
 ) -> bytes:
     """sum_t coeffs[t] * vec_t mod q, elementwise, as an element vector, for
     length-m vectors packed by :func:`pack` into ``slot_width(n, q)``-byte
-    slots, n at least the number of coefficients nonzero mod q.
+    slots, n >= ceil(weight/(q-1)), weight the sum of the coeffs mod q.
 
     Coefficients are reduced mod q first, so the slots never carry: one
     big-int multiply-add per term, then one reduction of every slot.  A slot

@@ -138,7 +138,12 @@ def draw_queries(
     # the order of draws fixes the transcript for a seed.
     U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in sorted(base)})
     V, inverse = gf.random_full_rank_V(params, [c - base for c in cols], rng)
-    columns = (U,) + tuple(gf.vec_add(U, v, params.q) for v in V)
+    columns = [U]
+    for v, c in zip(V, cols):  # U + v, on v's support c - base alone
+        col = list(U)
+        for idx in c - base:
+            col[idx - 1] = (col[idx - 1] + v[idx - 1]) % params.q
+        columns.append(tuple(col))
     servers = list(range(params.N))
     rng.shuffle(servers)
     permutation = tuple(servers)
@@ -154,15 +159,16 @@ def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
     """Linear combination of the stored messages, or None for a zero query.
 
     This is the only computation a server performs; it sees nothing but the
-    coefficient vector.  The sum is packed in the narrowest slots that hold
-    as many terms as the query has nonzero coefficients.
+    coefficient vector.  Its weight, the sum of its coefficients reduced
+    mod q, bounds a slot's sum by weight*(q-1), so the sum is packed in
+    slots that hold ceil(weight/(q-1)) products of two elements.
     """
     if len(query) != store.K:
         raise ValueError(f"query length {len(query)} != K={store.K}")
-    terms = store.K - query.count(0)
-    if not terms:
+    if not any(query):
         return None
-    width = gf.slot_width(terms, store.q)
+    weight = sum(c % store.q for c in query)
+    width = gf.slot_width(-(-weight // (store.q - 1)), store.q)
     return gf.combine(query, store.packed(width), store.m, store.q, width)
 
 

@@ -80,9 +80,9 @@ def test_coefficients_congruent_mod_q_agree(q):
 
 @pytest.mark.parametrize("q", FIELDS)
 def test_largest_sums_at_every_term_count(q):
-    # The answer's slot width follows the query's nonzero count n; with
-    # every entry and coefficient at q-1 each slot holds the largest sum
-    # n*(q-1)**2, so a width one term too narrow carries into the next slot.
+    # With every entry and coefficient at q-1, n terms weigh n*(q-1) and
+    # each slot holds the largest sum n*(q-1)**2 that n terms can make, so a
+    # width one term too narrow carries into the next slot.
     K, m = 20, 3
     store = store_of(q, m, [(q - 1,) * m] * K)
     for c in (q - 1, -1):
@@ -91,14 +91,47 @@ def test_largest_sums_at_every_term_count(q):
             assert gf.decode(server_answer(store, query), q) == naive_answer(store, query), (c, n)
 
 
+def one_byte_weight(q):
+    """The largest query weight (sum of coefficients mod q) answered in
+    1-byte slots: ceil(weight/(q-1)) products of two elements fit 255."""
+    return 255 // (q - 1) ** 2 * (q - 1)
+
+
+@pytest.mark.parametrize("q,top", [(2, 255), (3, 126), (7, 42)])
+def test_weight_boundary_of_one_byte_slots(q, top):
+    # Every entry at q-1, so a weight-w query sums w*(q-1) in every slot:
+    # 252 and 258 at q=7 either side of the 1-byte limit.  Coefficients
+    # are q-1 but one, written both as residues and as negatives.
+    assert one_byte_weight(q) == top
+    K, m = -(-(top + 1) // (q - 1)), 3
+    store = store_of(q, m, [(q - 1,) * m] * K)
+    for weight in (top, top + 1):
+        full, rest = divmod(weight, q - 1)
+        query = (q - 1,) * full + (rest,) * (K > full) + (0,) * (K - full - 1)
+        for coeffs in (query, tuple(c - q if c else 0 for c in query)):
+            assert gf.decode(server_answer(store, coeffs), q) == naive_answer(store, coeffs)
+    assert sorted(store._packings) == [1, gf.slot_width(-(-(top + 1) // (q - 1)), q)]
+
+
+@pytest.mark.parametrize("q,terms", [(2, 255), (3, 64), (7, 20)])
+def test_unit_coefficients_stay_in_one_byte_slots(q, terms):
+    # Unit coefficients weigh one each: 20 terms at q=7 (and 64 at q=3) fit
+    # 1-byte slots by weight, where the count of terms would take 2 bytes.
+    m = 3
+    store = store_of(q, m, [(q - 1,) * m] * terms)
+    query = (1,) * terms
+    assert gf.decode(server_answer(store, query), q) == naive_answer(store, query)
+    assert list(store._packings) == [1]
+
+
 def test_store_identity_ignores_cached_packings():
     q, m = 7, 4
     msgs = [tuple((t * 3 + i) % q for i in range(m)) for t in range(20)]
     used, fresh = store_of(q, m, msgs), store_of(q, m, msgs)
-    answers = [server_answer(used, (1,) * n + (0,) * (20 - n)) for n in (7, 8)]
-    # 7 terms fit 1-byte slots at q=7 (7*36 < 256) and 8 do not.
-    assert [gf.slot_width(n, q) for n in (7, 8)] == [1, 2]
+    answers = [server_answer(used, (q - 1,) * n + (0,) * (20 - n)) for n in (7, 8)]
+    # 7 terms at q-1 fit 1-byte slots at q=7 (7*36 < 256) and 8 do not.
+    assert sorted(used._packings) == [1, 2]
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
         assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
-        assert [server_answer(clone, (1,) * n + (0,) * (20 - n)) for n in (7, 8)] == answers
+        assert [server_answer(clone, (q - 1,) * n + (0,) * (20 - n)) for n in (7, 8)] == answers

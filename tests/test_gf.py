@@ -9,11 +9,13 @@ import pytest
 
 from mpir import gf
 from mpir.params import Params
-from field import inverts, support
+from field import augmented_inverse, inverts, support, vec_add
 
 
 def add(a, b, q):
-    return gf.vec_add((a,), (b,), q)[0]
+    width = gf.slot_width(2, q)
+    packed = [gf.pack(gf.encode((x,), q), gf.element_width(q), width) for x in (a, b)]
+    return gf.decode(gf.combine((1, 1), packed, 1, q, width), q)[0]
 
 
 def mul(a, b, q):
@@ -38,9 +40,10 @@ def inv(a, q):
 
 class TestFieldOps:
     # Scalar field operations, through the vector functions that carry them:
-    # vec_add, combine (one term) and a 1x1 inverse.
+    # combine (two unit terms, or one) and a 1x1 inverse.  The vec_add cases
+    # check the tests' own oracle (field.py), which the query tests use.
     def test_add_wraps(self):
-        assert gf.vec_add((2, 1), (2, 1), 3) == (1, 2)
+        assert vec_add((2, 1), (2, 1), 3) == (1, 2)
 
     def test_inverse(self):
         assert inv(2, 3) == 2
@@ -72,7 +75,7 @@ class TestFieldOps:
 
     def test_vec_add_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            gf.vec_add((1, 2), (1,), 3)
+            vec_add((1, 2), (1,), 3)
 
 
 class TestSupport:
@@ -163,6 +166,26 @@ class TestSolvers:
                 assert mat_mul(mat, inv, q) == eye(n)
                 inverted += 1
             assert inverted >= 30
+
+    @pytest.mark.parametrize("q,n", [(3, 3), (7, 2)])
+    def test_every_small_matrix_matches_augmented_oracle(self, q, n):
+        # In-place elimination against Gauss-Jordan on [A | I], singular
+        # matrices (None) included.
+        for entries in product(range(q), repeat=n * n):
+            mat = [entries[r * n : (r + 1) * n] for r in range(n)]
+            assert gf.inverse(q, mat) == augmented_inverse(q, mat), mat
+
+    def test_permutations_times_diagonal_match_augmented_oracle(self):
+        # Every row-swap pattern the pivot search can meet up to 4x4, with
+        # the swaps undone as column swaps in reverse order.
+        rng = random.Random(41)
+        for n in range(1, 5):
+            for perm in permutations(range(n)):
+                q = rng.choice((3, 5, 7))
+                diag = [rng.randrange(1, q) for _ in range(n)]
+                mat = [[diag[c] if perm[r] == c else 0 for c in range(n)] for r in range(n)]
+                assert gf.inverse(q, mat) == augmented_inverse(q, mat), (q, mat)
+                assert mat_mul(gf.inverse(q, mat), mat, q) == eye(n)
 
     def test_inverse_with_combine_matches_columnwise(self):
         # The recovery path: one combine per inverse row over packed

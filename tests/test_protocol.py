@@ -20,7 +20,7 @@ from mpir.protocol import (
     run_round,
     server_answer,
 )
-from field import inverts, support
+from field import inverts, support, vec_add
 
 
 class ScriptedRng:
@@ -113,7 +113,7 @@ class TestMakeQuerySet:
             base = frozenset(plan.r_subset(params, W, qs.row.i, qs.row.k))
             assert support(qs.U) == base
             assert sorted(qs.permutation) == list(range(D + 1))
-            columns = (qs.U,) + tuple(gf.vec_add(qs.U, v, q) for v in qs.V)
+            columns = (qs.U,) + tuple(vec_add(qs.U, v, q) for v in qs.V)
             for n, col in enumerate(columns):
                 assert qs.queries[qs.permutation[n]] == col
             T = plan.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
