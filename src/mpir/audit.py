@@ -8,14 +8,15 @@ w_i[t] = sum_j nums[i][j-1] count_j[t] over the table's common denominator:
 the exact probability of each support b | t, b an i-subset of the
 complement.  Privacy holds iff these distributions are identical (rational
 equality, not approximate) across all C(K, D) demand sets.  W passes by its
-counts, D·2^D comparisons per position: count_j[t] == f_j(|t|) for every j
-and t ⊆ W, zero counts included, with f the reference demand set's, whose
-weights have a size-class certificate c, w_i[t] == c[i + |t|], checked once
-per call.  By linearity every support S then weighs c[|S|] under both, with
-no relabelling and no symmetry assumed.  Any other W falls back to crossing
-its weights with the 2^(K-D) complement subsets and diffing the tallies
-against the reference's.  A tally is keyed by the support as an int bitmask
-(bit t-1 for message t), a complement mask or'd with a demand part's mask.
+counts, D·2^D comparisons per position: listed over t ⊆ W by size, zero
+counts included, they equal the reference demand set's, whose weights have
+a size-class certificate c, w_i[t] == c[i + |t|], checked once per call.
+Equal lists pair the parts by a size-preserving bijection σ, so w^W_i[t] =
+w^ref_i[σ(t)] = c[i + |t|] and every support S weighs c[|S|] under both.
+Any other W falls back to crossing its weights with the 2^(K-D) complement
+subsets and diffing the tallies against the reference's.  A tally is keyed
+by the support as an int bitmask (bit t-1 for message t), a complement mask
+or'd with a demand part's mask.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -206,11 +207,11 @@ def privacy_check(
     (smaller supports first, ties by their sorted indices).
 
     A demand set passes by its counts (_demand_counts) when, at every
-    position and sub-block j, they read f_j(|t|) at all 2^D subsets t, zeros
-    included, with f the reference's.  Its weights are then sum_j
-    nums[i][j-1] f_j(|t|), so if the reference's have a certificate c
-    (_size_classes), both weigh every support S c[|S|].  Any other demand
-    set, or every one if the reference has no c, is crossed out and diffed.
+    position and sub-block j, they equal the reference's at all 2^D subsets
+    t listed by size, zeros included: its weights are then the reference's,
+    relabelled by size, so if those have a certificate c (_size_classes),
+    both weigh every support S c[|S|].  Any other demand set, or every one
+    if the reference has no c, is crossed out and diffed.
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -226,8 +227,7 @@ def privacy_check(
     w_ref = demands[0]
     counts = _demand_counts(params, w_ref, permute)
     c_ref = [_size_classes(w_ref, weights) for weights in _support_weights(nums, counts)]
-    f_ref = [_size_classes(w_ref, [c]) for count in counts for c in count]
-    certified = None not in c_ref + f_ref
+    certified = None not in c_ref
     ref_counts = counts_at(w_ref, counts)
     reference: list[SupportTally] | None = None
     support, fraction = cache(_support), cache(lambda v: Fraction(v, scale))

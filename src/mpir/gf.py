@@ -1,9 +1,9 @@
 """Prime-field arithmetic, small dense linear algebra, and linear
 combinations of whole vectors packed into one int each.
 
-Packed slots are sized by a combination's weight (its coefficients mod q,
-summed) and reduced mod q by byte-lane lookups when width*(q-1) < 256 (see
-:func:`combine`), one slot at a time otherwise; :func:`inverse` is in place.
+Packed slots hold one product where they reduce mod q by byte-lane lookups
+(width*(q-1) < 256; :func:`combine` reduces before a slot could carry) and
+every term's otherwise (:func:`slot_width`); :func:`inverse` is in place.
 
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
@@ -74,12 +74,11 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 @functools.lru_cache(maxsize=256)
 def slot_width(terms: int, q: int) -> int:
-    """Bytes per packed slot that hold a sum of `terms` products of two
-    elements of [0, q) without carrying into the next slot.
-
-    Widths up to 8 bytes round up to a struct format size (1, 2, 4 or 8).
-    """
-    nbytes = -(-(terms * (q - 1) ** 2).bit_length() // 8)
+    """Bytes per packed slot that hold n products of two elements of [0, q),
+    up to 8 rounded up to a struct size (1, 2, 4 or 8): n = 1 where the slots
+    reduce on byte lanes (width*(q-1) < 256, so q <= 128), else `terms`."""
+    n = 1 if q <= 128 else terms
+    nbytes = -(-(n * (q - 1) ** 2).bit_length() // 8)
     return next((w for w in _SLOT_FORMATS if nbytes <= w), nbytes)
 
 
@@ -137,20 +136,29 @@ def combine(
     coeffs: Sequence[int], packed: Sequence[int], m: int, q: int, width: int
 ) -> bytes:
     """sum_t coeffs[t] * vec_t mod q, elementwise, as an element vector, for
-    length-m vectors packed by :func:`pack` into ``slot_width(n, q)``-byte
-    slots, n >= ceil(weight/(q-1)), weight the sum of the coeffs mod q.
+    length-m vectors packed by :func:`pack` into `width`-byte slots.
 
-    Coefficients are reduced mod q first, so the slots never carry: one
-    big-int multiply-add per term, then one reduction of every slot.  A slot
-    v = sum_k b_k*256**k is congruent to sum_k T_k[b_k], T_k[b] = b*256**k mod q,
-    so when width*(q-1) < 256 each byte lane k is translated through T_k, the
-    lanes are added without carries, and T_0 maps the sum once more.
-    """
-    acc = 0
+    One big-int multiply-add per term (coefficient mod q), then one reduction
+    of every slot, also run before a term that could carry: a reduced slot
+    plus a product is under q**2, so fits where a product does, and a width
+    that cannot hold it raises ValueError.  When width*(q-1) < 256 each byte
+    lane k goes through T_k[b] = b*256**k mod q (a slot is congruent to the
+    sum), the lanes add without carries, and T_0 maps the sum once more."""
+    acc = bound = 0  # bound: the largest value a slot of acc can hold
     for coeff, vec in zip(coeffs, packed, strict=True):
         coeff %= q
         if coeff:
+            if bound + coeff * (q - 1) >= 256**width:
+                acc, bound = pack(_reduce(acc, m, q, width), element_width(q), width), q - 1
+                if bound + coeff * (q - 1) >= 256**width:
+                    raise ValueError(f"{width}-byte slots cannot hold a product mod {q}")
             acc += coeff * vec
+            bound += coeff * (q - 1)
+    return _reduce(acc, m, q, width)
+
+
+def _reduce(acc: int, m: int, q: int, width: int) -> bytes:
+    """The element vector of acc's m `width`-byte slots, each mod q."""
     raw = acc.to_bytes(m * width, "little")
     if width * (q - 1) < 256:
         tables = _lane_tables(q, width)

@@ -45,6 +45,7 @@ connection holds a server slot until the server drops it.
 """
 from __future__ import annotations
 
+import os
 import random
 import socket
 import socketserver
@@ -143,20 +144,22 @@ def write_store(path: str | Path, store: MessageStore) -> None:
 
 
 def read_store(path: str | Path) -> MessageStore:
-    """Load and validate a store file."""
-    raw = Path(path).read_bytes()
-    if raw[:5] == b"MPIR1":
-        raise StoreFormatError(f"{path}: store format version 1 is no longer read; "
-                               "re-run `mpir store init` to write version 2")
-    if len(raw) < 21 or raw[:5] != MAGIC:
-        raise StoreFormatError(f"{path}: not a message store file")
-    q, K, m = struct.unpack_from("<QII", raw, 5)
-    if not is_prime(q) or K < 2 or m < 1:
-        raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
-    size = m * gf.element_width(q)
-    if len(raw) != 21 + K * size:
-        raise StoreFormatError(f"{path}: size {len(raw)}, expected {21 + K * size}")
-    messages = tuple(raw[i : i + size] for i in range(21, len(raw), size))
+    """Load and validate a store file, one message at a time once the
+    header and the file's size check out."""
+    with open(path, "rb") as fh:
+        raw = fh.read(21)
+        if raw[:5] == b"MPIR1":
+            raise StoreFormatError(f"{path}: store format version 1 is no longer read; "
+                                   "re-run `mpir store init` to write version 2")
+        if len(raw) < 21 or raw[:5] != MAGIC:
+            raise StoreFormatError(f"{path}: not a message store file")
+        q, K, m = struct.unpack_from("<QII", raw, 5)
+        if not is_prime(q) or K < 2 or m < 1:
+            raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
+        size = m * gf.element_width(q)
+        if (total := os.fstat(fh.fileno()).st_size) != 21 + K * size:
+            raise StoreFormatError(f"{path}: size {total}, expected {21 + K * size}")
+        messages = tuple(fh.read(size) for _ in range(K))
     try:  # MessageStore's own check is the one element range check on load
         return MessageStore(q=q, m=m, messages=messages)
     except ValueError as exc:

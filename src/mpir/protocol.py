@@ -28,8 +28,8 @@ AnswerAll = Callable[[tuple[gf.FieldVector, ...]], Sequence[Answer]]
 @dataclass(frozen=True)
 class MessageStore:
     """K messages of m field elements, each one element vector (see
-    :mod:`mpir.gf`), identical on every server.  :meth:`packed` caches its
-    packings outside the fields, so equality, hash and repr ignore them."""
+    :mod:`mpir.gf`), identical on every server.  :attr:`packed` is cached
+    outside the fields, so equality, hash and repr ignore it."""
 
     q: int
     m: int
@@ -48,16 +48,10 @@ class MessageStore:
         return len(self.messages)
 
     @cached_property
-    def _packings(self) -> dict[int, tuple[int, ...]]:
-        return {}
-
-    def packed(self, width: int) -> tuple[int, ...]:
-        """One int per message in `width`-byte slots, for :func:`gf.combine`,
-        built on first use at each width."""
-        if width not in self._packings:
-            w = gf.element_width(self.q)
-            self._packings[width] = tuple(gf.pack(msg, w, width) for msg in self.messages)
-        return self._packings[width]
+    def packed(self) -> tuple[int, ...]:
+        """The messages packed in ``gf.slot_width(K, q)``-byte slots, once."""
+        w, width = gf.element_width(self.q), gf.slot_width(self.K, self.q)
+        return tuple(gf.pack(msg, w, width) for msg in self.messages)
 
     @classmethod
     def random(cls, params: Params, rng: random.Random) -> "MessageStore":
@@ -159,17 +153,14 @@ def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
     """Linear combination of the stored messages, or None for a zero query.
 
     This is the only computation a server performs; it sees nothing but the
-    coefficient vector.  Its weight, the sum of its coefficients reduced
-    mod q, bounds a slot's sum by weight*(q-1), so the sum is packed in
-    slots that hold ceil(weight/(q-1)) products of two elements.
+    coefficient vector.  It combines over the store's one packing.
     """
     if len(query) != store.K:
         raise ValueError(f"query length {len(query)} != K={store.K}")
     if not any(query):
         return None
-    weight = sum(c % store.q for c in query)
-    width = gf.slot_width(-(-weight // (store.q - 1)), store.q)
-    return gf.combine(query, store.packed(width), store.m, store.q, width)
+    width = gf.slot_width(store.K, store.q)
+    return gf.combine(query, store.packed, store.m, store.q, width)
 
 
 def recover(

@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
+import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +17,8 @@ from mpir.protocol import MessageStore, server_answer  # noqa: E402
 
 # Small and large fields, each slot-width path: 1, 2 and 8 byte struct slots,
 # and exact widths of 9 to 17 bytes for q >= 2**31.  61, 67, 127 and 131 sit
-# on either side of width*(q-1) < 256, where combine reduces on byte lanes.
+# on either side of width*(q-1) < 256, where combine reduces on byte lanes
+# and so packs one product a slot, reducing before a term could carry.
 FIELDS = [2, 3, 7, 61, 67, 127, 131, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
 
@@ -32,7 +36,8 @@ def store_of(q, m, messages):
 @st.composite
 def store_and_query(draw, m, nonzero):
     q = draw(st.sampled_from(FIELDS))
-    K = draw(st.integers(1, 8))
+    # Up to 24 terms: several in-place reductions at q=7 and q=127.
+    K = draw(st.integers(1, 24))
     elem = st.integers(0, q - 1)
     messages = tuple(tuple(draw(st.lists(elem, min_size=m, max_size=m))) for _ in range(K))
     # Coefficients may be negative or >= q; the answer is taken mod q.
@@ -91,9 +96,49 @@ def test_largest_sums_at_every_term_count(q):
             assert gf.decode(server_answer(store, query), q) == naive_answer(store, query), (c, n)
 
 
+def one_packing(store, width):
+    """Whether the store caches exactly one packing, in `width`-byte slots."""
+    cached = set(vars(store)) - {f.name for f in dataclasses.fields(store)}
+    w = gf.element_width(store.q)
+    return cached == {"packed"} and store.packed == tuple(
+        gf.pack(msg, w, width) for msg in store.messages
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 17, 127])
+def test_every_weight_from_one_packing(q):
+    # Every query weight 1..K(q-1), built from coefficients q-1 and one
+    # remainder, over entries mostly at q-1: each weight's largest sums.
+    K, m = 20, 4
+    rng = random.Random(q)
+    store = store_of(q, m, [(q - 1, q - 1, rng.randrange(q), 0) for _ in range(K)])
+    for weight in range(1, K * (q - 1) + 1):
+        full, rest = divmod(weight, q - 1)
+        query = (q - 1,) * full + (rest,) * (K > full) + (0,) * (K - full - 1)
+        assert gf.decode(server_answer(store, query), q) == naive_answer(store, query), weight
+    assert one_packing(store, gf.slot_width(K, q))
+
+
+def test_answers_hold_one_packing_in_memory():
+    # A light and a heavy query (weight 6 and 48, either side of 42, the
+    # last weight that fits 1-byte slots unreduced at q=7) add one packing
+    # of the messages' size and nothing per width.
+    q, K, m = 7, 20, 2**16
+    store = store_of(q, m, [(q - 1,) * m] * K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for query in ((q - 1,) + (0,) * (K - 1), (q - 1,) * 8 + (0,) * (K - 8)):
+            assert len(server_answer(store, query)) == m
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown <= 1.1 * K * m
+
+
 def one_byte_weight(q):
-    """The largest query weight (sum of coefficients mod q) answered in
-    1-byte slots: ceil(weight/(q-1)) products of two elements fit 255."""
+    """The largest query weight (sum of coefficients mod q) whose sum
+    fits 1-byte slots unreduced: ceil(weight/(q-1)) products fit 255."""
     return 255 // (q - 1) ** 2 * (q - 1)
 
 
@@ -110,7 +155,7 @@ def test_weight_boundary_of_one_byte_slots(q, top):
         query = (q - 1,) * full + (rest,) * (K > full) + (0,) * (K - full - 1)
         for coeffs in (query, tuple(c - q if c else 0 for c in query)):
             assert gf.decode(server_answer(store, coeffs), q) == naive_answer(store, coeffs)
-    assert sorted(store._packings) == [1, gf.slot_width(-(-(top + 1) // (q - 1)), q)]
+    assert one_packing(store, 1)
 
 
 @pytest.mark.parametrize("q,terms", [(2, 255), (3, 64), (7, 20)])
@@ -121,7 +166,7 @@ def test_unit_coefficients_stay_in_one_byte_slots(q, terms):
     store = store_of(q, m, [(q - 1,) * m] * terms)
     query = (1,) * terms
     assert gf.decode(server_answer(store, query), q) == naive_answer(store, query)
-    assert list(store._packings) == [1]
+    assert one_packing(store, 1)
 
 
 def test_store_identity_ignores_cached_packings():
@@ -129,8 +174,8 @@ def test_store_identity_ignores_cached_packings():
     msgs = [tuple((t * 3 + i) % q for i in range(m)) for t in range(20)]
     used, fresh = store_of(q, m, msgs), store_of(q, m, msgs)
     answers = [server_answer(used, (q - 1,) * n + (0,) * (20 - n)) for n in (7, 8)]
-    # 7 terms at q-1 fit 1-byte slots at q=7 (7*36 < 256) and 8 do not.
-    assert sorted(used._packings) == [1, 2]
+    # 7 terms at q-1 fit 1-byte slots at q=7 (7*36 < 256); 8 reduce once.
+    assert one_packing(used, 1)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     for clone in (pickle.loads(pickle.dumps(used)), copy.copy(used), copy.deepcopy(used)):
         assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)

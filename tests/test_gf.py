@@ -209,12 +209,28 @@ class TestSolvers:
 class TestCombine:
     @pytest.mark.parametrize(
         "terms,q,width",
-        [(1, 2, 1), (20, 3, 1), (63, 3, 1), (64, 3, 2), (20, 7, 2), (20, 65521, 8),
+        [(1, 2, 1), (20, 3, 1), (63, 3, 1), (64, 3, 1), (20, 7, 1), (20, 13, 1),
+         (20, 17, 2), (20, 127, 2), (1, 131, 2), (20, 131, 4), (20, 65521, 8),
          (20, 2**31 - 1, 9), (20, 2**61 - 1, 16), (20, 2**64 - 59, 17)],
     )
     def test_slot_width(self, terms, q, width):
+        # One product always fits; slots that reduce on byte lanes hold just
+        # that, and any others hold every term's.
         assert gf.slot_width(terms, q) == width
-        assert terms * (q - 1) ** 2 < 256**width
+        assert (q - 1) ** 2 < 256**width
+        assert width * (q - 1) < 256 or terms * (q - 1) ** 2 < 256**width
+
+    @pytest.mark.parametrize("q,width", [(17, 1), (131, 1), (65521, 2)])
+    def test_too_narrow_for_a_reduced_slot_plus_a_product(self, q, width):
+        # One product fills the slots past their top value, and so does the
+        # second term after a reduction leaves q-1 in them.
+        packed = [gf.pack(gf.encode((q - 1,), q), gf.element_width(q), width)] * 2
+        with pytest.raises(ValueError):
+            gf.combine((q - 1,), packed[:1], 1, q, width)
+        small = (256**width - 1) // (q - 1)  # the largest coefficient that fits alone
+        assert 1 <= small < q
+        with pytest.raises(ValueError):
+            gf.combine((1, small), packed, 1, q, width)
 
     @pytest.mark.parametrize("q", [2, 7, 2**61 - 1, 2**64 - 59])
     def test_extreme_entries_do_not_carry(self, q):

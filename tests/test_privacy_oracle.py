@@ -11,6 +11,7 @@ certificate.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,7 @@ MUTATED = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]
 # Without the permutation no certificate holds at position 1 (it sees
 # complement subsets alone), so every demand set falls back to the crossing
 # there; (8, 4) is left out, as its 21 reports of ~31k violations each take
-# about 20 s for nothing the smaller instances do not cover.
+# about 10 s for nothing the smaller instances do not cover.
 MUTATED_UNPERMUTED = MUTATED[:-1]
 
 
@@ -38,19 +39,21 @@ def full_crossing_report(params: Params, prob: ProbTable, permute: bool) -> audi
     demands = list(combinations(range(1, params.K + 1), params.D))
     w_ref = demands[0]
     reference = audit._support_tallies(params, w_ref, nums, permute)
+    # Few distinct values recur across ~10^4 violations: build each once.
+    support, fraction = cache(audit._support), cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations = []
     for w in demands[1:]:
         tallies = audit._support_tallies(params, w, nums, permute)
         compared = [
-            (sorted(((audit._support(mask), a, b) for mask, a, b in diffs),
+            (sorted(((support(mask), a, b) for mask, a, b in diffs),
                     key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
             for diffs, abs_sum in map(audit._differences, reference, tallies)
         ]
         for n, (diffs, abs_sum) in enumerate(compared * (params.N // len(compared)), start=1):
             violations.extend(
                 audit.PrivacyViolation(W_ref=w_ref, W=w, server_n=n, support=sup,
-                                       p_ref=Fraction(v_ref, scale), p=Fraction(v, scale))
+                                       p_ref=fraction(v_ref), p=fraction(v))
                 for sup, v_ref, v in diffs
             )
             max_abs_sum = max(max_abs_sum, abs_sum)
