@@ -4,6 +4,8 @@ combinations of whole vectors packed into one int each.
 Packed slots hold one product where they reduce mod q by byte-lane lookups
 (width*(q-1) < 256; :func:`combine` reduces before a slot could carry) and
 every term's otherwise (:func:`slot_width`); :func:`inverse` is in place.
+:func:`random_elements` draws what per-element ``randrange`` would, for
+one-byte elements in batches of 32-bit words mapped by one translate.
 
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
@@ -124,6 +126,42 @@ def out_of_range(vec: bytes, q: int) -> bool:
 @functools.lru_cache(maxsize=64)
 def _range_table(q: int) -> bytes:
     return bytes(b >= q for b in range(256))
+
+
+# The most 32-bit words one getrandbits call in random_elements draws.
+_SAMPLE_CHUNK = 1 << 16
+
+
+def random_elements(rng: random.Random, q: int, n: int) -> bytes:
+    """The element vector of n draws of rng.randrange(q), leaving rng as
+    that loop leaves it.
+
+    randrange(q) takes k = q.bit_length() bits with getrandbits(k), which
+    for k <= 32 is the top k bits of one 32-bit word, and redraws while the
+    result is q or more.  For one-byte elements, one getrandbits(32*need)
+    yields the next `need` words, word i in bits 32i..32i+31; one translate
+    shifts each word's top byte right by 8-k and deletes the bytes the loop
+    rejects.  `need` is the shortfall, at most _SAMPLE_CHUNK words, so no
+    word past the n-th accepted one is drawn.  Wider elements draw one
+    randrange each.
+    """
+    if element_width(q) != 1:
+        return encode([rng.randrange(q) for _ in range(n)], q)
+    table, rejected = _sample_tables(q)
+    parts, have = [], 0
+    while have < n:
+        need = min(n - have, _SAMPLE_CHUNK)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        parts.append(words[3::4].translate(table, rejected))
+        have += len(parts[-1])
+    return b"".join(parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _sample_tables(q: int) -> tuple[bytes, bytes]:
+    # A top byte b draws b >> shift, rejected when b >= q << shift.
+    shift = 8 - q.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(range(q << shift, 256))
 
 
 def pack(vec: bytes, w: int, width: int) -> int:

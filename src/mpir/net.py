@@ -140,7 +140,7 @@ def write_store(path: str | Path, store: MessageStore) -> None:
         raise StoreFormatError("field order does not fit in 64 bits")
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<QII", store.q, store.K, store.m))
-        fh.write(b"".join(store.messages))
+        fh.writelines(store.messages)
 
 
 def read_store(path: str | Path) -> MessageStore:
@@ -203,7 +203,8 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
 
 class StoreServer(socketserver.ThreadingTCPServer):
     """TCP server answering queries against one immutable store, one thread
-    per connection, which server_close() joins."""
+    per connection, which server_close() joins.  The store's packing is
+    built before the socket is bound, so no first answer waits for it."""
 
     allow_reuse_address = True
     # The most connections served at once.  No workload measures concurrent
@@ -212,6 +213,7 @@ class StoreServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, store: MessageStore, host: str = "127.0.0.1", port: int = 0):
         self.store = store
+        store.packed  # built now, not during a client's first query
         self._open: set[socket.socket] = set()
         super().__init__((host, port), _AnswerHandler)
 

@@ -55,10 +55,10 @@ class MessageStore:
 
     @classmethod
     def random(cls, params: Params, rng: random.Random) -> "MessageStore":
-        msgs = tuple(
-            gf.encode([rng.randrange(params.q) for _ in range(params.m)], params.q)
-            for _ in range(params.K)
-        )
+        """K uniform messages: the same elements, and the same rng state
+        afterwards, as rng.randrange(q) per element, message by message
+        (one-byte fields draw them in batches, :func:`gf.random_elements`)."""
+        msgs = tuple(gf.random_elements(rng, params.q, params.m) for _ in range(params.K))
         return cls(q=params.q, m=params.m, messages=msgs)
 
 

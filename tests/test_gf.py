@@ -354,6 +354,24 @@ class TestElementVectors:
                 vec[pos * w : (pos + 1) * w] = bad.to_bytes(w, "little")
                 assert gf.out_of_range(bytes(vec), q)
 
+    @pytest.mark.parametrize("q", [2, 3, 251, 65521])
+    @pytest.mark.parametrize("n", [0, 1, 5, gf._SAMPLE_CHUNK + 1])
+    def test_random_elements_are_randranges(self, q, n):
+        # The per-element loop is the reference: equal bytes, and the rng
+        # left in the same state, so n = 0 returns b"" and draws nothing.
+        # q = 2 is a field no Params allows (q > D >= 2), so the store tests
+        # cannot reach it.
+        ref, rng = random.Random(f"elements:{q}"), random.Random(f"elements:{q}")
+        expected = gf.encode([ref.randrange(q) for _ in range(n)], q)
+        assert gf.random_elements(rng, q, n) == (expected if n else b"")
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("q", [2, 7, 251, 65521])
+    def test_random_elements_from_system_random(self, q):
+        vec = gf.random_elements(random.SystemRandom(), q, 1000)
+        assert len(vec) == 1000 * gf.element_width(q)
+        assert not gf.out_of_range(vec, q)
+
 
 class TestRandomFullRankV:
     def test_disjoint_supports(self):

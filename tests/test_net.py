@@ -9,6 +9,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from itertools import combinations
@@ -218,6 +219,21 @@ class TestStoreFile:
         assert path.read_bytes()[21:] == b"".join(v.to_bytes(w, "little") for v in values)
         assert net.read_store(path) == store
 
+    def test_write_holds_no_copy_of_the_store(self, tmp_path):
+        # Messages go to the file one at a time: no whole-store join.
+        params = Params(K=8, D=2, q=7, m=2**16)
+        store = MessageStore.random(params, random.Random(5))
+        path = tmp_path / "store.bin"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.write_store(path, store)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < params.m
+        assert path.read_bytes()[21:] == b"".join(store.messages)
+
     def test_version_1_file_rejected_by_name(self, tmp_path, store):
         path = tmp_path / "store.bin"
         header = struct.pack("<QII", store.q, store.K, store.m)
@@ -349,6 +365,18 @@ class TestServer:
         msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
         assert msg_type == net.MSG_EMPTY_ANSWER
         assert payload == b""
+
+    def test_store_packed_before_first_answer(self, store, monkeypatch):
+        # The server packs its store when it starts, so its first answer
+        # waits on no packing.
+        packs = []
+        pack = gf.pack
+        with serving(store, ports=(0,)) as (endpoint,):
+            monkeypatch.setattr(gf, "pack", lambda *args: packs.append(args) or pack(*args))
+            reply = raw_exchange(endpoint, QUERY_X1)
+        msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
+        assert (msg_type, payload) == (net.MSG_ANSWER, store.messages[0])
+        assert packs == []
 
     def test_single_message_query(self, cluster, store):
         reply = raw_exchange(cluster[0], QUERY_X1)

@@ -5,6 +5,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -391,9 +392,16 @@ class TestMessageStore:
         assert all(0 <= v < 7 for msg in store.messages for v in msg)
 
     def test_random_store_draws(self):
-        # The same randrange draws, in the same order, as a store of int tuples.
-        params = Params(K=3, D=2, q=65521, m=4)
-        rng = random.Random(8)
-        expected = [[rng.randrange(params.q) for _ in range(params.m)] for _ in range(params.K)]
-        store = MessageStore.random(params, random.Random(8))
-        assert [list(gf.decode(msg, params.q)) for msg in store.messages] == expected
+        # The same randrange draws, in the same order, as a store of int
+        # tuples, and the rng left where that loop leaves it: one-byte
+        # fields either side of a power of two, a two-byte one, and
+        # messages of one word, a few, and past one getrandbits batch.
+        sizes = [1, 5, 4096, gf._SAMPLE_CHUNK + 1]
+        for q, m in product([3, 5, 7, 13, 127, 131, 251, 65521], sizes):
+            params = Params(K=3, D=2, q=q, m=m)
+            rng = random.Random(8)
+            expected = [[rng.randrange(q) for _ in range(m)] for _ in range(params.K)]
+            drawn = random.Random(8)
+            store = MessageStore.random(params, drawn)
+            assert [list(gf.decode(msg, q)) for msg in store.messages] == expected, (q, m)
+            assert drawn.getstate() == rng.getstate(), (q, m)
