@@ -13,10 +13,10 @@ counts included, they equal the reference demand set's, whose weights have
 a size-class certificate c, w_i[t] == c[i + |t|], checked once per call.
 Equal lists pair the parts by a size-preserving bijection σ, so w^W_i[t] =
 w^ref_i[σ(t)] = c[i + |t|] and every support S weighs c[|S|] under both.
-Any other W falls back to crossing its weights with the 2^(K-D) complement
-subsets and diffing the tallies against the reference's.  A tally is keyed
-by the support as an int bitmask (bit t-1 for message t), a complement mask
-or'd with a demand part's mask.
+Any other W is compared with the reference class by class: a support S
+weighs w_i[S ∩ W] with i = |S ∖ W|, so under both demand sets its weight
+depends only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and only a class whose
+two weights differ is expanded into its C(K - |W ∪ W_ref|, r) supports.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -52,7 +52,6 @@ from .prob import (
 from .protocol import MessageStore, draw_queries, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
-SupportTally = dict[int, int]  # support bitmask (bit t-1 for message t) -> weight
 _PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
 
 
@@ -89,28 +88,6 @@ def _support_weights(
     return weights
 
 
-def _support_tallies(
-    params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
-) -> list[SupportTally]:
-    """Per server position, each support's probability times the scale.
-
-    The weights w_i[t] of _support_weights crossed with the complement
-    subsets: support b | t, b an i-subset of the complement, weighs w_i[t].
-    b and t are disjoint, so each support is written once.
-    """
-    comp = [1 << (t - 1) for t in plan.complement(params, w)]
-    tallies = []
-    for weights in _support_weights(nums, _demand_counts(params, w, permute)):
-        masks = {t: sum(1 << (x - 1) for x in t) for weight in weights for t in weight}
-        tallies.append({
-            base | masks[t]: v
-            for i, weight in enumerate(weights)
-            for base in map(sum, combinations(comp, i))
-            for t, v in weight.items()
-        })
-    return tallies
-
-
 def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | None:
     """The size-class certificate of one demand set at one server position:
     the c with w_i[t] == c[i + |t|] for every sub-table i and every one of
@@ -125,27 +102,27 @@ def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | 
     return tuple(c[size] for size in range(len(c)))
 
 
-def _support(mask: int) -> frozenset[int]:
-    """The message indices of a support bitmask."""
-    return frozenset(t + 1 for t in range(mask.bit_length()) if mask >> t & 1)
-
-
-def _differences(ref: dict, cur: dict) -> tuple[list[tuple], int | Fraction]:
-    """The (key, ref value, cur value) entries where two exact distributions
-    differ, and the sum of |ref - cur| over all keys.
-
-    Works alike on Fraction distributions and on integer tallies that share
-    one scale; half the sum is the total-variation distance (over the scale).
-    """
+def _differences(
+    w_ref: tuple[int, ...], w: tuple[int, ...], rest: tuple[int, ...], ref_w: list, cur_w: list
+) -> tuple[list[tuple], int]:
+    """The (support, ref weight, cur weight) entries where two demand sets'
+    weights at one position differ, smaller supports first and ties by their
+    sorted indices, and the sum of |ref - cur| over all supports.  rest is
+    the complement of W ∪ W_ref; class (u, r), u ⊆ W ∪ W_ref, holds one
+    support u ∪ c per r-subset c of rest, each weighing w_{|u ∖ W| + r}[u ∩ W]
+    under W, and likewise under W_ref."""
     diffs = []
     abs_sum = 0
-    if ref == cur:
-        return diffs, abs_sum
-    for key in set(ref) | set(cur):
-        a, b = ref.get(key, 0), cur.get(key, 0)
-        if a != b:
-            diffs.append((key, a, b))
-            abs_sum += abs(a - b)
+    union = sorted(set(w_ref) | set(w))
+    for u in chain.from_iterable(combinations(union, size) for size in range(len(union) + 1)):
+        t_ref, t = frozenset(u).intersection(w_ref), frozenset(u).intersection(w)
+        for r in range(len(rest) + 1):
+            a = ref_w[len(u) - len(t_ref) + r].get(t_ref, 0)
+            b = cur_w[len(u) - len(t) + r].get(t, 0)
+            if a != b:
+                abs_sum += math.comb(len(rest), r) * abs(a - b)
+                diffs.extend((frozenset(u + c), a, b) for c in combinations(rest, r))
+    diffs.sort(key=lambda d: (len(d[0]), sorted(d[0])))
     return diffs, abs_sum
 
 
@@ -158,8 +135,9 @@ def support_distribution(
 ) -> SupportDistribution:
     """Exact distribution of the query support seen by one server position.
 
-    Rows are weighted by their selection probability, summed per (sub-table,
-    demand part) and then crossed with the complement subsets.
+    Rows are weighted by their selection probability and summed per
+    (sub-table i, demand part t) into _support_weights' w_i[t]; each support
+    b | t, b an i-subset of the complement, weighs w_i[t].
     With permute=True each of a row's N columns reaches server n with
     probability 1/N (the uniform-permutation marginal); permute=False models
     a broken client that always sends column n to server n, which is what
@@ -170,8 +148,11 @@ def support_distribution(
         raise ValueError(f"server position must be in [1, {params.N}]")
     den, nums = common_denominator(prob)
     scale = params.N * den if permute else den
-    tally = _support_tallies(params, w, nums, permute)[0 if permute else server_n - 1]
-    return {_support(mask): Fraction(v, scale) for mask, v in tally.items()}
+    counts = _demand_counts(params, w, permute)
+    weights = _support_weights(nums, counts)[0 if permute else server_n - 1]
+    comp = plan.complement(params, w)
+    return {frozenset(b) | t: Fraction(v, scale) for i, weight in enumerate(weights)
+            for b in combinations(comp, i) for t, v in weight.items()}
 
 
 @dataclass(frozen=True)
@@ -211,7 +192,7 @@ def privacy_check(
     t listed by size, zeros included: its weights are then the reference's,
     relabelled by size, so if those have a certificate c (_size_classes),
     both weigh every support S c[|S|].  Any other demand set, or every one
-    if the reference has no c, is crossed out and diffed.
+    if the reference has no c, is compared by support class (_differences).
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -226,26 +207,23 @@ def privacy_check(
 
     w_ref = demands[0]
     counts = _demand_counts(params, w_ref, permute)
-    c_ref = [_size_classes(w_ref, weights) for weights in _support_weights(nums, counts)]
-    certified = None not in c_ref
+    reference = _support_weights(nums, counts)
+    certified = None not in [_size_classes(w_ref, weights) for weights in reference]
     ref_counts = counts_at(w_ref, counts)
-    reference: list[SupportTally] | None = None
-    support, fraction = cache(_support), cache(lambda v: Fraction(v, scale))
+    fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
-        if certified and counts_at(w, _demand_counts(params, w, permute)) == ref_counts:
+        counts = _demand_counts(params, w, permute)
+        if certified and counts_at(w, counts) == ref_counts:
             continue
-        if reference is None:
-            reference = _support_tallies(params, w_ref, nums, permute)
-        tallies = _support_tallies(params, w, nums, permute)
+        rest = plan.complement(params, w_ref + w)
         compared = [
-            (sorted(((support(mask), a, b) for mask, a, b in diffs),
-                    key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
-            for diffs, abs_sum in map(_differences, reference, tallies)
+            _differences(w_ref, w, rest, ref_w, cur_w)
+            for ref_w, cur_w in zip(reference, _support_weights(nums, counts))
         ]
         # Under the uniform permutation every server position sees the same
-        # distribution, so one tally per demand stands for all N positions.
+        # distribution, so one comparison per demand stands for all N positions.
         for n, (diffs, abs_sum) in enumerate(compared * (params.N // len(compared)), start=1):
             violations.extend(
                 PrivacyViolation(
@@ -430,7 +408,9 @@ def coefficient_privacy_check(
     demands = list(combinations(range(1, params.K + 1), params.D))
     ref, *rest = (coefficient_distributions(params, prob, w) for w in demands)
     max_abs_sum = max(
-        (_differences(a, b)[1] for cur in rest for a, b in zip(ref, cur)), default=Fraction(0)
+        (sum(abs(a.get(v, 0) - b.get(v, 0)) for v in a.keys() | b.keys())
+         for cur in rest for a, b in zip(ref, cur)),
+        default=Fraction(0),
     )
     return CoefficientPrivacyReport(
         params=params,

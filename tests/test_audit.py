@@ -155,15 +155,16 @@ class TestPrivacyCheck:
 
     @pytest.mark.parametrize("permute", [True, False])
     def test_violation_order_does_not_depend_on_tally_construction(self, monkeypatch, permute):
-        # The same tallies built as a plain dict, in reverse insertion order,
+        # The same weights built as a plain dict, in reverse insertion order,
         # or as returned must give the same report, violation order included.
         params = Params(K=7, D=3)
         mutated = audit.perturb_prob_table(build_prob_table(params), 1, 2)
-        built = audit._support_tallies
+        built = audit._support_weights
         reports = []
         for rebuild in (lambda t: t, dict, lambda t: dict(reversed(list(t.items())))):
             monkeypatch.setattr(
-                audit, "_support_tallies", lambda *a, r=rebuild: [r(t) for t in built(*a)]
+                audit, "_support_weights",
+                lambda *a, r=rebuild: [[r(t) for t in by_i] for by_i in built(*a)],
             )
             reports.append(audit.privacy_check(params, mutated, permute=permute))
         assert reports[0].violations

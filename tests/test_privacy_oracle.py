@@ -1,12 +1,16 @@
-"""The exact privacy audit against the full crossing it certifies away.
+"""The exact privacy audit against a full crossing of its own.
 
 privacy_check accepts a demand set by its demand-part counts and the
-reference's size-class certificate, and crosses out its support tallies only
-when either fails.  The oracle here crosses out and diffs every demand set,
-so the two reports must be equal: on the instances of acceptance criterion
-3, on every single-entry perturbation of small tables, with and without the
-permutation, and on three broken plans built to slip past a weaker
-certificate.
+reference's size-class certificate, and compares any other demand set with
+the reference class by class, expanding only the support classes whose
+weights differ.  The oracle here shares only the weights w_i[t]
+(audit._demand_counts, audit._support_weights): it crosses every demand
+set's weights with all complement subsets into tallies keyed by support
+bitmask and diffs them support by support, so the two reports must be equal,
+violation order included: on the instances of acceptance criterion 3, on
+every single-entry perturbation of small tables, with and without the
+permutation, on two perturbed wider shapes, and on three broken plans built
+to slip past a weaker certificate.
 """
 from __future__ import annotations
 
@@ -25,30 +29,72 @@ from mpir.prob import ProbTable, build_prob_table, common_denominator, table_mas
 CRITERION_3 = [(K, D) for D in range(2, 7) for K in range(D + 1, 13)]
 MUTATED = [(4, 2), (5, 2), (6, 3), (7, 3), (8, 4)]
 # Without the permutation no certificate holds at position 1 (it sees
-# complement subsets alone), so every demand set falls back to the crossing
+# complement subsets alone), so every demand set is compared by class
 # there; (8, 4) is left out, as its 21 reports of ~31k violations each take
 # about 10 s for nothing the smaller instances do not cover.
 MUTATED_UNPERMUTED = MUTATED[:-1]
 
 
+def support_tallies(
+    params: Params, w: tuple[int, ...], nums: tuple[tuple[int, ...], ...], permute: bool
+) -> list[dict[int, int]]:
+    """Per server position, each support's probability times the scale,
+    keyed by the support as an int bitmask (bit t-1 for message t).
+
+    Support b | t, b an i-subset of the complement, weighs w_i[t].  b and t
+    are disjoint, so each support is written once.
+    """
+    comp = [1 << (t - 1) for t in plan.complement(params, w)]
+    tallies = []
+    for weights in audit._support_weights(nums, audit._demand_counts(params, w, permute)):
+        masks = {t: sum(1 << (x - 1) for x in t) for weight in weights for t in weight}
+        tallies.append({
+            base | masks[t]: v
+            for i, weight in enumerate(weights)
+            for base in map(sum, combinations(comp, i))
+            for t, v in weight.items()
+        })
+    return tallies
+
+
+def support(mask: int) -> frozenset[int]:
+    """The message indices of a support bitmask."""
+    return frozenset(t + 1 for t in range(mask.bit_length()) if mask >> t & 1)
+
+
+def differences(ref: dict[int, int], cur: dict[int, int]) -> tuple[list[tuple], int]:
+    """The (mask, ref value, cur value) entries where two tallies differ, and
+    the sum of |ref - cur| over all masks."""
+    diffs = []
+    abs_sum = 0
+    if ref == cur:
+        return diffs, abs_sum
+    for key in set(ref) | set(cur):
+        a, b = ref.get(key, 0), cur.get(key, 0)
+        if a != b:
+            diffs.append((key, a, b))
+            abs_sum += abs(a - b)
+    return diffs, abs_sum
+
+
 def full_crossing_report(params: Params, prob: ProbTable, permute: bool) -> audit.PrivacyReport:
-    """privacy_check without the certificate: every demand set's tallies are
-    crossed out and diffed against the reference's."""
+    """privacy_check without the certificate or the classes: every demand
+    set's tallies are crossed out and diffed against the reference's."""
     den, nums = common_denominator(prob)
     scale = params.N * den if permute else den
     demands = list(combinations(range(1, params.K + 1), params.D))
     w_ref = demands[0]
-    reference = audit._support_tallies(params, w_ref, nums, permute)
+    reference = support_tallies(params, w_ref, nums, permute)
     # Few distinct values recur across ~10^4 violations: build each once.
-    support, fraction = cache(audit._support), cache(lambda v: Fraction(v, scale))
+    cached_support, fraction = cache(support), cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations = []
     for w in demands[1:]:
-        tallies = audit._support_tallies(params, w, nums, permute)
+        tallies = support_tallies(params, w, nums, permute)
         compared = [
-            (sorted(((support(mask), a, b) for mask, a, b in diffs),
+            (sorted(((cached_support(mask), a, b) for mask, a, b in diffs),
                     key=lambda d: (len(d[0]), sorted(d[0]))), abs_sum)
-            for diffs, abs_sum in map(audit._differences, reference, tallies)
+            for diffs, abs_sum in map(differences, reference, tallies)
         ]
         for n, (diffs, abs_sum) in enumerate(compared * (params.N // len(compared)), start=1):
             violations.extend(
@@ -89,6 +135,22 @@ def test_equals_full_crossing_on_every_single_entry_mutation(K, D, permute):
         assert report == full_crossing_report(params, prob, permute), entry
         if entry is not None:
             assert not report.passed, entry
+
+
+@pytest.mark.parametrize(
+    "K,D,permute,i,j", [(12, 4, True, 0, 1), (12, 4, True, 1, 4), (9, 3, False, 0, 1)]
+)
+def test_equals_full_crossing_on_a_wider_mutation(K, D, permute, i, j):
+    # Complements of W ∪ W_ref of up to 7 (K = 12) or 5 (K = 9) messages.
+    # Under the permutation a nudged P[0][j] changes sub-table 0 alone, where
+    # every differing class is one support; P[1][4] also makes classes of
+    # r = 1 differ, each standing for |rest| supports in the TV sum and in
+    # the violations.
+    params = Params(K=K, D=D)
+    prob = audit.perturb_prob_table(build_prob_table(params), i, j)
+    report = audit.privacy_check(params, prob, permute=permute)
+    assert not report.passed
+    assert report == full_crossing_report(params, prob, permute)
 
 
 @pytest.mark.parametrize("permute", [True, False])
