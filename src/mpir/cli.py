@@ -215,6 +215,13 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_instance(p: argparse.ArgumentParser, m: int, K_required: bool = True) -> None:
+    p.add_argument("--K", type=int, required=K_required, help="number of messages")
+    p.add_argument("--D", type=int, required=True, help="demand size (N = D+1 servers)")
+    p.add_argument("--q", type=int, default=None, help="field order (default: smallest prime > D)")
+    p.add_argument("--m", type=int, default=m, help="message length in field elements")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpir",
@@ -224,10 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="print all derived quantities for one instance")
-    p.add_argument("--K", type=int, required=True, help="number of messages")
-    p.add_argument("--D", type=int, required=True, help="demand size (N = D+1 servers)")
-    p.add_argument("--q", type=int, default=None, help="field order (default: smallest prime > D)")
-    p.add_argument("--m", type=int, default=1, help="message length in field elements")
+    _add_instance(p, m=1)
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("rate-table", help="exact rate/bound/gap table over a K range")
@@ -238,20 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rate_table)
 
     p = sub.add_parser("simulate", help="run seeded in-memory retrieval rounds")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=8)
+    _add_instance(p, m=8)
     p.add_argument("--rounds", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("audit", help="privacy / evenness / recoverability checks")
     p.add_argument("check", choices=("privacy", "evenness", "recoverability"))
-    p.add_argument("--K", type=int)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=8)
+    _add_instance(p, m=8, K_required=False)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mutate", type=int, nargs=2, metavar=("I", "J"),
@@ -267,10 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     pi = store_sub.add_parser("init", help="write a random store file")
     pi.add_argument("--out", required=True)
-    pi.add_argument("--K", type=int, required=True)
-    pi.add_argument("--D", type=int, required=True, help="used for the default q")
-    pi.add_argument("--q", type=int, default=None)
-    pi.add_argument("--m", type=int, default=8)
+    _add_instance(pi, m=8)
     pi.add_argument("--seed", type=int, default=0)
     pi.set_defaults(func=_cmd_store_init)
 
@@ -283,10 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieve", help="run one round against running servers")
     p.add_argument("--endpoints", required=True, help="comma-separated host:port, one per server")
     p.add_argument("--W", required=True, help="comma-separated demand indices")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--m", type=int, default=8)
+    _add_instance(p, m=8)
     p.add_argument("--seed", type=int, default=None,
                    help="replay only, not private: fixes the queries as a function of W "
                         "(default: fresh OS randomness each round)")

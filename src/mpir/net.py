@@ -10,12 +10,12 @@ A QUERY payload is K field elements, an ANSWER payload m field elements,
 each of w = gf.element_width(q) bytes, as :mod:`mpir.gf` holds them in
 memory.  EMPTY_ANSWER carries no payload and is the reply to an all-zero
 query.  ERROR carries a UTF-8 message and the server closes the
-connection; a QUERY header declaring other than K*w bytes, or a query
-element of q or more, gets ERROR, the first before any payload is read.
-A connection that stalls mid-read is closed after _AnswerHandler.timeout
-seconds.  The client likewise checks each reply header (ANSWER m*w bytes,
-EMPTY_ANSWER none, ERROR at most _MAX_ERROR) before it reads the payload,
-and every ANSWER element against q.
+connection.  Each end checks a header before it reads the payload, in one
+read of the declared length: a QUERY must declare K*w bytes, an ANSWER
+m*w, EMPTY_ANSWER none and ERROR at most _MAX_ERROR.  A QUERY that fails,
+or holds an element of q or more, gets ERROR; an ANSWER element of q or
+more fails the round.  A connection that stalls mid-read is closed after
+_AnswerHandler.timeout seconds.
 
 A server answers each connection on a thread of its own, with at most
 StoreServer.max_workers connections open at once.  A connection holds its
@@ -70,7 +70,6 @@ MSG_ERROR = 4
 _TYPE_NAMES = {MSG_QUERY: "QUERY", MSG_ANSWER: "ANSWER", MSG_EMPTY_ANSWER: "EMPTY_ANSWER",
                MSG_ERROR: "ERROR"}
 _HEADER = struct.Struct("<IB")
-_READ_CHUNK = 1 << 16
 _MAX_ERROR = 1 << 12
 
 
@@ -97,13 +96,13 @@ def read_frame(stream: BinaryIO, sizes: Mapping[int, int]) -> tuple[int, bytes]:
 
     The header is checked before any payload is read: the declared length
     must equal the type's value in `sizes` (for ERROR, whose message varies,
-    be at most its value).  So a peer cannot make the reader wait for, or
-    buffer, more than it expects.
+    be at most its value).  So the one read(length) that takes the payload
+    never waits for, or buffers, more than the reader expects.
 
     Raises ConnectionClosed at a clean frame boundary and ProtocolError on
     truncation, an unknown message type or a failed `sizes` check.
     """
-    header = _read_up_to(stream, _HEADER.size)
+    header = stream.read(_HEADER.size)
     if not header:
         raise ConnectionClosed("no more frames")
     if len(header) < _HEADER.size:
@@ -116,22 +115,10 @@ def read_frame(stream: BinaryIO, sizes: Mapping[int, int]) -> tuple[int, bytes]:
         raise ProtocolError(f"unexpected {name} frame")
     if length > size if msg_type == MSG_ERROR else length != size:
         raise ProtocolError(f"{name} of {length} bytes, expected {size}")
-    payload = _read_up_to(stream, length)
+    payload = stream.read(length)
     if len(payload) < length:
         raise ProtocolError(f"truncated payload ({len(payload)}/{length} bytes)")
     return msg_type, payload
-
-
-def _read_up_to(stream: BinaryIO, n: int) -> bytes:
-    # Bounded reads into one growing buffer: memory follows the bytes that
-    # actually arrive, not the length a peer declares.
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = stream.read(min(n - len(buf), _READ_CHUNK))
-        if not chunk:
-            break
-        buf += chunk
-    return bytes(buf)
 
 
 def write_store(path: str | Path, store: MessageStore) -> None:
@@ -181,8 +168,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
             while True:
                 try:
                     _, payload = read_frame(self.rfile, {MSG_QUERY: size})
-                    query = gf.decode(payload, store.q)
-                    if max(query) >= store.q:
+                    if gf.out_of_range(payload, store.q):
                         raise ProtocolError("field element out of range for the store's modulus")
                 except ConnectionClosed:
                     return
@@ -190,7 +176,7 @@ class _AnswerHandler(socketserver.StreamRequestHandler):
                     self.wfile.write(pack_frame(MSG_ERROR, str(exc).encode()))
                     return
                 self.connection.settimeout(self.timeout)
-                answer = server_answer(store, query)
+                answer = server_answer(store, gf.decode(payload, store.q))
                 if answer is None:
                     self.wfile.write(pack_frame(MSG_EMPTY_ANSWER))
                 else:

@@ -18,6 +18,7 @@ privacy, so it is searched for and verified here instead of assumed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
@@ -26,7 +27,7 @@ from .params import Params, binomial, lj_mj
 from .prob import ProbTable
 
 
-class EvennessError(Exception):
+class EvennessError(ValueError):
     """No collection of distinct j-subsets can satisfy the evenness property."""
 
 
@@ -96,22 +97,14 @@ def shifts(W: Iterable[int], T: Iterable[int]) -> tuple[frozenset[int], ...]:
     return tuple(out)
 
 
-def _orbit(positions: frozenset[int], D: int) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset((p + d) % D for p in positions) for d in range(D))
-
-
 def _position_candidates(D: int, j: int) -> tuple[tuple[int, ...], ...]:
     # All j-subsets of positions 0..D-1 containing position 0, in lex order.
     return tuple(c for c in combinations(range(D), j) if c[0] == 0)
 
 
 def _positions_even(collection: Iterable[tuple[int, ...]], D: int, j: int, mj: int) -> bool:
-    counts: dict[frozenset[int], int] = {}
-    for cand in collection:
-        for d in range(D):
-            s = frozenset((p + d) % D for p in cand)
-            counts[s] = counts.get(s, 0) + 1
-    return all(counts.get(frozenset(s), 0) == mj for s in combinations(range(D), j))
+    counts = Counter(s for cand in collection for s in shifts(range(D), cand))
+    return all(counts[frozenset(s)] == mj for s in combinations(range(D), j))
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +134,7 @@ def _chosen_positions(D: int, j: int) -> tuple[tuple[int, ...], ...]:
     quotas: dict[frozenset[frozenset[int]], int] = {}
     chosen: list[tuple[int, ...]] = []
     for cand in _position_candidates(D, j):
-        orbit = _orbit(frozenset(cand), D)
+        orbit = frozenset(shifts(range(D), cand))
         stab = D // len(orbit)
         if mj % stab != 0:
             raise EvennessError(
@@ -223,6 +216,8 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     if len(prob.P) != params.K - params.D + 1 or len(prob.P[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
     den, groups = prob.sampling_layout
+    for j in prob.sub_blocks:  # before any draw, EvennessError for a sub-block no row can use
+        _chosen_positions(params.D, j)
     target = rng.randrange(den)
     acc = 0
     for i, j, k_count, l_count, num in groups:

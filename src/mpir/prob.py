@@ -48,6 +48,11 @@ class ProbTable:
             raise ValueError("probability table mass is not exactly 1")
         return den, groups
 
+    @cached_property
+    def sub_blocks(self) -> tuple[int, ...]:
+        """The sub-blocks j, ascending, to which some row gives mass."""
+        return tuple(j for j in range(1, len(self.P[0]) + 1) if any(row[j - 1] for row in self.P))
+
 
 def table_mass(P: Sequence[Sequence[Fraction]]) -> Fraction:
     """Total row mass sum_i C(K-D, i) * sum_j l_j * P[i][j] of a table with

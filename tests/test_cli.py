@@ -212,6 +212,29 @@ class TestAudit:
         assert "--K" in err
 
 
+class TestUnevenInstances:
+    """D=10 has no even collection for sub-blocks 4 and 6.  The analysis
+    still prints its tables; a run that needs such a sub-block is refused
+    with one error line and exit 2, which an audit's FAIL (1) never is."""
+
+    @pytest.mark.parametrize("argv", [
+        ("audit", "evenness", "--D", "10"),
+        ("audit", "privacy", "--K", "11", "--D", "10"),
+        ("simulate", "--K", "15", "--D", "10", "--rounds", "100"),
+    ], ids=" ".join)
+    def test_refused_with_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == ("error: no even collection exists for D=10, j=4: an orbit with "
+                       "stabilizer 2 cannot meet multiplicity 1\n")
+        assert "FAIL" not in out
+
+    def test_params_still_printed(self, capsys):
+        code, out, _ = run_cli(capsys, "params", "--K", "15", "--D", "10")
+        assert code == 0
+        assert "rate R = " in out
+
+
 class TestStoreAndNetwork:
     def test_store_init(self, capsys, tmp_path):
         path = tmp_path / "store.bin"

@@ -160,6 +160,40 @@ def raw_exchange(endpoint, payload_bytes):
             chunks.append(chunk)
 
 
+LARGE = 4 << 20  # payload bytes of the large-frame tests
+
+
+def split(frame):
+    """frame in pieces of uneven sizes, cut before any memory is traced."""
+    pieces, start, size = [], 0, 1
+    while start < len(frame):
+        pieces.append(frame[start:start + size])
+        start += size
+        size = size * 7 % 300_007 + 1
+    return pieces
+
+
+@contextmanager
+def socket_feed(pieces):
+    """A buffered read stream on one end of a socket pair, with a thread
+    writing `pieces` to the other end and then closing it."""
+    reader, writer = socket.socketpair()
+
+    def feed():
+        with writer:
+            for piece in pieces:
+                writer.sendall(piece)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        with reader, reader.makefile("rb") as stream:
+            yield stream
+    finally:
+        thread.join(10)
+    assert not thread.is_alive()
+
+
 class TestFrames:
     def test_round_trip(self):
         frame = net.pack_frame(net.MSG_QUERY, b"abc")
@@ -200,6 +234,28 @@ class TestFrames:
         frame = net.pack_frame(net.MSG_QUERY, b"abc")
         with pytest.raises(net.ProtocolError, match=rf"truncated frame header \({n} bytes\)"):
             net.read_frame(io.BytesIO(frame[:n]), {net.MSG_QUERY: 3})
+
+    def test_large_frame_read_whole_in_one_buffer(self):
+        # A 4 MiB ANSWER written over a socket in uneven pieces comes back
+        # whole, and reading it allocates the payload's bytes about once.
+        payload = bytes(range(251)) * (LARGE // 251) + bytes(LARGE % 251)
+        pieces = split(net.pack_frame(net.MSG_ANSWER, payload))
+        with socket_feed(pieces) as stream:
+            tracemalloc.start()
+            try:
+                msg_type, got = net.read_frame(stream, {net.MSG_ANSWER: LARGE})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (msg_type, got) == (net.MSG_ANSWER, payload)
+        assert peak <= 1.1 * LARGE
+
+    def test_large_payload_cut_short_is_truncated(self):
+        pieces = split(net.pack_frame(net.MSG_ANSWER, bytes(LARGE))[:-1])
+        with socket_feed(pieces) as stream:
+            with pytest.raises(net.ProtocolError,
+                               match=rf"truncated payload \({LARGE - 1}/{LARGE} bytes\)"):
+                net.read_frame(stream, {net.MSG_ANSWER: LARGE})
 
 
 class TestStoreFile:
@@ -408,6 +464,27 @@ class TestServer:
         bad = net.pack_frame(net.MSG_QUERY, gf.encode([store.q, 0, 0, 0], store.q))
         msg_type, _ = net.read_frame(io.BytesIO(raw_exchange(cluster[0], bad)), REPLIES)
         assert msg_type == net.MSG_ERROR
+
+    @pytest.mark.parametrize("q", [65521, 2**64 - 59])
+    def test_wide_field_range_check(self, q):
+        # At two- and eight-byte elements: a query element of q gets ERROR,
+        # one of q - 1 its answer.
+        params = Params(K=3, D=2, q=q, m=5)
+        store = MessageStore.random(params, random.Random(q))
+        replies = {net.MSG_ANSWER: params.m * gf.element_width(q), net.MSG_ERROR: net._MAX_ERROR}
+        with serving(store, ports=(0,)) as (endpoint,):
+            for pos in range(params.K):
+                query = [1, 2, 3]
+                query[pos] = q
+                reply = raw_exchange(endpoint, net.pack_frame(net.MSG_QUERY, gf.encode(query, q)))
+                msg_type, payload = net.read_frame(io.BytesIO(reply), replies)
+                assert (msg_type, payload) == (
+                    net.MSG_ERROR, b"field element out of range for the store's modulus"
+                )
+                query[pos] = q - 1
+                reply = raw_exchange(endpoint, net.pack_frame(net.MSG_QUERY, gf.encode(query, q)))
+                msg_type, payload = net.read_frame(io.BytesIO(reply), replies)
+                assert (msg_type, payload) == (net.MSG_ANSWER, server_answer(store, query))
 
     def test_oversized_length_gets_error_at_once(self, cluster):
         # The header alone, declaring 2**32 - 1 payload bytes, with the write

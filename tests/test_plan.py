@@ -1,6 +1,7 @@
 """Tests for table indexing, subset shifts, evenness, and row sampling."""
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations
@@ -164,6 +165,25 @@ class TestVerifyEvenness:
         }
         assert failures == {(7, 3), (7, 4), (7, 5), (8, 3), (8, 5), (8, 6)}
 
+    def test_chosen_collections_pinned(self):
+        # Every chosen collection for D <= 13 that exists, in position space,
+        # hashed: the shift rule the search uses must not move one.  D=10
+        # and D=12 are the first D with a sub-block that has none.
+        digest = hashlib.sha256()
+        missing = set()
+        for D in range(1, 14):
+            for j in range(1, D + 1):
+                try:
+                    positions = plan._chosen_positions(D, j)
+                except plan.EvennessError:
+                    missing.add((D, j))
+                    continue
+                digest.update(repr((D, j, positions)).encode())
+        assert missing == {(10, 4), (10, 6), (12, 6)}
+        assert digest.hexdigest() == (
+            "30d005cca331ae8d798d0012b8d88633885f0dd2f6563d2dac67af0a29387f38"
+        )
+
 
 class TestRowSupports:
     def test_worked_rows(self):
@@ -316,3 +336,29 @@ class TestDemandValidation:
         # multiplicity, so no collection of distinct subsets works.
         with pytest.raises(plan.EvennessError):
             plan.choose_T_collection(Params(K=11, D=10), tuple(range(1, 11)), 4)
+
+
+class TestUnevenSubBlocks:
+    """D=10 (j = 4, 6) and D=12 (j = 6) have sub-blocks with no even
+    collection; every K >= D+4 gives one of them mass."""
+
+    @pytest.mark.parametrize("K,D", [(14, 10), (15, 10), (16, 12)])
+    def test_sample_row_refuses_before_any_draw(self, K, D):
+        params = Params(K=K, D=D)
+        table = build_prob_table(params)  # the analysis accepts the instance
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(plan.EvennessError, match=f"D={D}, j="):
+            plan.sample_row(params, table, range(1, D + 1), rng)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("K,D,sub_blocks", [(13, 10, (1, 2, 3, 10)), (15, 12, (1, 2, 3, 12))])
+    def test_instances_without_mass_there_still_draw(self, K, D, sub_blocks):
+        params = Params(K=K, D=D)
+        table = build_prob_table(params)
+        assert table.sub_blocks == sub_blocks
+        rng = random.Random(1)
+        for _ in range(200):
+            row = plan.sample_row(params, table, range(1, D + 1), rng)
+            assert row.j in sub_blocks
+            plan.row_supports(params, range(1, D + 1), row)
