@@ -131,11 +131,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    if args.check in ("privacy", "recoverability") and args.K is None:
-        raise ValueError(f"--K is required for the {args.check} check")
     if args.check == "privacy":
-        if args.coefficient_level and args.no_permute:
-            raise ValueError("--no-permute applies to the support-level audit only")
         params = Params(K=args.K, D=args.D, q=args.q)
         table = build_prob_table(params)
         if args.mutate is not None:
@@ -192,12 +188,9 @@ def _cmd_store_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    server = net.StoreServer(net.read_store(args.store), host=args.host, port=args.port)
-    print(f"serving {args.store} on {args.host}:{server.port}", flush=True)
-    try:
+    with net.StoreServer(net.read_store(args.store), host=args.host, port=args.port) as server:
+        print(f"serving {args.store} on {args.host}:{server.port}", flush=True)
         server.serve_forever()
-    finally:
-        server.server_close()
     return 0
 
 
@@ -206,7 +199,11 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     endpoints = []
     for addr in args.endpoints.split(","):
         host, _, port = addr.strip().rpartition(":")
+        if not port.isdecimal():
+            raise ValueError(f"--endpoints: {addr!r} is not host:port")
         endpoints.append((host, int(port)))
+    if bad := [x for x in args.W.split(",") if not x.strip().isdecimal()]:
+        raise ValueError(f"--W: {bad[0]!r} is not a demand index")
     W = tuple(int(x) for x in args.W.split(","))
     result = net.retrieve(endpoints, W, params, args.seed)
     for idx, msg in zip(sorted(W), result.transcript.recovered):
@@ -215,11 +212,12 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_instance(p: argparse.ArgumentParser, m: int, K_required: bool = True) -> None:
-    p.add_argument("--K", type=int, required=K_required, help="number of messages")
+def _add_instance(p: argparse.ArgumentParser, m: int | None) -> None:
+    p.add_argument("--K", type=int, required=True, help="number of messages")
     p.add_argument("--D", type=int, required=True, help="demand size (N = D+1 servers)")
     p.add_argument("--q", type=int, default=None, help="field order (default: smallest prime > D)")
-    p.add_argument("--m", type=int, default=m, help="message length in field elements")
+    if m is not None:
+        p.add_argument("--m", type=int, default=m, help="message length in field elements")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,18 +246,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("audit", help="privacy / evenness / recoverability checks")
-    p.add_argument("check", choices=("privacy", "evenness", "recoverability"))
-    _add_instance(p, m=8, K_required=False)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mutate", type=int, nargs=2, metavar=("I", "J"),
-                   help="perturb P[I][J] before auditing (expected to fail)")
-    p.add_argument("--no-permute", action="store_true",
-                   help="audit without the random server permutation (expected to fail)")
-    p.add_argument("--coefficient-level", action="store_true",
-                   help="audit full coefficient vectors exactly: replays the shipped "
-                        "query builder over every random choice (small instances only)")
     p.set_defaults(func=_cmd_audit)
+    checks = p.add_subparsers(dest="check", required=True)
+    # Exact option names only: "--m" would otherwise be read as "--mutate".
+    pc = checks.add_parser("privacy", allow_abbrev=False, help="exact privacy, every demand set")
+    _add_instance(pc, m=None)
+    pc.add_argument("--mutate", type=int, nargs=2, metavar=("I", "J"),
+                    help="perturb P[I][J] before auditing (expected to fail)")
+    exclusive = pc.add_mutually_exclusive_group()
+    exclusive.add_argument("--no-permute", action="store_true",
+                           help="audit without the random server permutation (expected to fail)")
+    exclusive.add_argument("--coefficient-level", action="store_true",
+                           help="audit full coefficient vectors exactly: replays the shipped "
+                                "query builder over every random choice (small instances only)")
+    pc = checks.add_parser("evenness", help="every sub-block collection is even")
+    pc.add_argument("--D", type=int, required=True, help="demand size (N = D+1 servers)")
+    pc = checks.add_parser("recoverability", help="seeded rounds recover every demand")
+    _add_instance(pc, m=8)
+    pc.add_argument("--trials", type=int, default=1000)
+    pc.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("store", help="message store utilities")
     store_sub = p.add_subparsers(dest="store_command", required=True)
@@ -288,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse's exit after a usage error or --help
+        return exc.code
     except (ValueError, net.ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

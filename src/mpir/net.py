@@ -31,7 +31,8 @@ total).  Version 1 files (magic "MPIR1", u64 elements) are rejected by name.
 The server handler receives nothing but coefficient vectors; the demand set
 never crosses the wire.  The client runs :func:`protocol.execute_round` with
 an answerer that takes one connection per server, writes every query, and
-only then reads the answers in order.
+only then reads the answers in order.  ValueError refuses a server port
+outside 0..65535 (0 picks a free one) and an endpoint port outside 1..65535.
 
 Client connections outlive a round: each process keeps at most one idle
 connection per endpoint, for at most _MAX_IDLE endpoints, and puts a round's
@@ -198,6 +199,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
     max_workers = 16
 
     def __init__(self, store: MessageStore, host: str = "127.0.0.1", port: int = 0):
+        if not 0 <= port < 65536:  # bind() would raise OverflowError
+            raise ValueError(f"port {port} outside 0..65535")
         self.store = store
         store.packed  # built now, not during a client's first query
         self._open: set[socket.socket] = set()
@@ -324,13 +327,15 @@ def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) ->
     return payload if msg_type == MSG_ANSWER else None
 
 
-def _check_distinct(endpoints: Sequence[tuple[str, int]]) -> None:
+def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
     # A server that receives two columns of one round sees U and U + V_h,
     # whose difference V_h has its support inside the demand set.  Names are
     # resolved so that two spellings of one address count as one server.
     seen: dict[tuple, tuple[str, int]] = {}
     for endpoint in endpoints:
         host, port = endpoint
+        if not 0 < port < 65536:  # getaddrinfo would take it mod 65536
+            raise ValueError(f"endpoint {endpoint}: port outside 1..65535")
         addrs = {info[4][:2] for info in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)}
         for addr in addrs:
             if addr in seen:
@@ -360,8 +365,8 @@ def retrieve(
     the operating system's CSPRNG, as privacy requires.  A seed makes them a
     function of W, for replay only: with equal stores the transcript is then
     identical to an in-memory round driven by random.Random(seed).
-    Endpoints that resolve to a common (address, port) are rejected with
-    ValueError before any query is sent.
+    Endpoints with a port outside 1..65535, or that resolve to a common
+    (address, port), are rejected with ValueError before any query is sent.
 
     Connections are reused across calls, at most one idle per endpoint, and
     a failed round closes its own.  A reused one the server has closed is
@@ -371,7 +376,7 @@ def retrieve(
     """
     if len(endpoints) != params.N:
         raise ValueError(f"need exactly N={params.N} endpoints, got {len(endpoints)}")
-    _check_distinct(endpoints)
+    _check_endpoints(endpoints)
     rng = random.SystemRandom() if seed is None else random.Random(seed)
     transcript = execute_round(
         params,

@@ -54,6 +54,12 @@ class TestParamsCommand:
         assert "capacity upper bound = 6/7" in out
         assert "gap = 1/42" in out
 
+    def test_usage_error_is_returned(self, capsys):
+        code, out, err = run_cli(capsys, "params")
+        assert code == 2
+        assert out == ""
+        assert "the following arguments are required: --K, --D" in err
+
     def test_invalid_inputs(self, capsys):
         assert run_cli(capsys, "params", "--K", "1", "--D", "2")[0] == 2
         assert run_cli(capsys, "params", "--K", "4", "--D", "2", "--q", "4")[0] == 2
@@ -206,6 +212,38 @@ class TestAudit:
         assert code == 0
         assert "400/400" in out
 
+    def test_recoverability_reads_q_and_m(self, capsys):
+        code, out, _ = run_cli(capsys, "audit", "recoverability", "--K", "4", "--D", "2",
+                               "--q", "5", "--m", "3", "--trials", "50")
+        assert code == 0
+        assert "recoverability K=4 D=2 q=5 m=3: 50/50 rounds recovered" in out
+
+    # Each check's own options, and each option it does not read.  "--m" for
+    # privacy is given two values: were abbreviations allowed there, it would
+    # be read as "--mutate 0 1" and audit a perturbed table.
+    AUDIT_ARGS = {
+        "privacy": ("--K", "5", "--D", "2"),
+        "evenness": ("--D", "4"),
+        "recoverability": ("--K", "5", "--D", "2", "--trials", "50"),
+    }
+    UNREAD = [
+        ("evenness", "--K", "5"), ("evenness", "--q", "5"), ("evenness", "--m", "8"),
+        ("evenness", "--trials", "10"), ("evenness", "--seed", "1"),
+        ("evenness", "--mutate", "0", "1"), ("evenness", "--no-permute"),
+        ("evenness", "--coefficient-level"),
+        ("privacy", "--m", "0", "1"), ("privacy", "--trials", "10"), ("privacy", "--seed", "1"),
+        ("recoverability", "--mutate", "0", "1"), ("recoverability", "--no-permute"),
+        ("recoverability", "--coefficient-level"),
+    ]
+
+    @pytest.mark.parametrize("check,option", [(c, o) for c, *o in UNREAD],
+                             ids=[" ".join(u[:2]) for u in UNREAD])
+    def test_unread_option_is_usage_error(self, capsys, check, option):
+        code, out, err = run_cli(capsys, "audit", check, *self.AUDIT_ARGS[check], *option)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+
     def test_missing_k_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "audit", "privacy", "--D", "2")
         assert code == 2
@@ -307,6 +345,24 @@ class TestStoreAndNetwork:
         assert "format version 1" in err
         assert "re-run `mpir store init`" in err
         assert out == ""
+
+    def test_serve_port_outside_range(self, capsys, tmp_path):
+        path = tmp_path / "store.bin"
+        net.write_store(path, MessageStore.random(Params(K=4, D=2, m=8), random.Random(1)))
+        code, out, err = run_cli(capsys, "serve", "--store", str(path), "--port", "99999")
+        assert (code, out, err) == (2, "", "error: port 99999 outside 0..65535\n")
+
+    @pytest.mark.parametrize("endpoints,W,message", [
+        ("localhost,localhost:2,localhost:3", "1,2", "--endpoints: 'localhost' is not host:port"),
+        ("127.0.0.1:,127.0.0.1:2,127.0.0.1:3", "1,2", "--endpoints: '127.0.0.1:' is not host:port"),
+        ("127.0.0.1:1,127.0.0.1:2,127.0.0.1:3", "1,x", "--W: 'x' is not a demand index"),
+        ("127.0.0.1:99999,127.0.0.1:2,127.0.0.1:3", "1,2",
+         "endpoint ('127.0.0.1', 99999): port outside 1..65535"),
+    ], ids=["no port", "empty port", "W not an integer", "port 99999"])
+    def test_retrieve_refusal_names_the_item(self, capsys, endpoints, W, message):
+        code, out, err = run_cli(capsys, "retrieve", "--endpoints", endpoints, "--W", W,
+                                 "--K", "4", "--D", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_retrieve_bad_endpoints(self, capsys):
         code, _, err = run_cli(

@@ -416,6 +416,12 @@ class TestReaderFuzz:
 
 
 class TestServer:
+    @pytest.mark.parametrize("port", [-1, 65536, 99999])
+    def test_port_outside_range_rejected_before_bind(self, store, port):
+        # bind() itself would raise OverflowError, which is not a ValueError.
+        with pytest.raises(ValueError, match=rf"port {port} outside 0\.\.65535"):
+            net.StoreServer(store, port=port)
+
     def test_zero_query_empty_answer(self, cluster, params):
         reply = raw_exchange(cluster[0], net.pack_frame(net.MSG_QUERY, bytes(4)))
         msg_type, payload = net.read_frame(io.BytesIO(reply), REPLIES)
@@ -687,6 +693,16 @@ class TestRetrieve:
         dup = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 1)]
         with pytest.raises(ValueError, match="same server"):
             net.retrieve(dup, (1, 2), params, seed=0)
+
+    @pytest.mark.parametrize("bad_port", [lambda p: p + 65536, lambda p: p - 65536, lambda p: 0],
+                             ids=["P+65536", "P-65536", "0"])
+    def test_port_outside_range_rejected_before_sending(self, cluster, params, accepts, bad_port):
+        # getaddrinfo and connect take a port mod 65536, so P + 65536 would
+        # reach the server on P and get its answer.
+        (host, port), *rest = cluster
+        with pytest.raises(ValueError, match=r"port outside 1\.\.65535"):
+            net.retrieve([(host, bad_port(port))] + rest, (1, 2), params, seed=0)
+        assert sum(accepts.values()) == 0
 
     def test_unreachable_endpoint(self, params):
         dead = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]
