@@ -2,17 +2,19 @@
 
 The privacy auditor does not reuse the analysis that motivated the
 probability table; per demand set W and server position, it counts how often
-sub-block j's columns carry each demand part t ⊆ W, count_j[t], from the
-shipped plan functions, and folds the counts into integer weights
-w_i[t] = sum_j nums[i][j-1] count_j[t] over the table's common denominator:
-the exact probability of each support b | t, b an i-subset of the
-complement.  Privacy holds iff these distributions are identical (rational
-equality, not approximate) across all C(K, D) demand sets.  W passes by its
-counts, D·2^D comparisons per position: listed over t ⊆ W by size, zero
-counts included, they equal the reference demand set's, whose weights have
-a size-class certificate c, w_i[t] == c[i + |t|], checked once per call.
-Equal lists pair the parts by a size-preserving bijection σ, so w^W_i[t] =
-w^ref_i[σ(t)] = c[i + |t|] and every support S weighs c[|S|] under both.
+sub-block j's columns carry each demand part t ⊆ W (a message bitmask, from
+plan.sub_block_masks as row_supports reads it), count_j[t], and folds the
+counts into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
+table's common denominator: the exact probability of each support b | t, b
+an i-subset of the complement.  Privacy holds iff these distributions are
+identical (rational equality, not approximate) across all C(K, D) demand
+sets.  Checked once per call: the reference's counts are size functions,
+count_j[t] == f_j[|t|] for t ⊆ W_ref, and its weights have a size-class
+certificate c, w_i[t] == c[i + |t|].  W passes if each of its parts lies in
+W, is counted f_j[|t|] != 0 times, and they number as many as the
+reference's, which are at least the t ⊆ W_ref with f_j[|t|] != 0: they are
+then exactly the t ⊆ W with f_j[|t|] != 0, so count_j[t] == f_j[|t|] at
+every t ⊆ W, zeros included, and every support S weighs c[|S|] under both.
 Any other W is compared with the reference class by class: a support S
 weighs w_i[S ∩ W] with i = |S ∖ W|, so under both demand sets its weight
 depends only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and only a class whose
@@ -37,7 +39,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
@@ -55,22 +57,28 @@ SupportDistribution = dict[frozenset[int], Fraction]
 _PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
 
 
+def _mask(xs: Iterable[int]) -> int:
+    """The message bitmask of a set of indices, bit x-1 for message x."""
+    return sum(1 << (x - 1) for x in xs)
+
+
 def _demand_counts(params: Params, w: tuple[int, ...], permute: bool) -> list[list[Counter]]:
     """counts[j-1][n][t]: how often sub-block j's columns at server position n
-    carry demand part t, {} in column 1 and shift(T_l, h) in column 1+h; all
-    columns count at the one position under the permutation.  A t never
-    carried has no entry."""
+    carry demand part t, a bitmask: 0 in column 1 and the row's part h from
+    plan.sub_block_masks in column 1+h, all at one position under the
+    permutation.  A t never carried has no entry."""
     counts = []
     for j in range(1, params.D + 1):
-        rows = [(frozenset(), *plan.shifts(w, T)) for T in plan.choose_T_collection(params, w, j)]
-        columns = [chain.from_iterable(rows)] if permute else zip(*rows)
+        rows = plan.sub_block_masks(params, w, j)
+        empty = (0,) * len(rows)  # column 1, row by row
+        columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
         counts.append(list(map(Counter, columns)))
     return counts
 
 
 def _support_weights(
     nums: tuple[tuple[int, ...], ...], counts: list[list[Counter]]
-) -> list[list[dict[frozenset[int], int]]]:
+) -> list[list[dict[int, int]]]:
     """Per server position n and sub-table i, the weight w_i[t] of each demand
     part t, as weights[n][i][t].
 
@@ -92,7 +100,7 @@ def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | 
     """The size-class certificate of one demand set at one server position:
     the c with w_i[t] == c[i + |t|] for every sub-table i and every one of
     the 2^D subsets t of w, a t without weight counting as 0, else None."""
-    parts = [(frozenset(t), size) for size in range(len(w) + 1) for t in combinations(w, size)]
+    parts = [(_mask(t), size) for size in range(len(w) + 1) for t in combinations(w, size)]
     c: dict[int, int] = {}
     for i, weight in enumerate(weights):
         for t, size in parts:
@@ -100,6 +108,17 @@ def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | 
             if c.setdefault(i + size, v) != v:
                 return None
     return tuple(c[size] for size in range(len(c)))
+
+
+def _fits(count: Counter, ref: Counter, f: tuple[int, ...], outside: int) -> bool:
+    """Whether count[t] == f[|t|] at every t ⊆ W, zeros included, given the
+    reference's count, whose size function is f, and outside = ~mask(W):
+    every key lies in W with count f[|t|] != 0, and the keys number as many
+    as the reference's, at least the t ⊆ W with f[|t|] != 0."""
+    for t, v in count.items():
+        if t & outside or v != f[t.bit_count()]:
+            return False
+    return len(count) == len(ref)
 
 
 def _differences(
@@ -113,12 +132,14 @@ def _differences(
     under W, and likewise under W_ref."""
     diffs = []
     abs_sum = 0
+    ref_mask, cur_mask = _mask(w_ref), _mask(w)
     union = sorted(set(w_ref) | set(w))
     for u in chain.from_iterable(combinations(union, size) for size in range(len(union) + 1)):
-        t_ref, t = frozenset(u).intersection(w_ref), frozenset(u).intersection(w)
+        u_mask = _mask(u)
+        t_ref, t = u_mask & ref_mask, u_mask & cur_mask
         for r in range(len(rest) + 1):
-            a = ref_w[len(u) - len(t_ref) + r].get(t_ref, 0)
-            b = cur_w[len(u) - len(t) + r].get(t, 0)
+            a = ref_w[len(u) - t_ref.bit_count() + r].get(t_ref, 0)
+            b = cur_w[len(u) - t.bit_count() + r].get(t, 0)
             if a != b:
                 abs_sum += math.comb(len(rest), r) * abs(a - b)
                 diffs.extend((frozenset(u + c), a, b) for c in combinations(rest, r))
@@ -151,7 +172,8 @@ def support_distribution(
     counts = _demand_counts(params, w, permute)
     weights = _support_weights(nums, counts)[0 if permute else server_n - 1]
     comp = plan.complement(params, w)
-    return {frozenset(b) | t: Fraction(v, scale) for i, weight in enumerate(weights)
+    parts = {t: frozenset(x for x in w if t >> (x - 1) & 1) for weight in weights for t in weight}
+    return {frozenset(b) | parts[t]: Fraction(v, scale) for i, weight in enumerate(weights)
             for b in combinations(comp, i) for t, v in weight.items()}
 
 
@@ -187,12 +209,10 @@ def privacy_check(
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
 
-    A demand set passes by its counts (_demand_counts) when, at every
-    position and sub-block j, they equal the reference's at all 2^D subsets
-    t listed by size, zeros included: its weights are then the reference's,
-    relabelled by size, so if those have a certificate c (_size_classes),
-    both weigh every support S c[|S|].  Any other demand set, or every one
-    if the reference has no c, is compared by support class (_differences).
+    A demand set passes by its counts when they fit the reference's size
+    functions (_fits), as the module docstring sets out; any other, or every
+    one if the reference is not so certified, is compared by support class
+    (_differences).
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -200,22 +220,21 @@ def privacy_check(
     scale = params.N * den if permute else den
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
 
-    def counts_at(w: tuple[int, ...], counts: list) -> list[list[int]]:
-        # Each count_j[n] at every subset t of w by size, zeros included.
-        ts = [frozenset(t) for size in range(params.D + 1) for t in combinations(w, size)]
-        return [[c.get(t, 0) for t in ts] for count in counts for c in count]
-
     w_ref = demands[0]
     counts = _demand_counts(params, w_ref, permute)
     reference = _support_weights(nums, counts)
-    certified = None not in [_size_classes(w_ref, weights) for weights in reference]
-    ref_counts = counts_at(w_ref, counts)
+    # The reference's counts, per sub-block j and position n, and their size
+    # functions f, count[t] == f[|t|].
+    ref_counts = list(chain.from_iterable(counts))
+    fs = [_size_classes(w_ref, [count]) for count in ref_counts]
+    certified = None not in fs + [_size_classes(w_ref, weights) for weights in reference]
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
         counts = _demand_counts(params, w, permute)
-        if certified and counts_at(w, counts) == ref_counts:
+        fits = map(_fits, chain.from_iterable(counts), ref_counts, fs, repeat(~_mask(w)))
+        if certified and all(fits):
             continue
         rest = plan.complement(params, w_ref + w)
         compared = [
@@ -441,6 +460,8 @@ def evenness_check(D: int) -> EvennessReport:
     l_j subsets would have satisfied evenness; those data points are genuine
     findings (the property does not hold for arbitrary choices).
     """
+    if not isinstance(D, int) or D < 2:
+        raise ValueError(f"D must be an integer > 1, got {D!r}")
     params = Params(K=D + 1, D=D)
     W = tuple(range(1, D + 1))
     _, m = lj_mj(D)

@@ -110,6 +110,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_rate_table(args: argparse.Namespace) -> int:
+    if args.k_min > args.k_max:
+        raise ValueError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
     headers, rows = rate_table_rows(args.D, args.k_min, args.k_max)
     sys.stdout.write(_emit_table(headers, rows, args.format))
     return 0
@@ -117,6 +119,8 @@ def _cmd_rate_table(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = Params(K=args.K, D=args.D, q=args.q, m=args.m)
+    if args.rounds < 1:
+        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
     rate = rate_report(params).rate
     rng = random.Random(args.seed)
     rep = audit.recoverability_check(params, args.rounds, rng, MessageStore.random(params, rng))

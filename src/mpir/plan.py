@@ -10,20 +10,24 @@ A plan table for demand set W has one row per tuple (i, k, j, l):
   row's N supports are R, R + shift(T, 1), ..., R + shift(T, D).
 
 Rows are never materialized as a whole table; everything is reconstructed on
-demand from the tuple.  The collection of j-subsets backing each sub-block
-must satisfy an evenness property (every j-subset of W appears exactly m_j
-times across the l_j x D shifted columns); that property is load-bearing for
-privacy, so it is searched for and verified here instead of assumed.
+demand from the tuple, the shifted parts as message bitmasks (bit x-1 for
+message x) by sub_block_masks, which row_supports and the privacy audit both
+read.  The collection of j-subsets backing each sub-block must satisfy an
+evenness property (every j-subset of W appears exactly m_j times across the
+l_j x D shifted columns); that property is load-bearing for privacy, so it
+is searched for and verified here instead of assumed.
 """
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from .params import Params, binomial, lj_mj
+from .params import Params, lj_mj
 from .prob import ProbTable
 
 
@@ -55,8 +59,7 @@ def as_demand(params: Params, W: Iterable[int]) -> tuple[int, ...]:
 
 def complement(params: Params, W: Iterable[int]) -> tuple[int, ...]:
     """Sorted message indices outside the demand."""
-    w = set(W)
-    return tuple(x for x in range(1, params.K + 1) if x not in w)
+    return tuple(sorted(set(range(1, params.K + 1)).difference(W)))
 
 
 def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...]:
@@ -64,21 +67,19 @@ def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...
     if not 0 <= i <= params.K - params.D:
         raise ValueError(f"i must be in [0, {params.K - params.D}], got {i}")
     pool = complement(params, as_demand(params, W))
-    if not 1 <= k <= binomial(len(pool), i):
-        raise ValueError(f"k must be in [1, {binomial(len(pool), i)}], got {k}")
+    if not 1 <= k <= math.comb(len(pool), i):
+        raise ValueError(f"k must be in [1, {math.comb(len(pool), i)}], got {k}")
     # Combinatorial unranking: at each slot, skip over the blocks of
     # combinations that start with earlier pool elements.
     idx = k - 1
     out: list[int] = []
-    start = 0
-    for slots_left in range(i, 0, -1):
-        for pos in range(start, len(pool)):
-            block = binomial(len(pool) - pos - 1, slots_left - 1)
-            if idx < block:
-                out.append(pool[pos])
-                start = pos + 1
-                break
+    pos = 0
+    for slots_left in range(i - 1, -1, -1):
+        while idx >= (block := math.comb(len(pool) - pos - 1, slots_left)):
             idx -= block
+            pos += 1
+        out.append(pool[pos])
+        pos += 1
     return tuple(out)
 
 
@@ -129,6 +130,8 @@ def _chosen_positions(D: int, j: int) -> tuple[tuple[int, ...], ...]:
     greedy pass over candidates in lex order, capped per orbit, yields the
     lexicographically least feasible collection directly.
     """
+    if not 1 <= j <= D:
+        raise ValueError(f"j must be in [1, {D}], got {j}")
     l, m = lj_mj(D)
     lj, mj = l[j - 1], m[j - 1]
     quotas: dict[frozenset[frozenset[int]], int] = {}
@@ -160,9 +163,28 @@ def choose_T_collection(params: Params, W: Iterable[int], j: int) -> tuple[froze
     distinct subsets exists at all.
     """
     w = as_demand(params, W)
-    if not 1 <= j <= params.D:
-        raise ValueError(f"j must be in [1, {params.D}], got {j}")
     return tuple(frozenset(w[p] for p in cand) for cand in _chosen_positions(params.D, j))
+
+
+@lru_cache(maxsize=None)
+def _position_masks(D: int, j: int) -> tuple[int, ...]:
+    """Row l of sub-block j's D cyclic shifts of its chosen positions, as
+    position bitmasks (bit p for position p), at [(l-1)D, lD)."""
+    shifted = (s for cand in _chosen_positions(D, j) for s in shifts(range(D), cand))
+    return tuple(sum(1 << p for p in s) for s in shifted)
+
+
+def sub_block_masks(params: Params, W: Iterable[int], j: int) -> tuple[tuple[int, ...], ...]:
+    """Per row l of sub-block j, the D demand parts shift(T_l, h) that its
+    columns 1+h add, as message bitmasks: the position table mapped onto
+    sorted W through one 2^D lookup table."""
+    w = as_demand(params, W)
+    table = [0]
+    for x in w:
+        bit = 1 << (x - 1)
+        table += [t | bit for t in table]
+    parts = map(table.__getitem__, _position_masks(params.D, j))
+    return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
 
 
 def verify_evenness(
@@ -187,16 +209,22 @@ def verify_evenness(
 def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:
     """The N supports (S_1, ..., S_N) of one table row.
 
-    S_1 is the complement subset alone; server column 1+h adds the h-shifted
-    demand subset on top.
+    S_1 is the complement subset alone; server column 1+h adds the row's
+    demand part h from sub_block_masks on top.
     """
     w = as_demand(params, W)
     base = frozenset(r_subset(params, w, row.i, row.k))
-    collection = choose_T_collection(params, w, row.j)
-    if not 1 <= row.l <= len(collection):
+    masks = sub_block_masks(params, w, row.j)
+    if not 1 <= row.l <= len(masks):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
-    T = collection[row.l - 1]
-    return (base,) + tuple(base | s for s in shifts(w, T))
+    supports = [base]
+    for part in masks[row.l - 1]:
+        members = set(base)
+        while part:  # bit x-1 is message x
+            members.add((low := part & -part).bit_length())
+            part ^= low
+        supports.append(frozenset(members))
+    return tuple(supports)
 
 
 def total_rows(params: Params) -> int:
@@ -215,15 +243,11 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     as_demand(params, W)
     if len(prob.P) != params.K - params.D + 1 or len(prob.P[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
-    den, groups = prob.sampling_layout
+    den, groups, ends = prob.sampling_layout
     for j in prob.sub_blocks:  # before any draw, EvennessError for a sub-block no row can use
         _chosen_positions(params.D, j)
     target = rng.randrange(den)
-    acc = 0
-    for i, j, k_count, l_count, num in groups:
-        width = k_count * l_count * num
-        if target < acc + width:
-            offset = (target - acc) // num
-            return RowId(i, offset // l_count + 1, j, offset % l_count + 1)
-        acc += width
-    raise AssertionError("sampling target beyond total mass")
+    g = bisect_right(ends, target)  # the first group ending past target
+    i, j, k_count, l_count, num = groups[g]
+    offset = (target - (ends[g - 1] if g else 0)) // num
+    return RowId(i, offset // l_count + 1, j, offset % l_count + 1)

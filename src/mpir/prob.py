@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Sequence
 
 from .params import Params, RationalVector, binomial, build_L, compute_FG, lj_mj, sub_diagonal
@@ -30,12 +31,13 @@ class ProbTable:
     j_star: int
 
     @cached_property
-    def sampling_layout(self) -> tuple[int, tuple[tuple[int, int, int, int, int], ...]]:
-        """(den, groups) for exact row sampling, built on first use.
+    def sampling_layout(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(den, groups, ends) for exact row sampling, built on first use.
 
         One group (i, j, C(K-D, i), l_j, num) per entry, in table order, with
-        P[i][j-1] == num / den; the order is fixed so that a seed reproduces
-        its draws.  Raises ValueError unless the row weights sum to den.
+        P[i][j-1] == num / den, and ends[g] the row weight of groups 0..g; the
+        order is fixed so that a seed reproduces its draws.  Raises ValueError
+        unless the row weights sum to den.
         """
         den, nums = common_denominator(self)
         l, _ = lj_mj(len(self.P[0]))
@@ -44,9 +46,10 @@ class ProbTable:
             for i, row in enumerate(nums)
             for j, num in enumerate(row, start=1)
         )
-        if sum(k_count * l_count * num for _, _, k_count, l_count, num in groups) != den:
+        ends = tuple(accumulate(k_count * l_count * num for _, _, k_count, l_count, num in groups))
+        if ends[-1] != den:
             raise ValueError("probability table mass is not exactly 1")
-        return den, groups
+        return den, groups, ends
 
     @cached_property
     def sub_blocks(self) -> tuple[int, ...]:

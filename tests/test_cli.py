@@ -250,6 +250,20 @@ class TestAudit:
         assert "--K" in err
 
 
+class TestOutOfRangeValues:
+    """A value outside its option's range is one error line naming the
+    option, and exit 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "--K", "5", "--D", "2", "--rounds", "0"), "--rounds must be >= 1, got 0"),
+        (("audit", "evenness", "--D", "0"), "D must be an integer > 1, got 0"),
+        (("audit", "evenness", "--D", "1"), "D must be an integer > 1, got 1"),
+        (("rate-table", "--D", "2", "--k-min", "5", "--k-max", "3"), "--k-min 5 exceeds --k-max 3"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+    def test_refused_with_exit_2(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestUnevenInstances:
     """D=10 has no even collection for sub-blocks 4 and 6.  The analysis
     still prints its tables; a run that needs such a sub-block is refused

@@ -12,7 +12,7 @@ from scipy.stats import chi2
 from mpir import plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
-from rows import iter_row_ids
+from rows import iter_row_ids, scan_row
 
 
 class TestRSubset:
@@ -230,6 +230,51 @@ class TestRowSupports:
                 assert sup - set(W) == supports[0]
 
 
+def members(mask: int) -> frozenset[int]:
+    """The message indices of a bitmask, bit x-1 for message x."""
+    return frozenset(x + 1 for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+# Every demand set at K <= 9, D <= 5.
+SMALL_SHAPES = [(K, D) for K in range(3, 10) for D in range(2, min(K, 5) + 1)]
+
+
+class TestSubBlockMasks:
+    @pytest.mark.parametrize("K,D", SMALL_SHAPES)
+    def test_equals_the_shifted_collection(self, K, D):
+        # Row l's parts are the D shifts of the l-th collected subset, in
+        # order, whichever order W is given in.
+        params = Params(K=K, D=D)
+        for w in combinations(range(1, K + 1), D):
+            for j in range(1, D + 1):
+                expected = [plan.shifts(w, T) for T in plan.choose_T_collection(params, w, j)]
+                for W in (w, w[::-1]):
+                    rows = plan.sub_block_masks(params, W, j)
+                    assert [tuple(map(members, row)) for row in rows] == expected, (W, j)
+
+    @pytest.mark.parametrize("K,D", SMALL_SHAPES)
+    def test_row_supports_add_the_parts(self, K, D):
+        params = Params(K=K, D=D)
+        for w in combinations(range(1, K + 1), D):
+            masks = {j: plan.sub_block_masks(params, w, j) for j in range(1, D + 1)}
+            for row in iter_row_ids(params):
+                if row.k == 1:
+                    base = frozenset(plan.r_subset(params, w, row.i, row.k))
+                    parts = masks[row.j][row.l - 1]
+                    assert plan.row_supports(params, w, row) == (
+                        base, *(base | members(part) for part in parts)
+                    ), (w, row)
+
+    def test_validates_demand_and_sub_block(self):
+        params = Params(K=5, D=3)
+        with pytest.raises(ValueError, match="exactly D"):
+            plan.sub_block_masks(params, (1, 2), 1)
+        with pytest.raises(ValueError, match="j must be in"):
+            plan.sub_block_masks(params, (1, 2, 3), 4)
+        with pytest.raises(plan.EvennessError):
+            plan.sub_block_masks(Params(K=11, D=10), range(1, 11), 4)
+
+
 class TestRowEnumeration:
     @pytest.mark.parametrize("K,D", [(4, 2), (7, 2), (10, 4), (6, 3), (10, 3)])
     def test_total_rows(self, K, D):
@@ -292,7 +337,7 @@ class TestSampleRow:
 
         params = Params(K=200, D=3)
         table = build_prob_table(params)
-        den, groups = table.sampling_layout
+        den, groups, _ = table.sampling_layout
         expected = {}
         acc = 0
         for i, j, k_count, l_count, num in groups:
@@ -305,6 +350,23 @@ class TestSampleRow:
         assert len(expected) == 2 * 589
         for target, row in expected.items():
             assert plan.sample_row(params, table, (1, 2, 3), Target(target)) == row
+
+    @pytest.mark.parametrize("K,D", [(3, 2), (4, 2), (7, 3), (8, 4), (7, 5), (9, 2)])
+    def test_every_target_lands_where_a_linear_scan_does(self, K, D):
+        class Target:
+            def __init__(self, target):
+                self.target = target
+
+            def randrange(self, n):
+                assert 0 <= self.target < n == den
+                return self.target
+
+        params = Params(K=K, D=D)
+        table = build_prob_table(params)
+        den, groups, _ = table.sampling_layout
+        for target in range(den):
+            row = plan.sample_row(params, table, range(1, D + 1), Target(target))
+            assert row == scan_row(groups, target), target
 
     def test_validates_demand(self):
         params = Params(K=4, D=2)

@@ -47,9 +47,8 @@ def support_tallies(
     comp = [1 << (t - 1) for t in plan.complement(params, w)]
     tallies = []
     for weights in audit._support_weights(nums, audit._demand_counts(params, w, permute)):
-        masks = {t: sum(1 << (x - 1) for x in t) for weight in weights for t in weight}
         tallies.append({
-            base | masks[t]: v
+            base | t: v
             for i, weight in enumerate(weights)
             for base in map(sum, combinations(comp, i))
             for t, v in weight.items()
@@ -160,13 +159,13 @@ def test_uniform_weights_unlike_the_reference_fail(monkeypatch, permute):
     params = Params(K=6, D=3)
     table = build_prob_table(params)
     doubled = (4, 5, 6)
-    chosen = plan.choose_T_collection
+    masks = plan.sub_block_masks
 
-    def choose(params, W, j):
-        collection = chosen(params, W, j)
-        return collection * 2 if tuple(W) == doubled else collection
+    def doubled_masks(params, W, j):
+        rows = masks(params, W, j)
+        return rows * 2 if tuple(W) == doubled else rows
 
-    monkeypatch.setattr(plan, "choose_T_collection", choose)
+    monkeypatch.setattr(plan, "sub_block_masks", doubled_masks)
     report = audit.privacy_check(params, table, permute=permute)
     assert not report.passed
     assert {v.W for v in report.violations} >= {doubled}
@@ -181,13 +180,13 @@ def test_demand_parts_never_sent_fail(monkeypatch, permute):
     params = Params(K=6, D=3)
     table = build_prob_table(params)
     broken = (4, 5, 6)
-    shifts = plan.shifts
+    masks = plan.sub_block_masks
 
-    def shifted(W, T):
-        out = shifts(W, T)
-        return out[:-1] if tuple(W) == broken and len(out[0]) < len(out) else out
+    def dropped_masks(params, W, j):
+        rows = masks(params, W, j)
+        return tuple(r[:-1] for r in rows) if tuple(W) == broken and j < len(W) else rows
 
-    monkeypatch.setattr(plan, "shifts", shifted)
+    monkeypatch.setattr(plan, "sub_block_masks", dropped_masks)
     report = audit.privacy_check(params, table, permute=permute)
     assert not report.passed
     assert {v.W for v in report.violations} >= {broken}
