@@ -2,19 +2,19 @@
 
 The privacy auditor does not reuse the analysis that motivated the
 probability table; per demand set W and server position, it counts how often
-sub-block j's columns carry each demand part t ⊆ W (a message bitmask, from
-plan.sub_block_masks as row_supports reads it), count_j[t], and folds the
-counts into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
+sub-block j's columns carry each demand part t ⊆ W (a message bitmask, read
+as row_supports reads it from one plan.part_table), count_j[t], and folds
+them into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
 table's common denominator: the exact probability of each support b | t, b
 an i-subset of the complement.  Privacy holds iff these distributions are
 identical (rational equality, not approximate) across all C(K, D) demand
 sets.  Checked once per call: the reference's counts are size functions,
 count_j[t] == f_j[|t|] for t ⊆ W_ref, and its weights have a size-class
-certificate c, w_i[t] == c[i + |t|].  W passes if each of its parts lies in
-W, is counted f_j[|t|] != 0 times, and they number as many as the
-reference's, which are at least the t ⊆ W_ref with f_j[|t|] != 0: they are
-then exactly the t ⊆ W with f_j[|t|] != 0, so count_j[t] == f_j[|t|] at
-every t ⊆ W, zeros included, and every support S weighs c[|S|] under both.
+certificate c, w_i[t] == c[i + |t|].  Each f_j gives a template: every mask
+s of D positions, f_j[|s|] times, in order.  W, the reference first, passes
+if each column's parts, mapped to position masks by W's own subset table (a
+part outside W to -1) and sorted, equal their template: that is exactly
+count_j[t] == f_j[|t|] at every t ⊆ W, and every support S weighs c[|S|].
 Any other W is compared with the reference class by class: a support S
 weighs w_i[S ∩ W] with i = |S ∖ W|, so under both demand sets its weight
 depends only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and only a class whose
@@ -62,18 +62,32 @@ def _mask(xs: Iterable[int]) -> int:
     return sum(1 << (x - 1) for x in xs)
 
 
-def _demand_counts(params: Params, w: tuple[int, ...], permute: bool) -> list[list[Counter]]:
-    """counts[j-1][n][t]: how often sub-block j's columns at server position n
-    carry demand part t, a bitmask: 0 in column 1 and the row's part h from
-    plan.sub_block_masks in column 1+h, all at one position under the
-    permutation.  A t never carried has no entry."""
+def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, tally=Counter) -> list:
+    """counts[j-1][n]: the tally, by default a Counter by bitmask, of the
+    demand parts that sub-block j's columns carry to server position n: 0 in
+    column 1 and the row's part h from plan.sub_block_masks in column 1+h,
+    all at one position under the permutation.  One plan.part_table serves
+    every sub-block."""
+    table = plan.part_table(params, w)
     counts = []
     for j in range(1, params.D + 1):
-        rows = plan.sub_block_masks(params, w, j)
+        rows = plan.sub_block_masks(params, table, j)
         empty = (0,) * len(rows)  # column 1, row by row
         columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
-        counts.append(list(map(Counter, columns)))
+        counts.append(list(map(tally, columns)))
     return counts
+
+
+def _positions(params: Params, w: tuple[int, ...], permute: bool) -> list[list[int]]:
+    """_demand_counts' columns as sorted position masks, bit p for w[p] and -1
+    outside w, through w's subset table built here: a fault in plan's table
+    must not map its own wrong parts back into place."""
+    table = [0]
+    for bit in [1 << (x - 1) for x in w]:
+        table += [t | bit for t in table]
+    inverse = dict(zip(table, range(len(table))))
+    by_j = _demand_counts(params, w, permute, lambda c: sorted(map(inverse.get, c, repeat(-1))))
+    return list(chain.from_iterable(by_j))
 
 
 def _support_weights(
@@ -108,17 +122,6 @@ def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | 
             if c.setdefault(i + size, v) != v:
                 return None
     return tuple(c[size] for size in range(len(c)))
-
-
-def _fits(count: Counter, ref: Counter, f: tuple[int, ...], outside: int) -> bool:
-    """Whether count[t] == f[|t|] at every t ⊆ W, zeros included, given the
-    reference's count, whose size function is f, and outside = ~mask(W):
-    every key lies in W with count f[|t|] != 0, and the keys number as many
-    as the reference's, at least the t ⊆ W with f[|t|] != 0."""
-    for t, v in count.items():
-        if t & outside or v != f[t.bit_count()]:
-            return False
-    return len(count) == len(ref)
 
 
 def _differences(
@@ -209,10 +212,10 @@ def privacy_check(
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
 
-    A demand set passes by its counts when they fit the reference's size
-    functions (_fits), as the module docstring sets out; any other, or every
-    one if the reference is not so certified, is compared by support class
-    (_differences).
+    A demand set passes when its sorted columns in position space
+    (_positions) equal the reference's templates, as the module docstring
+    sets out; any other, or every one if the reference is not so certified,
+    is compared by support class (_differences).
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -223,19 +226,21 @@ def privacy_check(
     w_ref = demands[0]
     counts = _demand_counts(params, w_ref, permute)
     reference = _support_weights(nums, counts)
-    # The reference's counts, per sub-block j and position n, and their size
-    # functions f, count[t] == f[|t|].
-    ref_counts = list(chain.from_iterable(counts))
-    fs = [_size_classes(w_ref, [count]) for count in ref_counts]
-    certified = None not in fs + [_size_classes(w_ref, weights) for weights in reference]
+    # Per j and n, the size function f of the reference's count, count[t] ==
+    # f[|t|] at t ⊆ W_ref, and its template: each position mask s, f[|s|] times.
+    fs = [_size_classes(w_ref, [count]) for count in chain.from_iterable(counts)]
+    template = None
+    if None not in fs + [_size_classes(w_ref, weights) for weights in reference]:
+        template = [[s for s in range(1 << params.D) for _ in range(f[s.bit_count()])] for f in fs]
+        if _positions(params, w_ref, permute) != template:  # a part outside W_ref
+            template = None
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
-        counts = _demand_counts(params, w, permute)
-        fits = map(_fits, chain.from_iterable(counts), ref_counts, fs, repeat(~_mask(w)))
-        if certified and all(fits):
+        if template is not None and _positions(params, w, permute) == template:
             continue
+        counts = _demand_counts(params, w, permute)
         rest = plan.complement(params, w_ref + w)
         compared = [
             _differences(w_ref, w, rest, ref_w, cur_w)

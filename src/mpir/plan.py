@@ -11,11 +11,12 @@ A plan table for demand set W has one row per tuple (i, k, j, l):
 
 Rows are never materialized as a whole table; everything is reconstructed on
 demand from the tuple, the shifted parts as message bitmasks (bit x-1 for
-message x) by sub_block_masks, which row_supports and the privacy audit both
-read.  The collection of j-subsets backing each sub-block must satisfy an
-evenness property (every j-subset of W appears exactly m_j times across the
-l_j x D shifted columns); that property is load-bearing for privacy, so it
-is searched for and verified here instead of assumed.
+message x) by sub_block_masks through W's part_table, which row_supports and
+the privacy audit (one table per demand set) both read.  The collection of
+j-subsets backing each sub-block must satisfy an evenness property (every
+j-subset of W appears exactly m_j times across the l_j x D shifted columns);
+that property is load-bearing for privacy, so it is searched for and
+verified here instead of assumed.
 """
 from __future__ import annotations
 
@@ -174,15 +175,19 @@ def _position_masks(D: int, j: int) -> tuple[int, ...]:
     return tuple(sum(1 << p for p in s) for s in shifted)
 
 
-def sub_block_masks(params: Params, W: Iterable[int], j: int) -> tuple[tuple[int, ...], ...]:
-    """Per row l of sub-block j, the D demand parts shift(T_l, h) that its
-    columns 1+h add, as message bitmasks: the position table mapped onto
-    sorted W through one 2^D lookup table."""
-    w = as_demand(params, W)
+def part_table(params: Params, W: Iterable[int]) -> list[int]:
+    """W's 2^D subsets as message bitmasks: entry s is {w[p] : bit p of s},
+    w = sorted W, so entry -1 is W's own mask."""
     table = [0]
-    for x in w:
+    for x in as_demand(params, W):
         bit = 1 << (x - 1)
         table += [t | bit for t in table]
+    return table
+
+
+def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int, ...], ...]:
+    """Per row l of sub-block j, the D demand parts shift(T_l, h) that its
+    columns 1+h add: the position table mapped through W's part_table."""
     parts = map(table.__getitem__, _position_masks(params.D, j))
     return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
 
@@ -214,7 +219,7 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:
     """
     w = as_demand(params, W)
     base = frozenset(r_subset(params, w, row.i, row.k))
-    masks = sub_block_masks(params, w, row.j)
+    masks = sub_block_masks(params, part_table(params, w), row.j)
     if not 1 <= row.l <= len(masks):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
     supports = [base]

@@ -354,13 +354,17 @@ class TestElementVectors:
                 vec[pos * w : (pos + 1) * w] = bad.to_bytes(w, "little")
                 assert gf.out_of_range(bytes(vec), q)
 
-    @pytest.mark.parametrize("q", [2, 3, 251, 65521])
+    @pytest.mark.parametrize(
+        "q", [2, 3, 251, 65521, 257, 65537, 2**31 - 1, 2**32 - 5, 2**32 + 15]
+    )
     @pytest.mark.parametrize("n", [0, 1, 5, gf._SAMPLE_CHUNK + 1])
     def test_random_elements_are_randranges(self, q, n):
         # The per-element loop is the reference: equal bytes, and the rng
         # left in the same state, so n = 0 returns b"" and draws nothing.
         # q = 2 is a field no Params allows (q > D >= 2), so the store tests
-        # cannot reach it.
+        # cannot reach it.  2**32 - 5 is the largest prime below 2**32, whose
+        # draws use all 32 bits of a word; 2**32 + 15, the smallest above,
+        # draws per element.
         ref, rng = random.Random(f"elements:{q}"), random.Random(f"elements:{q}")
         expected = gf.encode([ref.randrange(q) for _ in range(n)], q)
         assert gf.random_elements(rng, q, n) == (expected if n else b"")

@@ -249,14 +249,15 @@ class TestSubBlockMasks:
             for j in range(1, D + 1):
                 expected = [plan.shifts(w, T) for T in plan.choose_T_collection(params, w, j)]
                 for W in (w, w[::-1]):
-                    rows = plan.sub_block_masks(params, W, j)
+                    rows = plan.sub_block_masks(params, plan.part_table(params, W), j)
                     assert [tuple(map(members, row)) for row in rows] == expected, (W, j)
 
     @pytest.mark.parametrize("K,D", SMALL_SHAPES)
     def test_row_supports_add_the_parts(self, K, D):
         params = Params(K=K, D=D)
         for w in combinations(range(1, K + 1), D):
-            masks = {j: plan.sub_block_masks(params, w, j) for j in range(1, D + 1)}
+            table = plan.part_table(params, w)
+            masks = {j: plan.sub_block_masks(params, table, j) for j in range(1, D + 1)}
             for row in iter_row_ids(params):
                 if row.k == 1:
                     base = frozenset(plan.r_subset(params, w, row.i, row.k))
@@ -268,11 +269,22 @@ class TestSubBlockMasks:
     def test_validates_demand_and_sub_block(self):
         params = Params(K=5, D=3)
         with pytest.raises(ValueError, match="exactly D"):
-            plan.sub_block_masks(params, (1, 2), 1)
+            plan.part_table(params, (1, 2))
+        table = plan.part_table(params, (1, 2, 3))
         with pytest.raises(ValueError, match="j must be in"):
-            plan.sub_block_masks(params, (1, 2, 3), 4)
+            plan.sub_block_masks(params, table, 4)
+        wide = Params(K=11, D=10)
+        table = plan.part_table(wide, range(1, 11))
         with pytest.raises(plan.EvennessError):
-            plan.sub_block_masks(Params(K=11, D=10), range(1, 11), 4)
+            plan.sub_block_masks(wide, table, 4)
+
+    def test_part_table_lists_the_subsets_by_position(self):
+        # Entry s holds w[p] for each bit p of s, whichever order W is given in.
+        params = Params(K=9, D=4)
+        w = (2, 3, 7, 9)
+        expected = [frozenset(w[p] for p in range(4) if s >> p & 1) for s in range(16)]
+        for W in (w, w[::-1]):
+            assert list(map(members, plan.part_table(params, W))) == expected
 
 
 class TestRowEnumeration:

@@ -9,7 +9,7 @@ set's weights with all complement subsets into tallies keyed by support
 bitmask and diffs them support by support, so the two reports must be equal,
 violation order included: on the instances of acceptance criterion 3, on
 every single-entry perturbation of small tables, with and without the
-permutation, on two perturbed wider shapes, and on three broken plans built
+permutation, on two perturbed wider shapes, and on four broken plans built
 to slip past a weaker certificate.
 """
 from __future__ import annotations
@@ -161,9 +161,9 @@ def test_uniform_weights_unlike_the_reference_fail(monkeypatch, permute):
     doubled = (4, 5, 6)
     masks = plan.sub_block_masks
 
-    def doubled_masks(params, W, j):
-        rows = masks(params, W, j)
-        return rows * 2 if tuple(W) == doubled else rows
+    def doubled_masks(params, table, j):
+        rows = masks(params, table, j)
+        return rows * 2 if table[-1] == 0b111000 else rows
 
     monkeypatch.setattr(plan, "sub_block_masks", doubled_masks)
     report = audit.privacy_check(params, table, permute=permute)
@@ -182,11 +182,40 @@ def test_demand_parts_never_sent_fail(monkeypatch, permute):
     broken = (4, 5, 6)
     masks = plan.sub_block_masks
 
-    def dropped_masks(params, W, j):
-        rows = masks(params, W, j)
-        return tuple(r[:-1] for r in rows) if tuple(W) == broken and j < len(W) else rows
+    def dropped_masks(params, table, j):
+        rows = masks(params, table, j)
+        return tuple(r[:-1] for r in rows) if table[-1] == 0b111000 and j < params.D else rows
 
     monkeypatch.setattr(plan, "sub_block_masks", dropped_masks)
+    report = audit.privacy_check(params, table, permute=permute)
+    assert not report.passed
+    assert {v.W for v in report.violations} >= {broken}
+    assert report == full_crossing_report(params, table, permute)
+
+
+@pytest.mark.parametrize("permute", [True, False])
+def test_a_part_swapped_for_another_of_its_size_fails(monkeypatch, permute):
+    # One demand set's sub-block 2 carries {4, 6} where it should carry
+    # {4, 5}, in one column.  Every size keeps its count, so only a check
+    # that counts each subset of W sees {4, 5} never sent and {4, 6} twice.
+    params = Params(K=6, D=3)
+    table = build_prob_table(params)
+    broken = (4, 5, 6)
+    masks = plan.sub_block_masks
+
+    def swapped_masks(params, table, j):
+        rows = masks(params, table, j)
+        if table[-1] != 0b111000 or j != 2:
+            return rows
+        return tuple(tuple(0b101000 if part == 0b011000 else part for part in row)
+                     for row in rows)
+
+    sizes = sorted(part.bit_count() for row in masks(params, plan.part_table(params, broken), 2)
+                   for part in row)
+    swapped = swapped_masks(params, plan.part_table(params, broken), 2)
+    assert sorted(part.bit_count() for row in swapped for part in row) == sizes
+    assert sum(row.count(0b101000) for row in swapped) == 2
+    monkeypatch.setattr(plan, "sub_block_masks", swapped_masks)
     report = audit.privacy_check(params, table, permute=permute)
     assert not report.passed
     assert {v.W for v in report.violations} >= {broken}
