@@ -9,16 +9,16 @@ table's common denominator: the exact probability of each support b | t, b
 an i-subset of the complement.  Privacy holds iff these distributions are
 identical (rational equality, not approximate) across all C(K, D) demand
 sets.  Checked once per call: the reference's counts are size functions,
-count_j[t] == f_j[|t|] for t ⊆ W_ref, and its weights have a size-class
-certificate c, w_i[t] == c[i + |t|].  Each f_j gives a template: every mask
-s of D positions, f_j[|s|] times, in order.  W, the reference first, passes
-if each column's parts, mapped to position masks by W's own subset table (a
-part outside W to -1) and sorted, equal their template: that is exactly
-count_j[t] == f_j[|t|] at every t ⊆ W, and every support S weighs c[|S|].
-Any other W is compared with the reference class by class: a support S
-weighs w_i[S ∩ W] with i = |S ∖ W|, so under both demand sets its weight
-depends only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and only a class whose
-two weights differ is expanded into its C(K - |W ∪ W_ref|, r) supports.
+count_j[t] == f_j[|t|] for t ⊆ W_ref; its weights have a size-class
+certificate c, w_i[t] == c[i + |t|]; its rows hold D parts each; and its
+columns in position space (by W_ref's subset table built here, a part outside
+W_ref at -1) equal f_j's sorted templates.  Another W passes if at every j
+plan's rows for it are the reference's rows in W's positions (by W's own
+subset table), so count_j[t] == f_j[|t|] at every t ⊆ W and every support S
+weighs c[|S|].  Any other W, the reference's rows in another order included,
+is compared class by class: a support S weighs w_i[S ∩ W], i = |S ∖ W|, so
+both its weights depend only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and
+only a class whose two weights differ is expanded into its supports.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -62,32 +62,31 @@ def _mask(xs: Iterable[int]) -> int:
     return sum(1 << (x - 1) for x in xs)
 
 
-def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, tally=Counter) -> list:
+def _sub_block_rows(params: Params, w: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """plan.sub_block_masks' rows for each sub-block j, from one plan.part_table."""
+    table = plan.part_table(params, w)
+    return [plan.sub_block_masks(params, table, j) for j in range(1, params.D + 1)]
+
+
+def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, tally=Counter, by_j=None):
     """counts[j-1][n]: the tally, by default a Counter by bitmask, of the
     demand parts that sub-block j's columns carry to server position n: 0 in
-    column 1 and the row's part h from plan.sub_block_masks in column 1+h,
-    all at one position under the permutation.  One plan.part_table serves
-    every sub-block."""
-    table = plan.part_table(params, w)
+    column 1 and the row's part h in column 1+h, all at one position under
+    the permutation.  The rows are by_j, else _sub_block_rows(params, w)."""
     counts = []
-    for j in range(1, params.D + 1):
-        rows = plan.sub_block_masks(params, table, j)
+    for rows in _sub_block_rows(params, w) if by_j is None else by_j:
         empty = (0,) * len(rows)  # column 1, row by row
         columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
         counts.append(list(map(tally, columns)))
     return counts
 
 
-def _positions(params: Params, w: tuple[int, ...], permute: bool) -> list[list[int]]:
-    """_demand_counts' columns as sorted position masks, bit p for w[p] and -1
-    outside w, through w's subset table built here: a fault in plan's table
-    must not map its own wrong parts back into place."""
+def _subsets(w: tuple[int, ...]) -> list[int]:
+    """plan.part_table's list, built here so that a fault in plan's cannot hide."""
     table = [0]
     for bit in [1 << (x - 1) for x in w]:
         table += [t | bit for t in table]
-    inverse = dict(zip(table, range(len(table))))
-    by_j = _demand_counts(params, w, permute, lambda c: sorted(map(inverse.get, c, repeat(-1))))
-    return list(chain.from_iterable(by_j))
+    return table
 
 
 def _support_weights(
@@ -212,10 +211,10 @@ def privacy_check(
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
 
-    A demand set passes when its sorted columns in position space
-    (_positions) equal the reference's templates, as the module docstring
-    sets out; any other, or every one if the reference is not so certified,
-    is compared by support class (_differences).
+    A demand set passes when plan's rows for it equal the reference's rows
+    in its positions, as the module docstring sets out; any other, or every
+    one if the reference is not so certified, is compared by support class
+    (_differences).
     """
     if prob is None:
         prob = build_prob_table(params)
@@ -224,23 +223,28 @@ def privacy_check(
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
 
     w_ref = demands[0]
-    counts = _demand_counts(params, w_ref, permute)
+    ref_rows = _sub_block_rows(params, w_ref)
+    counts = _demand_counts(params, w_ref, permute, by_j=ref_rows)
     reference = _support_weights(nums, counts)
-    # Per j and n, the size function f of the reference's count, count[t] ==
-    # f[|t|] at t ⊆ W_ref, and its template: each position mask s, f[|s|] times.
+    # Per j and n, the f with count[t] == f[|t|] at t ⊆ W_ref, and its template.
     fs = [_size_classes(w_ref, [count]) for count in chain.from_iterable(counts)]
-    template = None
-    if None not in fs + [_size_classes(w_ref, weights) for weights in reference]:
+    certified = None not in fs + [_size_classes(w_ref, weights) for weights in reference]
+    rows_in = None  # W's subset table -> the reference's rows in W's positions
+    if certified and all(len(row) == params.D for row in chain.from_iterable(ref_rows)):
         template = [[s for s in range(1 << params.D) for _ in range(f[s.bit_count()])] for f in fs]
-        if _positions(params, w_ref, permute) != template:  # a part outside W_ref
-            template = None
+        inverse = {t: s for s, t in enumerate(_subsets(w_ref))}
+        sort = lambda c: sorted(map(inverse.get, c, repeat(-1)))
+        if sum(_demand_counts(params, w_ref, permute, sort, ref_rows), []) == template:
+            ps = [[inverse[t] for row in rows for t in row] for rows in ref_rows]
+            rows_in = lambda own: [tuple(zip(*[map(own.__getitem__, p)] * params.D)) for p in ps]
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
-        if template is not None and _positions(params, w, permute) == template:
+        by_j = _sub_block_rows(params, w)
+        if rows_in and by_j == rows_in(_subsets(w)):
             continue
-        counts = _demand_counts(params, w, permute)
+        counts = _demand_counts(params, w, permute, by_j=by_j)
         rest = plan.complement(params, w_ref + w)
         compared = [
             _differences(w_ref, w, rest, ref_w, cur_w)

@@ -138,17 +138,25 @@ def build_M(D: int) -> RationalMatrix:
     )
 
 
+def integer_M(D: int) -> tuple[list[int], int, list[int]]:
+    """(l, mu, sigma): mu M in integers, mu = lcm(m), sigma_c = m_c mu / m_{c+1}."""
+    l, m = lj_mj(D)
+    mu = math.lcm(*m)
+    return list(l), mu, [a * mu // b for a, b in zip(m, m[1:])] + [0]  # S padded to D entries
+
+
 def compute_FG(params: Params) -> tuple[RationalVector, RationalVector]:
     """Weight vectors F^T = L^T M^(K-D) and G^T = L^T (I+M)^(K-D).
 
-    Computed as K-D successive row-vector products on M's two nonzero parts,
-    its first row L and its sub-diagonal S: (v^T M)_c = v_1 l_c + v_{c+1} s_c.
-    The matrix power is never materialized, which keeps the integers small
-    even for large K.  Every entry of G is strictly positive.
+    Computed as K-D successive row-vector products on M's first row L and
+    sub-diagonal S, (v^T M)_c = v_1 l_c + v_{c+1} s_c, in integers over one
+    denominator that each step multiplies by mu (integer_M), with one
+    Fraction per entry at the end.  Every entry of G is strictly positive.
     """
-    L, S = build_L(params.D), sub_diagonal(params.D) + (0,)
-    F, G = L, L
+    l, mu, sigma = integer_M(params.D)
+    F, G = l, l
     for _ in range(params.K - params.D):
-        F = tuple(F[0] * l + f * s for l, f, s in zip(L, F[1:] + (0,), S))
-        G = tuple(g + G[0] * l + h * s for l, g, h, s in zip(L, G, G[1:] + (0,), S))
-    return F, G
+        F = [F[0] * lc * mu + f * s for lc, f, s in zip(l, F[1:] + [0], sigma)]
+        G = [(g + G[0] * lc) * mu + h * s for lc, g, h, s in zip(l, G, G[1:] + [0], sigma)]
+    den = mu ** (params.K - params.D)
+    return tuple(Fraction(f, den) for f in F), tuple(Fraction(g, den) for g in G)

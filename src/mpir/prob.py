@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
-from .params import Params, RationalVector, binomial, build_L, compute_FG, lj_mj, sub_diagonal
+from .params import Params, RationalVector, binomial, compute_FG, integer_M, lj_mj
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,10 @@ def build_prob_table(params: Params) -> ProbTable:
     """Construct the optimal probability table for one protocol instance.
 
     The last row puts mass 1/g_{j*} on column j*, and each earlier row is M
-    times its successor, taken on M's first row and sub-diagonal.  The
-    result is validated: every entry must land in [0, 1] and the total mass
-    must be exactly 1 (checked by building the sampling layout); a violation
-    means the construction itself is broken, so it raises rather than clamps.
+    times its successor, on M's first row and sub-diagonal in integers over
+    one denominator (integer_M), with one Fraction per entry at the end.  An
+    entry outside [0, 1], or a total mass other than 1 (the sampling layout's
+    check), means the construction itself is broken: it raises, not clamps.
     """
     K, D = params.K, params.D
     F, G = compute_FG(params)
@@ -123,20 +123,18 @@ def build_prob_table(params: Params) -> ProbTable:
             f"1/g_{j_star} = {top} exceeds 1; the box constraint binds, which the "
             "closed-form optimum does not support"
         )
-    L, S = build_L(D), sub_diagonal(D)
-    rows: list[tuple[Fraction, ...]] = [
-        tuple(top if j == j_star else Fraction(0) for j in range(1, D + 1))
-    ]
-    for _ in range(K - D):
-        # M times the row: L . row on top, then the row shifted down by S.
-        row = rows[-1]
-        rows.append((sum(l * p for l, p in zip(L, row)),) + tuple(s * p for s, p in zip(S, row)))
+    l, mu, sigma = integer_M(D)
+    rows = [([top.numerator if j == j_star else 0 for j in range(1, D + 1)], top.denominator)]
+    for _ in range(K - D):  # mu M times the row: mu L . row on top, then the row shifted by sigma
+        row, den = rows[-1]
+        first = mu * sum(a * p for a, p in zip(l, row))
+        rows.append(([first] + [s * p for s, p in zip(sigma, row[:-1])], den * mu))
     rows.reverse()
-    for i, row in enumerate(rows):
+    for i, (row, den) in enumerate(rows):
         for j, p in enumerate(row, start=1):
-            if not 0 <= p <= 1:
-                raise ValueError(f"P[{i}][{j}] = {p} outside [0, 1]")
-    table = ProbTable(P=tuple(rows), j_star=j_star)
+            if not 0 <= p <= den:
+                raise ValueError(f"P[{i}][{j}] = {Fraction(p, den)} outside [0, 1]")
+    table = ProbTable(tuple(tuple(Fraction(p, den) for p in row) for row, den in rows), j_star)
     table.sampling_layout  # its exact integer mass check raises here, not at the first draw
     return table
 

@@ -1,10 +1,12 @@
-"""The tests' dense reference for products with M: general exact
-matrix-vector products, and compute_FG and the probability rows built on them."""
+"""The tests' references for products with M: general exact matrix-vector
+products, with compute_FG and the probability rows built on them, and the
+Fraction recursion on M's first row and sub-diagonal that compute_FG and
+build_prob_table carry out in integers."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpir.params import Params, RationalMatrix, RationalVector, build_L, build_M
+from mpir.params import Params, RationalMatrix, RationalVector, build_L, build_M, sub_diagonal
 from mpir.prob import solve_opt
 
 
@@ -42,4 +44,29 @@ def dense_prob_rows(params: Params) -> tuple[int, tuple[RationalVector, ...]]:
     M = build_M(params.D)
     for _ in range(params.K - params.D):
         rows.append(mat_vec_mul(M, rows[-1]))
+    return j_star, tuple(reversed(rows))
+
+
+def recursion_FG(params: Params) -> tuple[RationalVector, RationalVector]:
+    """F and G by K-D row-vector products on M's first row L and
+    sub-diagonal S in Fractions: (v^T M)_c = v_1 l_c + v_{c+1} s_c."""
+    L, S = build_L(params.D), sub_diagonal(params.D) + (0,)
+    F, G = L, L
+    for _ in range(params.K - params.D):
+        F = tuple(F[0] * l + f * s for l, f, s in zip(L, F[1:] + (0,), S))
+        G = tuple(g + G[0] * l + h * s for l, g, h, s in zip(L, G, G[1:] + (0,), S))
+    return F, G
+
+
+def recursion_prob_rows(params: Params) -> tuple[int, tuple[RationalVector, ...]]:
+    """(j*, rows) from recursion_FG: the last row puts 1/g_{j*} on column j*,
+    and each earlier row is M times its successor in Fractions, L . row on
+    top, then the row shifted down by S."""
+    F, G = recursion_FG(params)
+    j_star, _ = solve_opt(F, G)
+    L, S = build_L(params.D), sub_diagonal(params.D)
+    rows = [tuple(1 / G[j - 1] if j == j_star else Fraction(0) for j in range(1, params.D + 1))]
+    for _ in range(params.K - params.D):
+        row = rows[-1]
+        rows.append((sum(l * p for l, p in zip(L, row)),) + tuple(s * p for s, p in zip(S, row)))
     return j_star, tuple(reversed(rows))

@@ -163,7 +163,7 @@ def test_criterion_2_capacity_attained_when_divisible():
 def test_criterion_3_privacy_exact():
     start = time.perf_counter()
     instances = 0
-    for D in range(2, 8):
+    for D in range(2, 10):
         for K in range(D + 1, 15 if D == 6 else 13):
             params = Params(K=K, D=D)
             rep = audit.privacy_check(params)

@@ -1,14 +1,20 @@
 """The exact privacy audit's per-demand-set certificate.
 
-privacy_check builds one plan.part_table per demand set W and maps each
-column of W's demand parts into position space: a subset of W becomes its
-position mask, any other part -1.  W passes without comparing supports when
-every sorted column equals the template of the reference's size function f,
-each position mask s f[|s|] times, and the reference must pass the same
-comparison before it is certified.  These tests check that a correct plan
-takes that path with one table per demand set, that a part outside W does
-not slip through it, and that a reference with a part outside W_ref is not
-certified.
+privacy_check certifies the reference once: its counts are size functions,
+its weights have a size-class certificate, each of its rows holds D parts,
+and its columns, mapped into position space by a subset table the audit
+builds (a part outside W_ref to -1) and sorted, equal the templates of its
+size functions.  It then keeps the reference's parts as positions, row by
+row.  Any other demand set W reads one plan.part_table and passes without
+comparing supports when, at every sub-block, plan's rows for W equal those
+positions mapped through W's own subset table, D parts to a row: one
+comparison of nested tuples.  These tests check that a correct plan takes
+that path with one table per demand set; that a part outside W, a row moved
+to the next sub-block, or rows regrouped within one do not slip through it;
+that rows in another order are compared by class and pass; and that a
+reference with a part outside W_ref, counts that are not size functions, or
+a row that does not hold D parts, is not certified, even in a sub-block the
+table gives no mass.
 """
 from __future__ import annotations
 
@@ -19,6 +25,20 @@ import pytest
 from mpir import audit, plan
 from mpir.params import Params
 from mpir.prob import build_prob_table
+from test_privacy_oracle import full_crossing_report
+
+
+def compared_demands(monkeypatch) -> list:
+    """The demand sets privacy_check compares by support class, in order."""
+    compared = []
+    differences = audit._differences
+
+    def counted_differences(*args):
+        compared.append(args[1])
+        return differences(*args)
+
+    monkeypatch.setattr(audit, "_differences", counted_differences)
+    return compared
 
 
 @pytest.mark.parametrize("K,D", [(7, 3), (9, 4)])
@@ -65,8 +85,9 @@ def test_a_passing_audit_reads_one_part_table_per_demand_set(monkeypatch):
 def test_a_reference_part_outside_its_demand_is_not_certified(monkeypatch):
     # The reference's sub-block 1 rows each carry {6} on top of their parts.
     # Its counts at the subsets of W_ref keep their size function, so only
-    # the reference's own comparison with the template sees the extra part,
-    # and every other demand set is then compared by support class.
+    # the reference's own checks see the extra part: its rows hold D + 1
+    # parts, and its columns differ from the template.  Every other demand
+    # set is then compared by support class.
     params = Params(K=6, D=3)
     masks = plan.sub_block_masks
 
@@ -74,14 +95,119 @@ def test_a_reference_part_outside_its_demand_is_not_certified(monkeypatch):
         rows = masks(params, table, j)
         return tuple(row + (0b100000,) for row in rows) if table[-1] == 0b111 and j == 1 else rows
 
-    compared = []
-    differences = audit._differences
-
-    def counted_differences(*args):
-        compared.append(args[1])
-        return differences(*args)
-
+    compared = compared_demands(monkeypatch)
     monkeypatch.setattr(plan, "sub_block_masks", extra_masks)
-    monkeypatch.setattr(audit, "_differences", counted_differences)
     audit.privacy_check(params, build_prob_table(params))
     assert len(compared) == math.comb(6, 3) - 1
+
+
+# At (6, 4) sub-block 2 has three rows and sub-blocks 3 and 4 one each, and
+# W = (3, 4, 5, 6) is the last demand set.
+SHAPE = Params(K=6, D=4)
+LAST = 0b111100
+
+
+def test_a_row_moved_to_the_next_sub_block_is_not_certified(monkeypatch):
+    # W's last sub-block-2 row becomes sub-block 3's first: the parts, read
+    # in order across all sub-blocks, are unchanged, so only a comparison
+    # that keeps sub-block boundaries sees the row weigh P[i][3], not P[i][2].
+    table = build_prob_table(SHAPE)
+    masks = plan.sub_block_masks
+
+    def moved_masks(params, table, j):
+        rows = masks(params, table, j)
+        if table[-1] != LAST or j not in (2, 3):
+            return rows
+        return rows[:-1] if j == 2 else masks(params, table, 2)[-1:] + rows
+
+    w_table = plan.part_table(SHAPE, (3, 4, 5, 6))
+    flat = [part for j in range(1, 5) for row in masks(SHAPE, w_table, j) for part in row]
+    assert [part for j in range(1, 5) for row in moved_masks(SHAPE, w_table, j)
+            for part in row] == flat
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", moved_masks)
+    report = audit.privacy_check(SHAPE, table)
+    assert compared == [(3, 4, 5, 6)]
+    assert not report.passed
+    assert report == full_crossing_report(SHAPE, table, permute=True)
+
+
+def test_rows_regrouped_within_a_sub_block_are_not_certified(monkeypatch):
+    # W's twelve sub-block-2 parts, in the same order, as four rows of three:
+    # only a comparison that keeps row boundaries sees column 1 carry the
+    # empty part four times there, not three.
+    table = build_prob_table(SHAPE)
+    masks = plan.sub_block_masks
+
+    def regrouped_masks(params, table, j):
+        rows = masks(params, table, j)
+        return tuple(zip(*[iter(sum(rows, ()))] * 3)) if table[-1] == LAST and j == 2 else rows
+
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", regrouped_masks)
+    report = audit.privacy_check(SHAPE, table)
+    assert compared == [(3, 4, 5, 6)]
+    assert not report.passed
+    assert report == full_crossing_report(SHAPE, table, permute=True)
+
+
+def test_rows_in_another_order_are_compared_by_class_and_pass(monkeypatch):
+    # W's sub-block-2 rows in reverse order: every column keeps its parts,
+    # so W's distribution is the reference's, but its rows are not the
+    # reference's rows in W's positions; the class comparison passes it.
+    table = build_prob_table(SHAPE)
+    masks = plan.sub_block_masks
+
+    def reversed_masks(params, table, j):
+        rows = masks(params, table, j)
+        return rows[::-1] if table[-1] == LAST and j == 2 else rows
+
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", reversed_masks)
+    report = audit.privacy_check(SHAPE, table)
+    assert compared == [(3, 4, 5, 6)]
+    assert report.passed
+    assert report == full_crossing_report(SHAPE, table, permute=True)
+
+
+def test_a_reference_row_short_of_D_parts_is_not_certified(monkeypatch):
+    # The reference's first sub-block-2 row hands its last part to the front
+    # of the second row.  Its parts, read in order, are unchanged, and so are
+    # its counts and weights under the permutation, but its rows no longer
+    # hold D parts each, so no demand set is compared with them row by row:
+    # every one is compared by support class, and all pass.
+    table = build_prob_table(SHAPE)
+    masks = plan.sub_block_masks
+
+    def short_masks(params, table, j):
+        rows = masks(params, table, j)
+        if table[-1] != 0b1111 or j != 2:
+            return rows
+        return (rows[0][:-1], rows[0][-1:] + rows[1], *rows[2:])
+
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", short_masks)
+    report = audit.privacy_check(SHAPE, table)
+    assert len(compared) == math.comb(6, 4) - 1
+    assert report.passed
+
+
+@pytest.mark.parametrize("row", [(0b11111,) * 4, (0b1111,) * 3 + (0b0111,)])
+def test_a_reference_sub_block_without_mass_is_still_checked(monkeypatch, row):
+    # The table gives sub-block 4 no mass at (6, 4), so the reference's
+    # weights and their certificate do not see its one sub-block-4 row, and
+    # that row still holds D parts.  It carries W_ref ∪ {5} in each column,
+    # which only the comparison with the template sees, or {1, 2, 3} in one
+    # column, whose counts only the size-function check sees.
+    table = build_prob_table(SHAPE)
+    assert all(p[3] == 0 for p in table.P)
+    masks = plan.sub_block_masks
+
+    def broken_masks(params, table, j):
+        return (row,) if table[-1] == 0b1111 and j == 4 else masks(params, table, j)
+
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", broken_masks)
+    report = audit.privacy_check(SHAPE, table)
+    assert len(compared) == math.comb(6, 4) - 1
+    assert report.passed

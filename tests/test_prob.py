@@ -19,7 +19,7 @@ from mpir.prob import (
     _bound_geometric_form,
     _bound_ratio_form,
 )
-from dense import dense_FG, dense_prob_rows, mat_vec_mul
+from dense import dense_FG, dense_prob_rows, mat_vec_mul, recursion_FG, recursion_prob_rows
 
 
 def F(*args):
@@ -125,6 +125,20 @@ class TestDenseReference:
             assert compute_FG(params) == dense_FG(params)
             table = build_prob_table(params)
             assert (table.j_star, table.P) == dense_prob_rows(params)
+
+
+class TestIntegerRecursion:
+    @pytest.mark.parametrize(
+        "D,K_min,K_max", [(D, D + 1, 40) for D in range(2, 13)] + [(20, 200, 200)]
+    )
+    def test_integers_over_one_denominator_equal_the_fraction_recursion(self, D, K_min, K_max):
+        # compute_FG and build_prob_table carry integer numerators over one
+        # denominator; the Fraction recursion they replaced is the oracle.
+        for K in range(K_min, K_max + 1):
+            params = Params(K=K, D=D)
+            assert compute_FG(params) == recursion_FG(params), K
+            table = build_prob_table(params)
+            assert (table.j_star, table.P) == recursion_prob_rows(params), K
 
 
 class TestRates:
