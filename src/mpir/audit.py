@@ -8,17 +8,19 @@ them into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
 table's common denominator: the exact probability of each support b | t, b
 an i-subset of the complement.  Privacy holds iff these distributions are
 identical (rational equality, not approximate) across all C(K, D) demand
-sets.  Checked once per call: the reference's counts are size functions,
-count_j[t] == f_j[|t|] for t ⊆ W_ref; its weights have a size-class
-certificate c, w_i[t] == c[i + |t|]; its rows hold D parts each; and its
-columns in position space (by W_ref's subset table built here, a part outside
-W_ref at -1) equal f_j's sorted templates.  Another W passes if at every j
-plan's rows for it are the reference's rows in W's positions (by W's own
-subset table), so count_j[t] == f_j[|t|] at every t ⊆ W and every support S
-weighs c[|S|].  Any other W, the reference's rows in another order included,
-is compared class by class: a support S weighs w_i[S ∩ W], i = |S ∖ W|, so
-both its weights depend only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and
-only a class whose two weights differ is expanded into its supports.
+sets.  The reference W_ref is certified once, by three checks: every part in
+its rows lies in its own subset table (built here, so that a fault in
+plan.part_table cannot hide); its weights pass the size-class certificate c,
+w_i[t] == c[i + |t|] for every i and t ⊆ W_ref; and each of its rows holds D
+parts.  Another W passes if at every j plan's rows for it are the
+reference's rows relabelled by φ: W_ref[p] ↦ W[p] (through W's own subset
+table).  Then W's weights are φ of the reference's, w_i[φ(t)] = c[i + |t|];
+φ keeps sizes and maps W_ref's subsets onto W's, so every support S weighs
+c[|S|] under both.  Any other W, the reference's rows in another order
+included, is compared class by class: a support S weighs w_i[S ∩ W],
+i = |S ∖ W|, so both its weights depend only on u = S ∩ (W ∪ W_ref) and
+r = |S ∖ u|, and only a class whose two weights differ is expanded into its
+supports.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -39,7 +41,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
@@ -68,16 +70,16 @@ def _sub_block_rows(params: Params, w: tuple[int, ...]) -> list[tuple[tuple[int,
     return [plan.sub_block_masks(params, table, j) for j in range(1, params.D + 1)]
 
 
-def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, tally=Counter, by_j=None):
-    """counts[j-1][n]: the tally, by default a Counter by bitmask, of the
-    demand parts that sub-block j's columns carry to server position n: 0 in
-    column 1 and the row's part h in column 1+h, all at one position under
-    the permutation.  The rows are by_j, else _sub_block_rows(params, w)."""
+def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, by_j=None):
+    """counts[j-1][n]: a Counter, by bitmask, of the demand parts that
+    sub-block j's columns carry to server position n: 0 in column 1 and the
+    row's part h in column 1+h, all at one position under the permutation.
+    The rows are by_j, else _sub_block_rows(params, w)."""
     counts = []
     for rows in _sub_block_rows(params, w) if by_j is None else by_j:
         empty = (0,) * len(rows)  # column 1, row by row
         columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
-        counts.append(list(map(tally, columns)))
+        counts.append(list(map(Counter, columns)))
     return counts
 
 
@@ -211,9 +213,13 @@ def privacy_check(
     Violations are ordered by demand set, then server position, then support
     (smaller supports first, ties by their sorted indices).
 
-    A demand set passes when plan's rows for it equal the reference's rows
-    in its positions, as the module docstring sets out; any other, or every
-    one if the reference is not so certified, is compared by support class
+    A demand set passes when plan's rows for it are the reference's rows
+    relabelled by φ: W_ref[p] ↦ W[p], and the reference passes its three
+    checks: its parts lie in W_ref's subset table, its weights pass the
+    size-class certificate c, and its rows hold D parts each.  W's weights
+    are then φ of the reference's, so every support S weighs c[|S|] under
+    both, as the module docstring sets out.  Any other demand set, or every
+    one if the reference fails a check, is compared by support class
     (_differences).
     """
     if prob is None:
@@ -224,19 +230,14 @@ def privacy_check(
 
     w_ref = demands[0]
     ref_rows = _sub_block_rows(params, w_ref)
-    counts = _demand_counts(params, w_ref, permute, by_j=ref_rows)
-    reference = _support_weights(nums, counts)
-    # Per j and n, the f with count[t] == f[|t|] at t ⊆ W_ref, and its template.
-    fs = [_size_classes(w_ref, [count]) for count in chain.from_iterable(counts)]
-    certified = None not in fs + [_size_classes(w_ref, weights) for weights in reference]
-    rows_in = None  # W's subset table -> the reference's rows in W's positions
-    if certified and all(len(row) == params.D for row in chain.from_iterable(ref_rows)):
-        template = [[s for s in range(1 << params.D) for _ in range(f[s.bit_count()])] for f in fs]
-        inverse = {t: s for s, t in enumerate(_subsets(w_ref))}
-        sort = lambda c: sorted(map(inverse.get, c, repeat(-1)))
-        if sum(_demand_counts(params, w_ref, permute, sort, ref_rows), []) == template:
-            ps = [[inverse[t] for row in rows for t in row] for rows in ref_rows]
-            rows_in = lambda own: [tuple(zip(*[map(own.__getitem__, p)] * params.D)) for p in ps]
+    reference = _support_weights(nums, _demand_counts(params, w_ref, permute, ref_rows))
+    inverse = {t: s for s, t in enumerate(_subsets(w_ref))}  # message mask -> position mask
+    in_table = all(len(row) == params.D and inverse.keys() >= set(row)
+                   for row in chain.from_iterable(ref_rows))
+    rows_in = None  # W's subset table -> the reference's rows relabelled by φ
+    if in_table and None not in [_size_classes(w_ref, weights) for weights in reference]:
+        ps = [[inverse[t] for row in rows for t in row] for rows in ref_rows]
+        rows_in = lambda own: [tuple(zip(*[map(own.__getitem__, p)] * params.D)) for p in ps]
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
@@ -463,7 +464,9 @@ class EvennessReport:
 
 
 def evenness_check(D: int) -> EvennessReport:
-    """Verify the chosen j-subset collections for every sub-block size.
+    """Verify, for every sub-block size j, the table of shifted position
+    masks that every round and audit maps (plan._position_masks): each
+    j-subset of the D positions appears exactly m_j times.
 
     Also records, per j, whether the naive lexicographically-first choice of
     l_j subsets would have satisfied evenness; those data points are genuine
@@ -471,19 +474,10 @@ def evenness_check(D: int) -> EvennessReport:
     """
     if not isinstance(D, int) or D < 2:
         raise ValueError(f"D must be an integer > 1, got {D!r}")
-    params = Params(K=D + 1, D=D)
-    W = tuple(range(1, D + 1))
-    _, m = lj_mj(D)
-    findings = []
-    passed = True
-    for j in range(1, D + 1):
-        collection = plan.choose_T_collection(params, W, j)
-        _, ok = plan.verify_evenness(params, W, j, collection)
-        passed &= ok
-        findings.append(
-            EvennessFinding(j=j, lex_first_even=plan.lex_first_positions_even(D, j))
-        )
-    return EvennessReport(D=D, passed=passed, multiplicities=m, findings=tuple(findings))
+    js = range(1, D + 1)
+    passed = all([plan.masks_even(plan._position_masks(D, j), D, j) for j in js])
+    findings = tuple(EvennessFinding(j, plan.lex_first_positions_even(D, j)) for j in js)
+    return EvennessReport(D=D, passed=passed, multiplicities=lj_mj(D)[1], findings=findings)
 
 
 @dataclass(frozen=True)

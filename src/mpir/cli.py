@@ -169,6 +169,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print("PASS" if report.passed else "FAIL")
         return 0 if report.passed else 1
     params = Params(K=args.K, D=args.D, q=args.q, m=args.m)
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     report = audit.recoverability_check(params, args.trials, rng)
     print(f"recoverability K={params.K} D={params.D} q={params.q} m={params.m}: "

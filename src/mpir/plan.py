@@ -7,16 +7,19 @@ A plan table for demand set W has one row per tuple (i, k, j, l):
 * sub-block j in 1..D fixes how many demand messages each answering server
   adds on top;
 * row l in 1..l_j picks one j-subset T of W from a fixed collection, and the
-  row's N supports are R, R + shift(T, 1), ..., R + shift(T, D).
+  row's N supports are R, then R plus each of T's D cyclic shifts within W.
 
 Rows are never materialized as a whole table; everything is reconstructed on
-demand from the tuple, the shifted parts as message bitmasks (bit x-1 for
-message x) by sub_block_masks through W's part_table, which row_supports and
-the privacy audit (one table per demand set) both read.  The collection of
-j-subsets backing each sub-block must satisfy an evenness property (every
-j-subset of W appears exactly m_j times across the l_j x D shifted columns);
-that property is load-bearing for privacy, so it is searched for and
-verified here instead of assumed.
+demand from the tuple.  The one form of a demand part is a position bitmask
+(bit p for the p-th smallest element of W): the cyclic shifts are rotations
+of D-bit masks, and _position_masks caches each sub-block's shifted
+collection as one table of them, which sub_block_masks maps through W's
+part_table to message bitmasks (bit x-1 for message x) for row_supports and
+the privacy audit (one table per demand set).  The collection of j-subsets
+backing each sub-block must satisfy an evenness property (every j-subset of
+W appears exactly m_j times across the l_j x D shifted columns); that
+property is load-bearing for privacy, so it is searched for and verified
+here, by the one predicate masks_even, instead of assumed.
 """
 from __future__ import annotations
 
@@ -84,29 +87,24 @@ def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...
     return tuple(out)
 
 
-def shifts(W: Iterable[int], T: Iterable[int]) -> tuple[frozenset[int], ...]:
-    """All D cyclic shifts of T within sorted W: entry h-1 advances each
-    element of T by h-1 positions."""
-    w = sorted(W)
-    successor = dict(zip(w, w[1:] + w[:1]))
-    t = frozenset(T)
-    if not successor.keys() >= t:
-        raise ValueError(f"{min(t.difference(successor))} is not a demand element")
-    out = [t]
-    for _ in w[1:]:
-        t = frozenset(map(successor.__getitem__, t))
-        out.append(t)
-    return tuple(out)
-
-
 def _position_candidates(D: int, j: int) -> tuple[tuple[int, ...], ...]:
     # All j-subsets of positions 0..D-1 containing position 0, in lex order.
     return tuple(c for c in combinations(range(D), j) if c[0] == 0)
 
 
-def _positions_even(collection: Iterable[tuple[int, ...]], D: int, j: int, mj: int) -> bool:
-    counts = Counter(s for cand in collection for s in shifts(range(D), cand))
-    return all(counts[frozenset(s)] == mj for s in combinations(range(D), j))
+def _shifted(D: int, cands: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """The D cyclic shifts of each position set in cands, as D-bit position
+    masks (bit p for position p): shift h moves position p to (p + h) mod D."""
+    full = (1 << D) - 1
+    masks = [sum(1 << p for p in cand) for cand in cands]
+    return tuple((s << h | s >> (D - h)) & full for s in masks for h in range(D))
+
+
+def masks_even(masks: Iterable[int], D: int, j: int) -> bool:
+    """The evenness property: the position masks are the j-subsets of the D
+    positions, each exactly m_j times."""
+    _, m = lj_mj(D)
+    return Counter(masks) == Counter({s: m[j - 1] for s in range(1 << D) if s.bit_count() == j})
 
 
 @lru_cache(maxsize=None)
@@ -117,8 +115,8 @@ def lex_first_positions_even(D: int, j: int) -> bool:
     (D, j), e.g. D=7 with j=3, which is why the chosen collection below is
     built per cyclic-shift orbit instead.
     """
-    l, m = lj_mj(D)
-    return _positions_even(_position_candidates(D, j)[: l[j - 1]], D, j, m[j - 1])
+    l, _ = lj_mj(D)
+    return masks_even(_shifted(D, _position_candidates(D, j)[: l[j - 1]]), D, j)
 
 
 @lru_cache(maxsize=None)
@@ -135,10 +133,10 @@ def _chosen_positions(D: int, j: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"j must be in [1, {D}], got {j}")
     l, m = lj_mj(D)
     lj, mj = l[j - 1], m[j - 1]
-    quotas: dict[frozenset[frozenset[int]], int] = {}
+    quotas: dict[frozenset[int], int] = {}
     chosen: list[tuple[int, ...]] = []
     for cand in _position_candidates(D, j):
-        orbit = frozenset(shifts(range(D), cand))
+        orbit = frozenset(_shifted(D, [cand]))
         stab = D // len(orbit)
         if mj % stab != 0:
             raise EvennessError(
@@ -151,28 +149,16 @@ def _chosen_positions(D: int, j: int) -> tuple[tuple[int, ...], ...]:
             chosen.append(cand)
             if len(chosen) == lj:
                 break
-    if len(chosen) != lj or not _positions_even(chosen, D, j, mj):
+    if len(chosen) != lj or not masks_even(_shifted(D, chosen), D, j):
         raise EvennessError(f"even collection search failed for D={D}, j={j}")
     return tuple(chosen)
-
-
-def choose_T_collection(params: Params, W: Iterable[int], j: int) -> tuple[frozenset[int], ...]:
-    """The l_j distinct j-subsets of W (each containing min W) used by sub-block j.
-
-    Deterministic: depends only on (D, j) in position space, then mapped onto
-    the sorted elements of W.  Raises EvennessError if no even collection of
-    distinct subsets exists at all.
-    """
-    w = as_demand(params, W)
-    return tuple(frozenset(w[p] for p in cand) for cand in _chosen_positions(params.D, j))
 
 
 @lru_cache(maxsize=None)
 def _position_masks(D: int, j: int) -> tuple[int, ...]:
     """Row l of sub-block j's D cyclic shifts of its chosen positions, as
     position bitmasks (bit p for position p), at [(l-1)D, lD)."""
-    shifted = (s for cand in _chosen_positions(D, j) for s in shifts(range(D), cand))
-    return tuple(sum(1 << p for p in s) for s in shifted)
+    return _shifted(D, _chosen_positions(D, j))
 
 
 def part_table(params: Params, W: Iterable[int]) -> list[int]:
@@ -186,29 +172,10 @@ def part_table(params: Params, W: Iterable[int]) -> list[int]:
 
 
 def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int, ...], ...]:
-    """Per row l of sub-block j, the D demand parts shift(T_l, h) that its
-    columns 1+h add: the position table mapped through W's part_table."""
+    """Per row l of sub-block j, the D demand parts (T_l's cyclic shifts) that
+    its columns 2..N add: the position table mapped through W's part_table."""
     parts = map(table.__getitem__, _position_masks(params.D, j))
     return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
-
-
-def verify_evenness(
-    params: Params, W: Iterable[int], j: int, collection: Iterable[Iterable[int]]
-) -> tuple[dict[frozenset[int], int], bool]:
-    """Multiplicity of every j-subset of W across all shifted columns.
-
-    Returns the full multiplicity map (zero entries included) and whether
-    every j-subset attains exactly m_j.
-    """
-    w = as_demand(params, W)
-    _, m = lj_mj(params.D)
-    counts = {frozenset(s): 0 for s in combinations(w, j)}
-    for T in collection:
-        for s in shifts(w, T):
-            if s not in counts:
-                raise ValueError(f"{set(T)} is not a {j}-subset of the demand")
-            counts[s] += 1
-    return counts, all(c == m[j - 1] for c in counts.values())
 
 
 def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:

@@ -37,6 +37,7 @@ from mpir.prob import (
     _bound_ratio_form,
 )
 from mpir.protocol import MessageStore, run_round
+import evenness
 from dense import mat_vec_mul
 
 
@@ -243,8 +244,8 @@ def test_criterion_7_evenness():
         params = Params(K=D + 1, D=D)
         W = tuple(range(1, D + 1))
         for j in range(1, D + 1):
-            counts, ok = plan.verify_evenness(
-                params, W, j, plan.choose_T_collection(params, W, j)
+            counts, ok = evenness.verify_evenness(
+                params, W, j, evenness.choose_T_collection(params, W, j)
             )
             assert ok
             assert set(counts.values()) == {rep.multiplicities[j - 1]}

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from mpir import audit, gf, plan
+from mpir import audit, cli, gf, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 from field import inverts, support
@@ -350,6 +350,22 @@ class TestEvenness:
         report = audit.evenness_check(7)
         uneven = {f.j for f in report.findings if not f.lex_first_even}
         assert uneven == {3, 4, 5}
+
+    def test_reads_the_shipped_table(self, monkeypatch, capsys):
+        # Sub-block 2's last rotation replaced by its first in the table that
+        # rounds and the privacy audit map: the search's own collection is
+        # still even, so only a check of that table sees positions {0, 1}
+        # three times and {2, 3} once at D=4, not twice each.
+        masks = plan._position_masks
+
+        def uneven(D, j):
+            table = masks(D, j)
+            return table[:-1] + table[:1] if j == 2 else table
+
+        monkeypatch.setattr(plan, "_position_masks", uneven)
+        assert not audit.evenness_check(4).passed
+        assert cli.main(["audit", "evenness", "--D", "4"]) == 1
+        assert capsys.readouterr().out.endswith("FAIL\n")
 
 
 class TestRecoverability:

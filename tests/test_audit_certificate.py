@@ -1,20 +1,22 @@
 """The exact privacy audit's per-demand-set certificate.
 
-privacy_check certifies the reference once: its counts are size functions,
-its weights have a size-class certificate, each of its rows holds D parts,
-and its columns, mapped into position space by a subset table the audit
-builds (a part outside W_ref to -1) and sorted, equal the templates of its
-size functions.  It then keeps the reference's parts as positions, row by
-row.  Any other demand set W reads one plan.part_table and passes without
-comparing supports when, at every sub-block, plan's rows for W equal those
-positions mapped through W's own subset table, D parts to a row: one
-comparison of nested tuples.  These tests check that a correct plan takes
-that path with one table per demand set; that a part outside W, a row moved
-to the next sub-block, or rows regrouped within one do not slip through it;
-that rows in another order are compared by class and pass; and that a
-reference with a part outside W_ref, counts that are not size functions, or
-a row that does not hold D parts, is not certified, even in a sub-block the
-table gives no mass.
+privacy_check certifies the reference once, by three checks: every part in
+its rows lies in the subset table of W_ref that the audit builds, its
+weights pass the size-class certificate c, and each of its rows holds D
+parts.  It then keeps the reference's parts as positions, row by row.  Any
+other demand set W reads one plan.part_table and passes without comparing
+supports when, at every sub-block, plan's rows for W equal those positions
+mapped through W's own subset table, D parts to a row: the reference's rows
+relabelled by φ: W_ref[p] ↦ W[p], so W's weights are φ of the reference's
+and every support weighs c of its size under both.  These tests check that
+a correct plan takes that path with one table per demand set; that a part
+outside W, a row moved to the next sub-block, or rows regrouped within one
+do not slip through it; that rows in another order are compared by class
+and pass; that a reference with a part outside W_ref, or a row that does not
+hold D parts, is not certified; that a reference row in a sub-block the
+table gives no mass is still compared row by row; and that every single
+edit of the position table that all demand sets map gives the full
+crossing's report, whichever path each demand set takes.
 """
 from __future__ import annotations
 
@@ -84,10 +86,10 @@ def test_a_passing_audit_reads_one_part_table_per_demand_set(monkeypatch):
 
 def test_a_reference_part_outside_its_demand_is_not_certified(monkeypatch):
     # The reference's sub-block 1 rows each carry {6} on top of their parts.
-    # Its counts at the subsets of W_ref keep their size function, so only
-    # the reference's own checks see the extra part: its rows hold D + 1
-    # parts, and its columns differ from the template.  Every other demand
-    # set is then compared by support class.
+    # Its weights at the subsets of W_ref keep their size classes, so only
+    # the reference's other checks see the extra part: its rows hold D + 1
+    # parts, and {6} is not in W_ref's subset table.  Every other demand set
+    # is then compared by support class.
     params = Params(K=6, D=3)
     masks = plan.sub_block_masks
 
@@ -197,8 +199,10 @@ def test_a_reference_sub_block_without_mass_is_still_checked(monkeypatch, row):
     # The table gives sub-block 4 no mass at (6, 4), so the reference's
     # weights and their certificate do not see its one sub-block-4 row, and
     # that row still holds D parts.  It carries W_ref ∪ {5} in each column,
-    # which only the comparison with the template sees, or {1, 2, 3} in one
-    # column, whose counts only the size-function check sees.
+    # which is not in W_ref's subset table, so the reference is not
+    # certified; or {1, 2, 3} in one column, which is, so the reference is
+    # certified, and no other demand set's correct row equals that row
+    # relabelled.  Either way every other demand set is compared by class.
     table = build_prob_table(SHAPE)
     assert all(p[3] == 0 for p in table.P)
     masks = plan.sub_block_masks
@@ -211,3 +215,40 @@ def test_a_reference_sub_block_without_mass_is_still_checked(monkeypatch, row):
     report = audit.privacy_check(SHAPE, table)
     assert len(compared) == math.comb(6, 4) - 1
     assert report.passed
+
+
+def edited_tables(D: int):
+    """(j, table): plan's position table of sub-block j with one entry
+    changed to another D-bit mask, for every entry and every other mask."""
+    for j in range(1, D + 1):
+        table = plan._position_masks(D, j)
+        for index, entry in enumerate(table):
+            for mask in range(1 << D):
+                if mask != entry:
+                    yield j, table[:index] + (mask,) + table[index + 1:]
+
+
+@pytest.mark.parametrize("K,D,permute",
+                         [(5, 3, True), (5, 3, False), (5, 4, True), (5, 4, False), (6, 4, True)])
+def test_a_position_table_edited_alike_for_every_demand_set(monkeypatch, K, D, permute):
+    # One entry of the position table that every demand set maps, edited:
+    # every demand set's rows are then the reference's relabelled, so each
+    # passes by the row comparison whenever the reference passes its three
+    # checks.  Whichever path a demand set takes, the report must equal the
+    # full crossing's.  At (5, 4) the table gives sub-blocks 3 and 4 no mass,
+    # so an edit there changes no weight: each of those 2 x 4 x 15 edited
+    # plans passes by the row comparison alone.
+    params = Params(K=K, D=D)
+    table = build_prob_table(params)
+    masks = plan._position_masks
+    compared = compared_demands(monkeypatch)
+    certified = 0
+    for j, edited in edited_tables(D):
+        monkeypatch.setattr(plan, "_position_masks", lambda d, sub_block, j=j, edited=edited:
+                            edited if sub_block == j else masks(d, sub_block))
+        compared.clear()
+        report = audit.privacy_check(params, table, permute=permute)
+        assert report == full_crossing_report(params, table, permute), (j, edited)
+        certified += report.passed and not compared
+    if (K, D, permute) == (5, 4, True):
+        assert certified == 120

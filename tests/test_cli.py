@@ -256,6 +256,8 @@ class TestOutOfRangeValues:
 
     @pytest.mark.parametrize("argv,message", [
         (("simulate", "--K", "5", "--D", "2", "--rounds", "0"), "--rounds must be >= 1, got 0"),
+        (("audit", "recoverability", "--K", "5", "--D", "2", "--trials", "0"),
+         "--trials must be >= 1, got 0"),
         (("audit", "evenness", "--D", "0"), "D must be an integer > 1, got 0"),
         (("audit", "evenness", "--D", "1"), "D must be an integer > 1, got 1"),
         (("rate-table", "--D", "2", "--k-min", "5", "--k-max", "3"), "--k-min 5 exceeds --k-max 3"),

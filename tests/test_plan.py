@@ -12,6 +12,7 @@ from scipy.stats import chi2
 from mpir import plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
+import evenness
 from rows import iter_row_ids, scan_row
 
 
@@ -43,7 +44,7 @@ class TestRSubset:
 
 class TestShiftSubset:
     def test_single_element(self):
-        assert plan.shifts((1, 2), {1})[1] == frozenset({2})
+        assert evenness.shifts((1, 2), {1})[1] == frozenset({2})
 
     def test_identity_shift(self):
         rng = random.Random(3)
@@ -52,10 +53,10 @@ class TestShiftSubset:
             W = tuple(sorted(rng.sample(range(1, 30), D)))
             j = rng.randrange(1, D + 1)
             T = frozenset(rng.sample(W, j))
-            assert plan.shifts(W, T)[0] == T
+            assert evenness.shifts(W, T)[0] == T
 
     def test_full_set_fixed(self):
-        assert plan.shifts((1, 2), {1, 2})[1] == frozenset({1, 2})
+        assert evenness.shifts((1, 2), {1, 2})[1] == frozenset({1, 2})
 
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     def test_bijection_per_shift(self, D):
@@ -63,12 +64,12 @@ class TestShiftSubset:
         for j in range(1, D + 1):
             subsets = [frozenset(c) for c in combinations(W, j)]
             for h in range(1, D + 1):
-                image = {plan.shifts(W, T)[h - 1] for T in subsets}
+                image = {evenness.shifts(W, T)[h - 1] for T in subsets}
                 assert image == set(subsets)
 
     def test_rejects_non_demand_element(self):
         with pytest.raises(ValueError):
-            plan.shifts((1, 2), {3})
+            evenness.shifts((1, 2), {3})
 
     @pytest.mark.parametrize("D", range(1, 7))
     def test_every_shift_of_every_subset(self, D):
@@ -81,22 +82,22 @@ class TestShiftSubset:
                     expected = tuple(
                         frozenset(w[(w.index(x) + h - 1) % D] for x in T) for h in range(1, D + 1)
                     )
-                    assert plan.shifts(w[::-1], T) == expected
+                    assert evenness.shifts(w[::-1], T) == expected
                     with pytest.raises(ValueError, match="not a demand element"):
-                        plan.shifts(w, T + (outsider,))
+                        evenness.shifts(w, T + (outsider,))
 
 
 class TestChooseCollection:
     def test_d2(self):
         params = Params(K=4, D=2)
-        assert plan.choose_T_collection(params, (1, 2), 1) == (frozenset({1}),)
-        assert plan.choose_T_collection(params, (1, 2), 2) == (frozenset({1, 2}),)
+        assert evenness.choose_T_collection(params, (1, 2), 1) == (frozenset({1}),)
+        assert evenness.choose_T_collection(params, (1, 2), 2) == (frozenset({1, 2}),)
 
     def test_d3_j2_shift_coverage(self):
         params = Params(K=5, D=3)
-        (T,) = plan.choose_T_collection(params, (1, 2, 3), 2)
+        (T,) = evenness.choose_T_collection(params, (1, 2, 3), 2)
         assert T == frozenset({1, 2})
-        shifts = [plan.shifts((1, 2, 3), T)[h - 1] for h in (1, 2, 3)]
+        shifts = [evenness.shifts((1, 2, 3), T)[h - 1] for h in (1, 2, 3)]
         assert Counter(shifts) == Counter(
             [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
         )
@@ -107,7 +108,7 @@ class TestChooseCollection:
         W = tuple(range(2, 2 + D))
         l, _ = lj_mj(D)
         for j in range(1, D + 1):
-            coll = plan.choose_T_collection(params, W, j)
+            coll = evenness.choose_T_collection(params, W, j)
             assert len(coll) == l[j - 1]
             assert len(set(coll)) == l[j - 1]
             assert all(min(W) in T for T in coll)
@@ -117,13 +118,13 @@ class TestChooseCollection:
 class TestVerifyEvenness:
     def test_d2_j1(self):
         params = Params(K=4, D=2)
-        counts, ok = plan.verify_evenness(params, (1, 2), 1, [{1}])
+        counts, ok = evenness.verify_evenness(params, (1, 2), 1, [{1}])
         assert ok
         assert counts == {frozenset({1}): 1, frozenset({2}): 1}
 
     def test_d2_j2(self):
         params = Params(K=4, D=2)
-        counts, ok = plan.verify_evenness(params, (1, 2), 2, [{1, 2}])
+        counts, ok = evenness.verify_evenness(params, (1, 2), 2, [{1, 2}])
         assert ok
         assert counts == {frozenset({1, 2}): 2}
 
@@ -131,7 +132,7 @@ class TestVerifyEvenness:
         params = Params(K=5, D=4)
         W = (1, 2, 3, 4)
         coll = [{1, 2}, {1, 3}, {1, 4}]
-        counts, ok = plan.verify_evenness(params, W, 2, coll)
+        counts, ok = evenness.verify_evenness(params, W, 2, coll)
         assert ok
         assert set(counts.values()) == {2}
 
@@ -139,7 +140,7 @@ class TestVerifyEvenness:
         # Two subsets from the same shift orbit starve the other orbit.
         params = Params(K=6, D=5)
         W = (1, 2, 3, 4, 5)
-        counts, ok = plan.verify_evenness(params, W, 2, [{1, 2}, {1, 5}])
+        counts, ok = evenness.verify_evenness(params, W, 2, [{1, 2}, {1, 5}])
         assert not ok
         assert counts[frozenset({1, 3})] == 0
 
@@ -149,8 +150,8 @@ class TestVerifyEvenness:
         W = tuple(range(1, D + 1))
         _, m = lj_mj(D)
         for j in range(1, D + 1):
-            coll = plan.choose_T_collection(params, W, j)
-            counts, ok = plan.verify_evenness(params, W, j, coll)
+            coll = evenness.choose_T_collection(params, W, j)
+            counts, ok = evenness.verify_evenness(params, W, j, coll)
             assert ok
             assert set(counts.values()) == {m[j - 1]}
 
@@ -247,7 +248,7 @@ class TestSubBlockMasks:
         params = Params(K=K, D=D)
         for w in combinations(range(1, K + 1), D):
             for j in range(1, D + 1):
-                expected = [plan.shifts(w, T) for T in plan.choose_T_collection(params, w, j)]
+                expected = [evenness.shifts(w, T) for T in evenness.choose_T_collection(params, w, j)]
                 for W in (w, w[::-1]):
                     rows = plan.sub_block_masks(params, plan.part_table(params, W), j)
                     assert [tuple(map(members, row)) for row in rows] == expected, (W, j)
@@ -409,7 +410,7 @@ class TestDemandValidation:
         # D=10, j=4 has shift orbits whose stabilizer cannot divide the
         # multiplicity, so no collection of distinct subsets works.
         with pytest.raises(plan.EvennessError):
-            plan.choose_T_collection(Params(K=11, D=10), tuple(range(1, 11)), 4)
+            evenness.choose_T_collection(Params(K=11, D=10), tuple(range(1, 11)), 4)
 
 
 class TestUnevenSubBlocks:

@@ -1,9 +1,10 @@
 """The exact privacy audit against a full crossing of its own.
 
-privacy_check accepts a demand set by its demand-part counts and the
-reference's size-class certificate, and compares any other demand set with
-the reference class by class, expanding only the support classes whose
-weights differ.  The oracle here shares only the weights w_i[t]
+privacy_check accepts a demand set whose rows are the reference's rows
+relabelled, once the reference passes its three checks (its parts in its own
+subset table, its size-class certificate, D parts to a row), and compares
+any other demand set with the reference class by class, expanding only the
+support classes whose weights differ.  The oracle here shares only the weights w_i[t]
 (audit._demand_counts, audit._support_weights): it crosses every demand
 set's weights with all complement subsets into tallies keyed by support
 bitmask and diffs them support by support, so the two reports must be equal,

@@ -21,6 +21,7 @@ from mpir.protocol import (
     run_round,
     server_answer,
 )
+import evenness
 from field import inverts, support, vec_add
 
 
@@ -117,9 +118,9 @@ class TestMakeQuerySet:
             columns = (qs.U,) + tuple(vec_add(qs.U, v, q) for v in qs.V)
             for n, col in enumerate(columns):
                 assert qs.queries[qs.permutation[n]] == col
-            T = plan.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
+            T = evenness.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
             for h, v in enumerate(qs.V, start=1):
-                assert support(v) == plan.shifts(W, T)[h - 1]
+                assert support(v) == evenness.shifts(W, T)[h - 1]
             assert inverts(q, qs.V, qs.inverse)
 
     def test_zero_query_when_base_empty(self):
