@@ -5,7 +5,7 @@ probability table; per demand set W and server position, it counts how often
 sub-block j's columns carry each demand part t ⊆ W (a message bitmask, read
 as row_supports reads it from one plan.part_table), count_j[t], and folds
 them into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
-table's common denominator: the exact probability of each support b | t, b
+table's denominator den: the exact probability of each support b | t, b
 an i-subset of the complement.  Privacy holds iff these distributions are
 identical (rational equality, not approximate) across all C(K, D) demand
 sets.  The reference W_ref is certified once, by three checks: every part in
@@ -46,17 +46,11 @@ from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
 from .params import Params, lj_mj
-from .prob import (
-    ProbTable,
-    build_prob_table,
-    common_denominator,
-    expected_download_factor,
-    table_mass,
-)
+from .prob import ProbTable, build_prob_table, expected_download_factor, table_mass
 from .protocol import MessageStore, draw_queries, run_round
 
 SupportDistribution = dict[frozenset[int], Fraction]
-_PERTURB_DELTA = Fraction(1, 1000)  # the nudge perturb_prob_table gives one entry
+_PERTURB_SCALE = 1000  # perturb_prob_table nudges one entry by 1/_PERTURB_SCALE
 
 
 def _mask(xs: Iterable[int]) -> int:
@@ -171,10 +165,9 @@ def support_distribution(
     w = plan.as_demand(params, W)
     if not 1 <= server_n <= params.N:
         raise ValueError(f"server position must be in [1, {params.N}]")
-    den, nums = common_denominator(prob)
-    scale = params.N * den if permute else den
+    scale = params.N * prob.den if permute else prob.den
     counts = _demand_counts(params, w, permute)
-    weights = _support_weights(nums, counts)[0 if permute else server_n - 1]
+    weights = _support_weights(prob.nums, counts)[0 if permute else server_n - 1]
     comp = plan.complement(params, w)
     parts = {t: frozenset(x for x in w if t >> (x - 1) & 1) for weight in weights for t in weight}
     return {frozenset(b) | parts[t]: Fraction(v, scale) for i, weight in enumerate(weights)
@@ -224,13 +217,12 @@ def privacy_check(
     """
     if prob is None:
         prob = build_prob_table(params)
-    den, nums = common_denominator(prob)
-    scale = params.N * den if permute else den
+    scale = params.N * prob.den if permute else prob.den
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
 
     w_ref = demands[0]
     ref_rows = _sub_block_rows(params, w_ref)
-    reference = _support_weights(nums, _demand_counts(params, w_ref, permute, ref_rows))
+    reference = _support_weights(prob.nums, _demand_counts(params, w_ref, permute, ref_rows))
     inverse = {t: s for s, t in enumerate(_subsets(w_ref))}  # message mask -> position mask
     in_table = all(len(row) == params.D and inverse.keys() >= set(row)
                    for row in chain.from_iterable(ref_rows))
@@ -249,7 +241,7 @@ def privacy_check(
         rest = plan.complement(params, w_ref + w)
         compared = [
             _differences(w_ref, w, rest, ref_w, cur_w)
-            for ref_w, cur_w in zip(reference, _support_weights(nums, counts))
+            for ref_w, cur_w in zip(reference, _support_weights(prob.nums, counts))
         ]
         # Under the uniform permutation every server position sees the same
         # distribution, so one comparison per demand stands for all N positions.
@@ -276,21 +268,21 @@ def privacy_check(
 
 
 def perturb_prob_table(prob: ProbTable, i: int, j: int) -> ProbTable:
-    """A deliberately broken table: one entry nudged, then mass renormalized.
+    """A deliberately broken table: P[i][j] nudged by 1/1000, then mass
+    renormalized, in integers: 1000 nums, den added to P[i][j], over their
+    table_mass.
 
     The result intentionally bypasses construction-time validation; it exists
     so tests and the CLI can confirm the privacy auditor actually detects
     broken probability assignments.  Raises ValueError unless
     0 <= i <= K-D and 1 <= j <= D.
     """
-    if not (0 <= i < len(prob.P) and 1 <= j <= len(prob.P[0])):
-        raise ValueError(f"no entry P[{i}][{j}]: need 0 <= i <= {len(prob.P) - 1}, "
-                         f"1 <= j <= {len(prob.P[0])}")
-    rows = [list(r) for r in prob.P]
-    rows[i][j - 1] += _PERTURB_DELTA
-    mass = table_mass(rows)
-    scaled = tuple(tuple(p / mass for p in row) for row in rows)
-    return ProbTable(P=scaled, j_star=prob.j_star)
+    if not (0 <= i < len(prob.nums) and 1 <= j <= len(prob.nums[0])):
+        raise ValueError(f"no entry P[{i}][{j}]: need 0 <= i <= {len(prob.nums) - 1}, "
+                         f"1 <= j <= {len(prob.nums[0])}")
+    rows = [[_PERTURB_SCALE * n for n in row] for row in prob.nums]
+    rows[i][j - 1] += prob.den
+    return ProbTable(table_mass(rows), rows, prob.j_star)
 
 
 @dataclass(frozen=True)
@@ -394,7 +386,7 @@ def row_distribution(
 ) -> dict[plan.RowId, Fraction]:
     """Exact distribution of the row that plan.sample_row draws, by replay."""
     w = plan.as_demand(params, W)
-    if common_denominator(prob)[0] > MAX_REPLAY_LEAVES:
+    if prob.den > MAX_REPLAY_LEAVES:
         raise ValueError("instance too large for exact row enumeration")
     return _replay(lambda rng: [plan.sample_row(params, prob, w, rng)])
 
@@ -412,7 +404,7 @@ def coefficient_distributions(
     leaves = params.q ** (params.K - params.D) * math.factorial(params.N) * sum(
         l_j * (params.q - 1) ** (j * params.D) for j, l_j in enumerate(l, start=1)
     )
-    if common_denominator(prob)[0] + leaves > MAX_REPLAY_LEAVES:
+    if prob.den + leaves > MAX_REPLAY_LEAVES:
         raise ValueError("instance too large for exact coefficient enumeration")
     dists: list[dict] = [defaultdict(Fraction) for _ in range(params.N)]
     for row, p_row in row_distribution(params, prob, w).items():
@@ -452,6 +444,7 @@ def coefficient_privacy_check(
 @dataclass(frozen=True)
 class EvennessFinding:
     j: int
+    even: bool  # the shipped table's sub-block j is even
     lex_first_even: bool
 
 
@@ -466,7 +459,8 @@ class EvennessReport:
 def evenness_check(D: int) -> EvennessReport:
     """Verify, for every sub-block size j, the table of shifted position
     masks that every round and audit maps (plan._position_masks): each
-    j-subset of the D positions appears exactly m_j times.
+    j-subset of the D positions appears exactly m_j times.  Each j gets its
+    own verdict, and the report passes iff every j is even.
 
     Also records, per j, whether the naive lexicographically-first choice of
     l_j subsets would have satisfied evenness; those data points are genuine
@@ -474,10 +468,9 @@ def evenness_check(D: int) -> EvennessReport:
     """
     if not isinstance(D, int) or D < 2:
         raise ValueError(f"D must be an integer > 1, got {D!r}")
-    js = range(1, D + 1)
-    passed = all([plan.masks_even(plan._position_masks(D, j), D, j) for j in js])
-    findings = tuple(EvennessFinding(j, plan.lex_first_positions_even(D, j)) for j in js)
-    return EvennessReport(D=D, passed=passed, multiplicities=lj_mj(D)[1], findings=findings)
+    findings = tuple(EvennessFinding(j, plan.masks_even(plan._position_masks(D, j), D, j),
+                                     plan.lex_first_positions_even(D, j)) for j in range(1, D + 1))
+    return EvennessReport(D, all(f.even for f in findings), lj_mj(D)[1], findings)
 
 
 @dataclass(frozen=True)

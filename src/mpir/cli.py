@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import audit, gf, net
-from .params import Params, build_L, build_M, compute_FG, lj_mj
+from .params import Params, compute_FG, integer_M, lj_mj
 from .prob import build_prob_table, rate_report
 from .protocol import MessageStore
 
@@ -84,15 +84,17 @@ def rate_table_rows(D: int, k_min: int, k_max: int) -> tuple[list[str], list[lis
 def _cmd_params(args: argparse.Namespace) -> int:
     params = Params(K=args.K, D=args.D, q=args.q, m=args.m)
     l, m = lj_mj(params.D)
+    _, mu, sigma = integer_M(params.D)
     F, G = compute_FG(params)
     table = build_prob_table(params)
     rep = rate_report(params)
     print(f"K={params.K} D={params.D} N={params.N} q={params.q} m={params.m}")
     print(f"l = {list(l)}")
     print(f"m = {list(m)}")
-    print(f"L = {[str(x) for x in build_L(params.D)]}")
-    print("M =")
-    for row in build_M(params.D):
+    print(f"L = {[str(x) for x in l]}")
+    print("M =")  # L on top; row h+2 holds m_{h+1}/m_{h+2} = sigma_h/mu in column h+1
+    for row in [l] + [[Fraction(s, mu) if c == h else 0 for c in range(params.D)]
+                      for h, s in enumerate(sigma[:-1])]:
         print("  [" + ", ".join(str(x) for x in row) + "]")
     print(f"F = {[str(x) for x in F]}")
     print(f"G = {[str(x) for x in G]}")
@@ -140,7 +142,10 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         table = build_prob_table(params)
         if args.mutate is not None:
             i, j = args.mutate
-            table = audit.perturb_prob_table(table, i, j)
+            try:
+                table = audit.perturb_prob_table(table, i, j)
+            except ValueError as exc:
+                raise ValueError(f"--mutate: {exc}") from None
             print(f"note: auditing a table with P[{i}][{j}] perturbed and renormalized")
         if args.coefficient_level:
             rep = audit.coefficient_privacy_check(params, table)
@@ -165,7 +170,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         for finding in report.findings:
             mj = report.multiplicities[finding.j - 1]
             note = "" if finding.lex_first_even else "  (first-candidate collection was uneven; orbit-balanced one substituted)"
-            print(f"j={finding.j}: multiplicity {mj} verified{note}")
+            print(f"j={finding.j}: multiplicity {mj} {'verified' if finding.even else 'NOT met'}{note}")
         print("PASS" if report.passed else "FAIL")
         return 0 if report.passed else 1
     params = Params(K=args.K, D=args.D, q=args.q, m=args.m)

@@ -1,8 +1,8 @@
-"""Protocol parameters and exact rational linear algebra.
+"""Protocol parameters and the exact products with M.
 
-Everything here is computed in arbitrary-precision rationals
-(:class:`fractions.Fraction`); there is no floating point anywhere in the
-analysis path.
+M is kept in integers (integer_M) and the weight vectors are computed over
+one denominator, returned as :class:`fractions.Fraction`; there is no
+floating point anywhere in the analysis path.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 RationalVector = tuple[Fraction, ...]
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 def is_prime(n: int) -> bool:
@@ -112,30 +111,6 @@ def lj_mj(D: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         l.append(lj)
         m.append(D * lj // c)
     return tuple(l), tuple(m)
-
-
-def build_L(D: int) -> RationalVector:
-    """The row-count vector (l_1, ..., l_D) as rationals."""
-    l, _ = lj_mj(D)
-    return tuple(Fraction(x) for x in l)
-
-
-def sub_diagonal(D: int) -> RationalVector:
-    """M's sub-diagonal (m_1/m_2, ..., m_{D-1}/m_D)."""
-    _, m = lj_mj(D)
-    return tuple(Fraction(m[h - 1], m[h]) for h in range(1, D))
-
-
-def build_M(D: int) -> RationalMatrix:
-    """D x D transition matrix linking consecutive probability rows.
-
-    First row is L = (l_1, ..., l_D); the sub-diagonal entry in row h+1 is
-    m_h / m_{h+1}; everything else is zero.
-    """
-    S = sub_diagonal(D)
-    return (build_L(D),) + tuple(
-        tuple(S[h - 1] if c == h - 1 else Fraction(0) for c in range(D)) for h in range(1, D)
-    )
 
 
 def integer_M(D: int) -> tuple[list[int], int, list[int]]:

@@ -209,11 +209,11 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     """Draw one row id with probability P[i][j], uniform across k and l.
 
     The draw is one uniform integer target in [0, den), den the table's
-    common denominator, located among exact integer thresholds: every row
+    least common denominator, located among exact integer thresholds: every row
     gets exactly its probability, at every K.
     """
     as_demand(params, W)
-    if len(prob.P) != params.K - params.D + 1 or len(prob.P[0]) != params.D:
+    if len(prob.nums) != params.K - params.D + 1 or len(prob.nums[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
     den, groups, ends = prob.sampling_layout
     for j in prob.sub_blocks:  # before any draw, EvennessError for a sub-block no row can use

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Sequence
 
 from .params import Params, RationalVector, binomial, compute_FG, integer_M, lj_mj
@@ -22,59 +22,62 @@ from .params import Params, RationalVector, binomial, compute_FG, integer_M, lj_
 
 @dataclass(frozen=True)
 class ProbTable:
-    """Row-selection probabilities P[i][j-1] for i in 0..K-D, j in 1..D.
+    """Row-selection probabilities P[i][j-1] = nums[i][j-1] / den, i in 0..K-D,
+    j in 1..D, kept in lowest terms: construction divides den and the nums by
+    their gcd, so den is the lcm of the entries' reduced denominators.
 
     j_star is the column carrying the single nonzero entry of the last row.
     """
 
-    P: tuple[tuple[Fraction, ...], ...]
+    den: int
+    nums: tuple[tuple[int, ...], ...]
     j_star: int
+
+    def __post_init__(self) -> None:
+        g = math.gcd(self.den, *chain.from_iterable(self.nums))
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", tuple(tuple(n // g for n in row) for row in self.nums))
+
+    @cached_property
+    def P(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, for printing."""
+        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
 
     @cached_property
     def sampling_layout(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(den, groups, ends) for exact row sampling, built on first use.
 
         One group (i, j, C(K-D, i), l_j, num) per entry, in table order, with
-        P[i][j-1] == num / den, and ends[g] the row weight of groups 0..g; the
+        num = nums[i][j-1], and ends[g] the row weight of groups 0..g; the
         order is fixed so that a seed reproduces its draws.  Raises ValueError
         unless the row weights sum to den.
         """
-        den, nums = common_denominator(self)
-        l, _ = lj_mj(len(self.P[0]))
+        l, _ = lj_mj(len(self.nums[0]))
         groups = tuple(
-            (i, j, binomial(len(self.P) - 1, i), l[j - 1], num)
-            for i, row in enumerate(nums)
+            (i, j, binomial(len(self.nums) - 1, i), l[j - 1], num)
+            for i, row in enumerate(self.nums)
             for j, num in enumerate(row, start=1)
         )
         ends = tuple(accumulate(k_count * l_count * num for _, _, k_count, l_count, num in groups))
-        if ends[-1] != den:
+        if ends[-1] != self.den:
             raise ValueError("probability table mass is not exactly 1")
-        return den, groups, ends
+        return self.den, groups, ends
 
     @cached_property
     def sub_blocks(self) -> tuple[int, ...]:
         """The sub-blocks j, ascending, to which some row gives mass."""
-        return tuple(j for j in range(1, len(self.P[0]) + 1) if any(row[j - 1] for row in self.P))
+        return tuple(j for j, column in enumerate(zip(*self.nums), start=1) if any(column))
 
 
-def table_mass(P: Sequence[Sequence[Fraction]]) -> Fraction:
+def table_mass(P: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
     """Total row mass sum_i C(K-D, i) * sum_j l_j * P[i][j] of a table with
-    K-D+1 rows of D entries; a valid table has mass exactly 1."""
+    K-D+1 rows of D entries, Fractions or integers: exactly 1 for a valid
+    table, exactly den for a valid table's nums."""
     D = len(P[0])
     l, _ = lj_mj(D)
     return sum(
         binomial(len(P) - 1, i) * sum(l[j] * row[j] for j in range(D)) for i, row in enumerate(P)
     )
-
-
-def common_denominator(table: ProbTable) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, num) with P[i][j-1] == num[i][j-1] / den exactly.
-
-    den is the lcm of the entries' denominators, so exact sums of weighted
-    entries can be carried as integers and divided by den only at the end.
-    """
-    den = math.lcm(*(p.denominator for row in table.P for p in row))
-    return den, tuple(tuple(p.numerator * (den // p.denominator) for p in row) for row in table.P)
 
 
 @dataclass(frozen=True)
@@ -109,10 +112,11 @@ def build_prob_table(params: Params) -> ProbTable:
     """Construct the optimal probability table for one protocol instance.
 
     The last row puts mass 1/g_{j*} on column j*, and each earlier row is M
-    times its successor, on M's first row and sub-diagonal in integers over
-    one denominator (integer_M), with one Fraction per entry at the end.  An
-    entry outside [0, 1], or a total mass other than 1 (the sampling layout's
-    check), means the construction itself is broken: it raises, not clamps.
+    times its successor, on M's first row and sub-diagonal in integers
+    (integer_M); row i, over 1/g_{j*}'s denominator times mu^(K-D-i), is put
+    over row 0's by mu^i.  An entry outside [0, 1], or a total mass other
+    than 1 (the sampling layout's check), means the construction itself is
+    broken: it raises, not clamps.
     """
     K, D = params.K, params.D
     F, G = compute_FG(params)
@@ -124,17 +128,18 @@ def build_prob_table(params: Params) -> ProbTable:
             "closed-form optimum does not support"
         )
     l, mu, sigma = integer_M(D)
-    rows = [([top.numerator if j == j_star else 0 for j in range(1, D + 1)], top.denominator)]
+    rows = [[top.numerator if j == j_star else 0 for j in range(1, D + 1)]]
     for _ in range(K - D):  # mu M times the row: mu L . row on top, then the row shifted by sigma
-        row, den = rows[-1]
+        row = rows[-1]
         first = mu * sum(a * p for a, p in zip(l, row))
-        rows.append(([first] + [s * p for s, p in zip(sigma, row[:-1])], den * mu))
-    rows.reverse()
-    for i, (row, den) in enumerate(rows):
+        rows.append([first] + [s * p for s, p in zip(sigma, row[:-1])])
+    den = top.denominator * mu ** (K - D)
+    nums = [[p * mu**i for p in row] for i, row in enumerate(reversed(rows))]
+    for i, row in enumerate(nums):
         for j, p in enumerate(row, start=1):
             if not 0 <= p <= den:
                 raise ValueError(f"P[{i}][{j}] = {Fraction(p, den)} outside [0, 1]")
-    table = ProbTable(tuple(tuple(Fraction(p, den) for p in row) for row, den in rows), j_star)
+    table = ProbTable(den, nums, j_star)
     table.sampling_layout  # its exact integer mass check raises here, not at the first draw
     return table
 
@@ -152,7 +157,7 @@ def expected_download_factor(params: Params, table: ProbTable) -> Fraction:
     D by this factor reproduces the rate through an independent path.
     """
     l, _ = lj_mj(params.D)
-    return params.N - sum(Fraction(l[j]) * table.P[0][j] for j in range(params.D))
+    return params.N - Fraction(sum(l[j] * table.nums[0][j] for j in range(params.D)), table.den)
 
 
 def _bound_ratio_form(params: Params) -> Fraction:

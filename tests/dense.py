@@ -1,13 +1,40 @@
-"""The tests' references for products with M: general exact matrix-vector
-products, with compute_FG and the probability rows built on them, and the
-Fraction recursion on M's first row and sub-diagonal that compute_FG and
-build_prob_table carry out in integers."""
+"""The tests' references for products with M: M as a dense Fraction matrix
+(build_L, sub_diagonal, build_M), general exact matrix-vector products, with
+compute_FG and the probability rows built on them, and the Fraction
+recursion on M's first row and sub-diagonal that compute_FG and
+build_prob_table carry out in integers (params.integer_M)."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpir.params import Params, RationalMatrix, RationalVector, build_L, build_M, sub_diagonal
+from mpir.params import Params, RationalVector, lj_mj
 from mpir.prob import solve_opt
+
+RationalMatrix = tuple[tuple[Fraction, ...], ...]
+
+
+def build_L(D: int) -> RationalVector:
+    """The row-count vector (l_1, ..., l_D) as rationals."""
+    l, _ = lj_mj(D)
+    return tuple(Fraction(x) for x in l)
+
+
+def sub_diagonal(D: int) -> RationalVector:
+    """M's sub-diagonal (m_1/m_2, ..., m_{D-1}/m_D)."""
+    _, m = lj_mj(D)
+    return tuple(Fraction(m[h - 1], m[h]) for h in range(1, D))
+
+
+def build_M(D: int) -> RationalMatrix:
+    """D x D transition matrix linking consecutive probability rows.
+
+    First row is L = (l_1, ..., l_D); the sub-diagonal entry in row h+1 is
+    m_h / m_{h+1}; everything else is zero.
+    """
+    S = sub_diagonal(D)
+    return (build_L(D),) + tuple(
+        tuple(S[h - 1] if c == h - 1 else Fraction(0) for c in range(D)) for h in range(1, D)
+    )
 
 
 def vec_mat_mul(vec: RationalVector, mat: RationalMatrix) -> RationalVector:

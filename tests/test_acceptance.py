@@ -23,7 +23,6 @@ from mpir.cli import rate_table_rows
 from mpir.params import (
     Params,
     binomial,
-    build_M,
     compute_FG,
     lj_mj,
     smallest_prime_above,
@@ -38,7 +37,7 @@ from mpir.prob import (
 )
 from mpir.protocol import MessageStore, run_round
 import evenness
-from dense import mat_vec_mul
+from dense import build_M, mat_vec_mul
 
 
 def F(s):

@@ -1,6 +1,7 @@
 """Tests for the exact privacy auditor and the statistical checks."""
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 
 from mpir import audit, cli, gf, plan
 from mpir.params import Params, lj_mj
-from mpir.prob import build_prob_table
+from mpir.prob import build_prob_table, table_mass
 from field import inverts, support
 from rows import iter_row_ids
 
@@ -338,6 +339,20 @@ class TestPerturbProbTable:
         assert mass == 1
         assert mutated.P != table.P
 
+    @pytest.mark.parametrize("K,D", [(4, 2), (7, 3), (9, 4)])
+    def test_equals_the_fraction_renormalization(self, K, D):
+        # The integer nudge against the Fraction one it replaced: P[i][j]
+        # plus 1/1000, every entry then divided by the table's new mass.
+        table = build_prob_table(Params(K=K, D=D))
+        for i, j in [(i, j) for i in range(K - D + 1) for j in range(1, D + 1)]:
+            rows = [list(row) for row in table.P]
+            rows[i][j - 1] += F(1, 1000)
+            mass = table_mass(rows)
+            expected = tuple(tuple(p / mass for p in row) for row in rows)
+            mutated = audit.perturb_prob_table(table, i, j)
+            assert mutated.P == expected
+            assert mutated.den == math.lcm(*(p.denominator for row in expected for p in row))
+
 
 class TestEvenness:
     @pytest.mark.parametrize("D", range(2, 9))
@@ -363,9 +378,15 @@ class TestEvenness:
             return table[:-1] + table[:1] if j == 2 else table
 
         monkeypatch.setattr(plan, "_position_masks", uneven)
-        assert not audit.evenness_check(4).passed
+        report = audit.evenness_check(4)
+        assert not report.passed
+        assert [f.j for f in report.findings if not f.even] == [2]
         assert cli.main(["audit", "evenness", "--D", "4"]) == 1
-        assert capsys.readouterr().out.endswith("FAIL\n")
+        out = capsys.readouterr().out
+        assert out.endswith("FAIL\n")
+        lines = {line.split(":")[0]: line for line in out.splitlines()[:4]}
+        assert "verified" not in lines["j=2"]
+        assert all("verified" in lines[f"j={j}"] for j in (1, 3, 4))
 
 
 class TestRecoverability:

@@ -116,6 +116,11 @@ PINNED_OUTPUT = {
         "7be924cc968cb4727857feb912761d4d403161be1970f86f87acdf7d1d650b33",
     ("params", "--K", "12", "--D", "5", "--q", "11", "--m", "4"):
         "ec8b23beb0ea3eec509c1649a72504f7904c8125a1d17bb81d8b0c688d7e518d",
+    # M's sub-diagonal is 1/2, 2/3, 3/2, 2, 1/6 at D=6, and not all 1 at D=8.
+    ("params", "--K", "20", "--D", "6"):
+        "c28f4c33d3256811563abdcda972e1347ec576e06aaee96cc6130b18b493c9ca",
+    ("params", "--K", "16", "--D", "8"):
+        "42ff87ab67882ae5fdee41ab1976b46365a2e870f4629b0018ef0398b234150e",
     ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "markdown"):
         "f1d42bff176e304e0b4808a84d2f5ba2a3a28ddf3a2acb439e247f0a34c75cdd",
     ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "csv"):
@@ -175,6 +180,7 @@ class TestAudit:
                                  "--mutate", *mutate)
         assert code == 2
         assert "no entry" in err
+        assert "--mutate" in err
         assert out == ""
 
     def test_coefficient_level_no_permute_is_usage_error(self, capsys):

@@ -10,15 +10,12 @@ import pytest
 from mpir.params import (
     Params,
     binomial,
-    build_L,
-    build_M,
     compute_FG,
     is_prime,
     lj_mj,
     smallest_prime_above,
-    sub_diagonal,
 )
-from dense import vec_mat_mul
+from dense import build_L, build_M, sub_diagonal, vec_mat_mul
 
 
 def F(*args):

@@ -23,7 +23,7 @@ import pytest
 
 from mpir import audit, plan
 from mpir.params import Params
-from mpir.prob import ProbTable, build_prob_table, common_denominator, table_mass
+from mpir.prob import ProbTable, build_prob_table, table_mass
 
 # Acceptance criterion 3's instances up to K = 12; its (13, 6) and (14, 6)
 # are left out, since their full crossing alone takes about 16 s.
@@ -80,7 +80,7 @@ def differences(ref: dict[int, int], cur: dict[int, int]) -> tuple[list[tuple], 
 def full_crossing_report(params: Params, prob: ProbTable, permute: bool) -> audit.PrivacyReport:
     """privacy_check without the certificate or the classes: every demand
     set's tallies are crossed out and diffed against the reference's."""
-    den, nums = common_denominator(prob)
+    den, nums = prob.den, prob.nums
     scale = params.N * den if permute else den
     demands = list(combinations(range(1, params.K + 1), params.D))
     w_ref = demands[0]
@@ -229,10 +229,9 @@ def test_asking_for_the_demand_itself_fails(permute):
     # for W itself.  Every weight but w_0[{}] and w_0[W] is 0, so only a
     # certificate that counts zero weights sees sizes 0 and D clash with them.
     params = Params(K=5, D=2)
-    rows = [[Fraction(0)] * params.D for _ in range(params.K - params.D + 1)]
-    rows[0][-1] = Fraction(1)
-    mass = table_mass(rows)
-    table = ProbTable(P=tuple(tuple(p / mass for p in row) for row in rows), j_star=params.D)
+    rows = [[0] * params.D for _ in range(params.K - params.D + 1)]
+    rows[0][-1] = 1
+    table = ProbTable(table_mass(rows), rows, j_star=params.D)
     report = audit.privacy_check(params, table, permute=permute)
     assert not report.passed
     assert report == full_crossing_report(params, table, permute)

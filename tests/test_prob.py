@@ -1,11 +1,12 @@
 """Tests for the probability table, rate formulas, and capacity bounds."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from mpir.params import Params, binomial, build_M, compute_FG, lj_mj
+from mpir.params import Params, binomial, compute_FG, lj_mj
 from mpir.prob import (
     ProbTable,
     achievable_rate,
@@ -19,7 +20,7 @@ from mpir.prob import (
     _bound_geometric_form,
     _bound_ratio_form,
 )
-from dense import dense_FG, dense_prob_rows, mat_vec_mul, recursion_FG, recursion_prob_rows
+from dense import build_M, dense_FG, dense_prob_rows, mat_vec_mul, recursion_FG, recursion_prob_rows
 
 
 def F(*args):
@@ -111,9 +112,27 @@ class TestTableLaws:
     def test_invalid_table_rejected(self):
         # A hand-built table with mass != 1 must be caught by the sampler's
         # layout check; build_prob_table itself cannot produce one.
-        bad = ProbTable(P=((F(1, 2), F(1, 4)),), j_star=1)
+        bad = ProbTable(4, ((2, 1),), j_star=1)
         with pytest.raises(ValueError):
             bad.sampling_layout
+
+    @pytest.mark.parametrize("D", range(2, 9))
+    def test_den_is_the_least_common_denominator(self, D):
+        for K in range(D + 1, D + 14):
+            table = build_prob_table(Params(K=K, D=D))
+            assert table.den == math.lcm(*(p.denominator for row in table.P for p in row)), K
+
+    @pytest.mark.parametrize("k", [2, 3, 1000])
+    @pytest.mark.parametrize("K,D", [(4, 2), (7, 3), (9, 4), (20, 6)])
+    def test_scaled_numerators_give_the_reduced_table(self, K, D, k):
+        # The table keeps itself in lowest terms, so k den and k nums are the
+        # same table, and sampling draws the same targets from it.
+        table = build_prob_table(Params(K=K, D=D))
+        scaled = ProbTable(k * table.den, tuple(tuple(k * n for n in row) for row in table.nums),
+                           table.j_star)
+        assert scaled == table
+        assert (scaled.den, scaled.nums) == (table.den, table.nums)
+        assert scaled.sampling_layout == table.sampling_layout
 
 
 class TestDenseReference:
