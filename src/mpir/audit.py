@@ -2,8 +2,8 @@
 
 The privacy auditor does not reuse the analysis that motivated the
 probability table; per demand set W and server position, it counts how often
-sub-block j's columns carry each demand part t ⊆ W (a message bitmask, read
-as row_supports reads it from one plan.part_table), count_j[t], and folds
+sub-block j's columns carry each demand part t ⊆ W (a message bitmask, from
+plan.sub_block_masks over one plan.part_table), count_j[t], and folds
 them into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
 table's denominator den: the exact probability of each support b | t, b
 an i-subset of the complement.  Privacy holds iff these distributions are
@@ -24,14 +24,14 @@ supports.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
-shuffle over all N! orders, and plan.sample_row (stage 1), then
-protocol.draw_queries on every drawn row (stage 2), run once per choice
-sequence.  Only gf's full-rank retry does not run verbatim: the shipped
-builder hands its attempt (a draw, then the inversion that accepts it, or
-None) to its rng's redraw_until when the rng has one, and a ReplayRng's
-calls it once.  Attempts are i.i.d., so the retry's value is uniform over
-one attempt's accepted values; the replay drops rejected leaves and scales
-each prefix's accepted ones up to the prefix's weight.
+shuffle over all N! orders, and plan.sample_row, then protocol.draw_queries
+(the round's own stages) on each drawn row's plan.row_parts, run once per
+choice sequence.  Only gf's full-rank retry does not run verbatim: the
+shipped builder hands its attempt (a draw, then the inversion that accepts
+it, or None) to its rng's redraw_until when the rng has one, and a
+ReplayRng's calls it once.  Attempts are i.i.d., so the retry's value is
+uniform over one attempt's accepted values; the replay drops rejected leaves
+and scales each prefix's accepted ones up to the prefix's weight.
 """
 from __future__ import annotations
 
@@ -395,8 +395,8 @@ def coefficient_distributions(
     params: Params, prob: ProbTable, W: Iterable[int]
 ) -> list[dict[gf.FieldVector, Fraction]]:
     """Per server position, the exact distribution of its full coefficient
-    vector, by replay: stage 1 replays plan.sample_row, stage 2
-    protocol.draw_queries on each row.  Exponential in the supports, so for
+    vector, by replay: plan.sample_row, then protocol.draw_queries' stages
+    on each row's (R, parts).  Exponential in the supports, so for
     desk-scale instances only."""
     w = plan.as_demand(params, W)
     l, _ = lj_mj(params.D)
@@ -408,8 +408,8 @@ def coefficient_distributions(
         raise ValueError("instance too large for exact coefficient enumeration")
     dists: list[dict] = [defaultdict(Fraction) for _ in range(params.N)]
     for row, p_row in row_distribution(params, prob, w).items():
-        supports = plan.row_supports(params, w, row)
-        replayed = _replay(lambda rng: enumerate(draw_queries(params, row, supports, rng).queries))
+        R, parts = plan.row_parts(params, w, row)
+        replayed = _replay(lambda rng: enumerate(draw_queries(params, row, R, parts, rng).queries))
         for (n, query), p in replayed.items():
             dists[n][query] += p_row * p
     return [dict(d) for d in dists]

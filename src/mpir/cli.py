@@ -67,17 +67,9 @@ def rate_table_rows(D: int, k_min: int, k_max: int) -> tuple[list[str], list[lis
     rows = []
     for K in range(k_min, k_max + 1):
         rep = rate_report(Params(K=K, D=D))
-        baseline = BASELINE_SUBPACKETIZED_RATES.get((D, K))
-        rows.append(
-            [
-                str(K),
-                str(rep.rate),
-                str(rep.upper_bound),
-                str(rep.gap),
-                str(rep.capacity_if_divisible) if rep.capacity_if_divisible is not None else "",
-                str(baseline) if baseline is not None else "",
-            ]
-        )
+        cap, baseline = rep.capacity_if_divisible, BASELINE_SUBPACKETIZED_RATES.get((D, K))
+        rows.append([str(K), str(rep.rate), str(rep.upper_bound), str(rep.gap),
+                     "" if cap is None else str(cap), "" if baseline is None else str(baseline)])
     return headers, rows
 
 

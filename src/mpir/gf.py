@@ -44,8 +44,8 @@ def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | N
     has none (it is singular or not square).
 
     Gauss-Jordan in place, stopping at the first column with no pivot: each
-    pivot column is written over with the inverse's, and the row swaps are
-    undone as column swaps in reverse order.
+    pivot column is written over with the inverse's, and the row swaps, made
+    for zero diagonal entries only, are undone as column swaps in reverse.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
@@ -53,19 +53,20 @@ def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | N
     work = [list(row) for row in mat]
     swaps = []
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % q), None)
-        if pivot is None:
-            return None
-        swaps.append((col, pivot))
-        work[col], work[pivot] = work[pivot], work[col]
+        if not work[col][col] % q:  # bring up the first row below with a pivot
+            pivot = next((r for r in range(col + 1, n) if work[r][col] % q), None)
+            if pivot is None:
+                return None
+            swaps.append((col, pivot))
+            work[col], work[pivot] = work[pivot], work[col]
         inv = pow(work[col][col], -1, q)
         work[col][col] = 1
         row = work[col] = [(x * inv) % q for x in work[col]]
-        for r in range(n):
+        for r, cur in enumerate(work):
             if r != col:
-                f, work[r][col] = work[r][col] % q, 0
+                f, cur[col] = cur[col] % q, 0
                 if f:
-                    work[r] = [(a - f * b) % q for a, b in zip(work[r], row)]
+                    work[r] = [(a - f * b) % q for a, b in zip(cur, row)]
     for col, pivot in reversed(swaps):
         for row in work:
             row[col], row[pivot] = row[pivot], row[col]
@@ -191,14 +192,15 @@ def combine(
     lane k goes through T_k[b] = b*256**k mod q (a slot is congruent to the
     sum), the lanes add without carries, and T_0 maps the sum once more."""
     acc = bound = 0  # bound: the largest value a slot of acc can hold
+    limit = 256**width
     for coeff, vec in zip(coeffs, packed, strict=True):
         coeff %= q
         if coeff:
-            if bound + coeff * (q - 1) >= 256**width:
+            if bound + coeff * (q - 1) >= limit:
                 acc, bound = pack(_reduce(acc, m, q, width), element_width(q), width), q - 1
-                if bound + coeff * (q - 1) >= 256**width:
+                if bound + coeff * (q - 1) >= limit:
                     raise ValueError(f"{width}-byte slots cannot hold a product mod {q}")
-            acc += coeff * vec
+            acc += vec if coeff == 1 else coeff * vec
             bound += coeff * (q - 1)
     return _reduce(acc, m, q, width)
 
@@ -233,13 +235,14 @@ def random_full_rank_V(
     inverse of their D x D submatrix on the columns the supports cover.
 
     Each vector has nonzero entries drawn uniformly from the multiplicative
-    group, filled in ascending index order; the whole batch is redrawn until
-    that submatrix inverts, which is the stack having rank D (the other
-    columns are zero).  Supports covering fewer than D columns never invert,
-    and more than D raise ValueError up front.  Success is expected quickly
-    for any q > D, so exhausting the attempt budget indicates a broken
-    caller.  An rng with a redraw_until(attempt) method runs the retry
-    itself; an attempt returns None when the draw is rejected.
+    group, in ascending index order, straight into that submatrix; the whole
+    batch is redrawn until it inverts, which is the stack having rank D (the
+    other columns are zero), and only the kept draw is spread into V.
+    Supports covering fewer than D columns never invert, and more than D
+    raise ValueError up front.  Success is expected quickly for any q > D, so
+    exhausting the attempt budget indicates a broken caller.  An rng with a
+    redraw_until(attempt) method runs the retry itself; an attempt returns
+    None when the draw is rejected.
     """
     q = params.q
     sorted_supports = [sorted(s) for s in supports]
@@ -248,14 +251,16 @@ def random_full_rank_V(
     covered = sorted(set().union(*sorted_supports))
     if len(covered) > len(supports):
         raise ValueError(f"the supports cover {len(covered)} columns, more than {len(supports)}")
+    slots = [[covered.index(idx) for idx in sup] for sup in sorted_supports]
 
     def attempt() -> FullRankDraw | None:
-        V = tuple(
-            vector_with_support(params.K, {idx: rng.randrange(1, q) for idx in sup})
-            for sup in sorted_supports
-        )
-        inv = inverse(q, [[v[idx - 1] for idx in covered] for v in V])
-        return None if inv is None else (V, inv)
+        block = [[0] * len(covered) for _ in slots]
+        for row, cols in zip(block, slots):
+            for c in cols:
+                row[c] = rng.randrange(1, q)
+        if (inv := inverse(q, block)) is None:
+            return None
+        return tuple(vector_with_support(params.K, dict(zip(covered, row))) for row in block), inv
 
     return getattr(rng, "redraw_until", _redraw_until)(attempt)
 

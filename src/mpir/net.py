@@ -330,13 +330,15 @@ def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) ->
 def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
     # A server that receives two columns of one round sees U and U + V_h,
     # whose difference V_h has its support inside the demand set.  Names are
-    # resolved so that two spellings of one address count as one server.
+    # resolved so that two spellings of one address count as one server.  A
+    # literal address resolves to itself alone, so its lookup is kept; a
+    # name, or a scoped IPv6 host ("%" and an interface), is looked up anew.
     seen: dict[tuple, tuple[str, int]] = {}
     for endpoint in endpoints:
         host, port = endpoint
         if not 0 < port < 65536:  # getaddrinfo would take it mod 65536
             raise ValueError(f"endpoint {endpoint}: port outside 1..65535")
-        addrs = {info[4][:2] for info in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)}
+        addrs = (_literal_addrs if _is_literal(host) else _resolve)(host, port)
         for addr in addrs:
             if addr in seen:
                 raise ValueError(
@@ -344,6 +346,20 @@ def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
                     "a round needs N distinct servers"
                 )
         seen.update(dict.fromkeys(addrs, endpoint))
+
+
+def _resolve(host: str, port: int) -> frozenset[tuple]:
+    return frozenset(ai[4][:2] for ai in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM))
+
+
+_literal_addrs = lru_cache(maxsize=64)(_resolve)
+
+
+def _is_literal(host: str) -> bool:
+    for family in (socket.AF_INET, socket.AF_INET6):
+        with suppress(OSError, ValueError):
+            return bool(socket.inet_pton(family, host)) and "%" not in host
+    return False
 
 
 @lru_cache(maxsize=16)

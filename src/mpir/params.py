@@ -103,14 +103,8 @@ def lj_mj(D: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    l = []
-    m = []
-    for j in range(1, D + 1):
-        c = math.comb(D, j)
-        lj = math.lcm(c, D) // D
-        l.append(lj)
-        m.append(D * lj // c)
-    return tuple(l), tuple(m)
+    l = tuple(math.lcm(math.comb(D, j), D) // D for j in range(1, D + 1))
+    return l, tuple(D * lj // math.comb(D, j) for j, lj in enumerate(l, start=1))
 
 
 def integer_M(D: int) -> tuple[list[int], int, list[int]]:

@@ -13,13 +13,14 @@ Rows are never materialized as a whole table; everything is reconstructed on
 demand from the tuple.  The one form of a demand part is a position bitmask
 (bit p for the p-th smallest element of W): the cyclic shifts are rotations
 of D-bit masks, and _position_masks caches each sub-block's shifted
-collection as one table of them, which sub_block_masks maps through W's
-part_table to message bitmasks (bit x-1 for message x) for row_supports and
-the privacy audit (one table per demand set).  The collection of j-subsets
-backing each sub-block must satisfy an evenness property (every j-subset of
-W appears exactly m_j times across the l_j x D shifted columns); that
-property is load-bearing for privacy, so it is searched for and verified
-here, by the one predicate masks_even, instead of assumed.
+collection as one table of them.  A round reads a row as (R, parts), each
+part that table's entry as sorted positions mapped through sorted W; the
+privacy audit maps the whole table through W's part_table to message
+bitmasks (bit x-1 for message x), one table per demand set.  The collection
+of j-subsets backing each sub-block must satisfy an evenness property (every
+j-subset of W appears exactly m_j times across the l_j x D shifted columns);
+that property is load-bearing for privacy, so it is searched for and
+verified here, by the one predicate masks_even, instead of assumed.
 """
 from __future__ import annotations
 
@@ -46,9 +47,6 @@ class RowId(NamedTuple):
     k: int
     j: int
     l: int
-
-
-SupportRow = tuple[frozenset[int], ...]
 
 
 def as_demand(params: Params, W: Iterable[int]) -> tuple[int, ...]:
@@ -161,6 +159,13 @@ def _position_masks(D: int, j: int) -> tuple[int, ...]:
     return _shifted(D, _chosen_positions(D, j))
 
 
+@lru_cache(maxsize=None)
+def _position_parts(D: int, j: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Row l-1 of sub-block j: its D parts in _position_masks as sorted positions."""
+    parts = [tuple(p for p in range(D) if s >> p & 1) for s in _position_masks(D, j)]
+    return tuple(zip(*[iter(parts)] * D))
+
+
 def part_table(params: Params, W: Iterable[int]) -> list[int]:
     """W's 2^D subsets as message bitmasks: entry s is {w[p] : bit p of s},
     w = sorted W, so entry -1 is W's own mask."""
@@ -178,25 +183,18 @@ def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int
     return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
 
 
-def row_supports(params: Params, W: Iterable[int], row: RowId) -> SupportRow:
-    """The N supports (S_1, ..., S_N) of one table row.
-
-    S_1 is the complement subset alone; server column 1+h adds the row's
-    demand part h from sub_block_masks on top.
-    """
+def row_parts(
+    params: Params, W: Iterable[int], row: RowId
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """One table row as (R, parts): R the complement subset, sorted, and the
+    D demand parts that columns 2..N add on top of it, each sorted message
+    indices, read from the cached position table and mapped through sorted W."""
     w = as_demand(params, W)
-    base = frozenset(r_subset(params, w, row.i, row.k))
-    masks = sub_block_masks(params, part_table(params, w), row.j)
-    if not 1 <= row.l <= len(masks):
+    R = r_subset(params, w, row.i, row.k)
+    rows = _position_parts(params.D, row.j)
+    if not 1 <= row.l <= len(rows):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
-    supports = [base]
-    for part in masks[row.l - 1]:
-        members = set(base)
-        while part:  # bit x-1 is message x
-            members.add((low := part & -part).bit_length())
-            part ^= low
-        supports.append(frozenset(members))
-    return tuple(supports)
+    return R, tuple(tuple(w[p] for p in part) for part in rows[row.l - 1])
 
 
 def total_rows(params: Params) -> int:

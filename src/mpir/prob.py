@@ -215,10 +215,5 @@ def rate_report(params: Params) -> RateReport:
     assert rate == via_table, f"rate paths disagree: {rate} != {via_table}"
     upper = capacity_upper_bound(params)
     cap = capacity_divisible(params) if params.K % params.D == 0 else None
-    return RateReport(
-        rate=rate,
-        upper_bound=upper,
-        capacity_if_divisible=cap,
-        gap=upper - rate,
-        expected_download_factor=factor,
-    )
+    return RateReport(rate=rate, upper_bound=upper, capacity_if_divisible=cap,
+                      gap=upper - rate, expected_download_factor=factor)

@@ -3,10 +3,10 @@
 :func:`execute_round` is the one round body.  It builds the queries,
 hands all N of them to an answerer, and recovers the demand from the
 answers.  :func:`run_round` answers from an in-memory store;
-``net.retrieve`` answers over TCP.  Randomness is consumed in a fixed order
-(row draw, mixing vector entries, demand vector entries per full-rank
-attempt, then the server permutation), so a seeded round yields the same
-transcript on either transport.
+``net.retrieve`` answers over TCP.  Randomness is consumed in a fixed order,
+one stage function each: the row (``plan.sample_row``), U (:func:`mixing_vector`),
+V per full-rank attempt (``gf.random_full_rank_V``) and the permutation
+(:func:`assign`), so a seeded round gives one transcript on either transport.
 """
 from __future__ import annotations
 
@@ -119,34 +119,34 @@ def make_query_set(
 ) -> QuerySet:
     """Sample a row, then draw its queries (:func:`draw_queries`)."""
     row = plan.sample_row(params, prob, W, rng)
-    return draw_queries(params, row, plan.row_supports(params, W, row), rng)
+    return draw_queries(params, row, *plan.row_parts(params, W, row), rng)
 
 
-def draw_queries(
-    params: Params, row: plan.RowId, supports: plan.SupportRow, rng: random.Random
-) -> QuerySet:
-    """Draw the query vectors of one row, given its supports, and assign
-    them to servers."""
-    base, *cols = supports
-    # Draws in ascending index order: a frozenset's own order is not, and
-    # the order of draws fixes the transcript for a seed.
-    U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in sorted(base)})
-    V, inverse = gf.random_full_rank_V(params, [c - base for c in cols], rng)
+def draw_queries(params: Params, row: plan.RowId, R: Sequence[int],
+                 parts: Sequence[Sequence[int]], rng: random.Random) -> QuerySet:
+    """Draw one row's queries in three stages, in this rng order: U over R,
+    the full-rank V over the parts with its inverse, and the assignment."""
+    U = mixing_vector(params, R, rng)
+    V, inverse = gf.random_full_rank_V(params, parts, rng)
     columns = [U]
-    for v, c in zip(V, cols):  # U + v, on v's support c - base alone
+    for v, part in zip(V, parts):  # U + v is U with v's entries set: U is zero on W
         col = list(U)
-        for idx in c - base:
-            col[idx - 1] = (col[idx - 1] + v[idx - 1]) % params.q
+        for idx in part:
+            col[idx - 1] = v[idx - 1]
         columns.append(tuple(col))
+    return QuerySet(row, *assign(params, columns, rng), U, V, inverse)
+
+
+def mixing_vector(params: Params, R: Sequence[int], rng: random.Random) -> gf.FieldVector:
+    """U: a uniform nonzero entry at each index of R, drawn in R's (ascending) order."""
+    return gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in R})
+
+
+def assign(params: Params, columns: Sequence[gf.FieldVector], rng: random.Random) -> tuple:
+    """(permutation, queries): a shuffle of the N servers, column n to server permutation[n]."""
     servers = list(range(params.N))
     rng.shuffle(servers)
-    permutation = tuple(servers)
-    queries: list[gf.FieldVector] = [()] * params.N
-    for n, col in enumerate(columns):
-        queries[permutation[n]] = col
-    return QuerySet(
-        row=row, permutation=permutation, queries=tuple(queries), U=U, V=V, inverse=inverse
-    )
+    return tuple(servers), tuple(col for _, col in sorted(zip(servers, columns)))
 
 
 def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:

@@ -1,11 +1,15 @@
 """The tests' row oracles: every row address of a plan table in table order,
-and the row a sampling target addresses, found by a linear scan."""
+the row a sampling target addresses, found by a linear scan, and a row's N
+supports as sets, built from the set-based oracles in evenness.py."""
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import combinations
+from typing import Iterable, Iterator
 
+from mpir import plan
 from mpir.params import Params, binomial, lj_mj
 from mpir.plan import RowId
+import evenness
 
 
 def iter_row_ids(params: Params) -> Iterator[RowId]:
@@ -30,3 +34,19 @@ def scan_row(groups: tuple[tuple[int, int, int, int, int], ...], target: int) ->
             return RowId(i, offset // l_count + 1, j, offset % l_count + 1)
         acc += width
     raise AssertionError("sampling target beyond total mass")
+
+
+def row_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozenset[int], ...]:
+    """The N supports (S_1, ..., S_N) of one table row: S_1 is R, the k-th
+    i-subset of the complement in lexicographic order, and S_{1+h} is R plus
+    the h-th cyclic shift within W of sub-block j's l-th collected subset."""
+    w = plan.as_demand(params, W)
+    base = frozenset(list(combinations(plan.complement(params, w), row.i))[row.k - 1])
+    T = evenness.choose_T_collection(params, w, row.j)[row.l - 1]
+    return (base, *(base | part for part in evenness.shifts(w, T)))
+
+
+def parts_as_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozenset[int], ...]:
+    """plan.row_parts' (R, parts) as the N supports: R, then R with each part."""
+    R, parts = plan.row_parts(params, W, row)
+    return (frozenset(R), *(frozenset(R).union(part) for part in parts))

@@ -13,7 +13,7 @@ from mpir import audit, cli, gf, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table, table_mass
 from field import inverts, support
-from rows import iter_row_ids
+from rows import iter_row_ids, parts_as_supports, row_supports
 
 
 def F(*args):
@@ -57,9 +57,10 @@ class TestSupportDistribution:
     @pytest.mark.parametrize("perturbed", [False, True])
     @pytest.mark.parametrize("permute", [True, False])
     def test_matches_enumeration_of_sent_supports(self, K, D, perturbed, permute):
-        # Oracle: the supports the protocol sends (plan.row_supports) for
-        # every row, each column reaching a position with probability 1/N
-        # under the permutation, or column n-1 alone reaching server n.
+        # Oracle: the supports the protocol sends for every row (the rows
+        # oracle, equal to the unions of plan's (R, parts)), each column
+        # reaching a position with probability 1/N under the permutation,
+        # or column n-1 alone reaching server n.
         params = Params(K=K, D=D)
         table = build_prob_table(params)
         if perturbed:
@@ -68,7 +69,9 @@ class TestSupportDistribution:
             expected = [defaultdict(Fraction) for _ in range(params.N)]
             for row in iter_row_ids(params):
                 p_row = table.P[row.i][row.j - 1]
-                for col, sup in enumerate(plan.row_supports(params, w, row)):
+                supports = row_supports(params, w, row)
+                assert parts_as_supports(params, w, row) == supports, (w, row)
+                for col, sup in enumerate(supports):
                     if permute:
                         for dist in expected:
                             dist[sup] += p_row / params.N

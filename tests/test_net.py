@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from itertools import combinations
@@ -693,6 +694,43 @@ class TestRetrieve:
         dup = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 1)]
         with pytest.raises(ValueError, match="same server"):
             net.retrieve(dup, (1, 2), params, seed=0)
+
+    @staticmethod
+    def counted_lookups(monkeypatch) -> list[str]:
+        # The hosts net's endpoint check looks up: net gets a copy of the
+        # socket module whose getaddrinfo counts, so connects are not counted.
+        hosts: list[str] = []
+        counting = types.SimpleNamespace(**vars(socket))
+        counting.getaddrinfo = lambda host, *a, **k: hosts.append(host) or socket.getaddrinfo(
+            host, *a, **k)
+        monkeypatch.setattr(net, "socket", counting)
+        net._literal_addrs.cache_clear()
+        return hosts
+
+    def test_literal_endpoints_looked_up_once(self, cluster, params, monkeypatch):
+        # A literal address resolves to itself alone: two rounds against the
+        # cluster's three 127.0.0.1 endpoints look each one up once.
+        hosts = self.counted_lookups(monkeypatch)
+        for seed in range(2):
+            net.retrieve(cluster, (1, 2), params, seed)
+        assert hosts == ["127.0.0.1"] * 3
+
+    def test_names_looked_up_every_round(self, params, monkeypatch):
+        # A name can resolve differently from one round to the next.  The
+        # third endpoint repeats the first, so each round is refused before
+        # anything is sent.
+        hosts = self.counted_lookups(monkeypatch)
+        dup = [("localhost", 1), ("localhost", 2), ("localhost", 1)]
+        for seed in range(2):
+            with pytest.raises(ValueError, match="same server"):
+                net.retrieve(dup, (1, 2), params, seed)
+        assert hosts == ["localhost"] * 6
+
+    @pytest.mark.parametrize("host,literal", [("127.0.0.1", True), ("::1", True),
+                                              ("localhost", False), ("fe80::1%lo", False),
+                                              ("127.1", False), ("", False)])
+    def test_only_literal_addresses_cached(self, host, literal):
+        assert net._is_literal(host) is literal
 
     @pytest.mark.parametrize("bad_port", [lambda p: p + 65536, lambda p: p - 65536, lambda p: 0],
                              ids=["P+65536", "P-65536", "0"])

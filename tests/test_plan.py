@@ -13,7 +13,7 @@ from mpir import plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 import evenness
-from rows import iter_row_ids, scan_row
+from rows import iter_row_ids, parts_as_supports, row_supports, scan_row
 
 
 class TestRSubset:
@@ -188,47 +188,46 @@ class TestVerifyEvenness:
 
 class TestRowSupports:
     def test_worked_rows(self):
+        # The oracle's supports, and plan's (R, parts) unioned into them.
         params = Params(K=4, D=2)
         W = (1, 2)
-        assert plan.row_supports(params, W, plan.RowId(2, 1, 1, 1)) == (
-            frozenset({3, 4}),
-            frozenset({1, 3, 4}),
-            frozenset({2, 3, 4}),
-        )
-        assert plan.row_supports(params, W, plan.RowId(0, 1, 2, 1)) == (
-            frozenset(),
-            frozenset({1, 2}),
-            frozenset({1, 2}),
-        )
-        assert plan.row_supports(params, W, plan.RowId(1, 1, 1, 1)) == (
-            frozenset({3}),
-            frozenset({1, 3}),
-            frozenset({2, 3}),
-        )
+        worked = {
+            plan.RowId(2, 1, 1, 1): (frozenset({3, 4}), frozenset({1, 3, 4}), frozenset({2, 3, 4})),
+            plan.RowId(0, 1, 2, 1): (frozenset(), frozenset({1, 2}), frozenset({1, 2})),
+            plan.RowId(1, 1, 1, 1): (frozenset({3}), frozenset({1, 3}), frozenset({2, 3})),
+        }
+        for row, supports in worked.items():
+            assert row_supports(params, W, row) == supports
+            assert parts_as_supports(params, W, row) == supports
+        assert plan.row_parts(params, W, plan.RowId(2, 1, 1, 1)) == ((3, 4), ((1,), (2,)))
 
     def test_invalid_row(self):
         params = Params(K=4, D=2)
         with pytest.raises(ValueError):
-            plan.row_supports(params, (1, 2), plan.RowId(0, 1, 2, 2))
+            plan.row_parts(params, (1, 2), plan.RowId(0, 1, 2, 2))
 
     @pytest.mark.parametrize("row", [(3, 1, 1, 1), (1, 3, 1, 1), (0, 1, 3, 1), (0, 1, 1, 0)])
     def test_each_row_field_bounded(self, row):
         # At K=4, D=2: i beyond K-D, k beyond C(2, 1), j beyond D, and l = 0,
         # which as an index would silently pick the last subset.
         with pytest.raises(ValueError, match="must be in|out of range"):
-            plan.row_supports(Params(K=4, D=2), (1, 2), plan.RowId(*row))
+            plan.row_parts(Params(K=4, D=2), (1, 2), plan.RowId(*row))
 
     @pytest.mark.parametrize("K,D", [(5, 2), (6, 3), (7, 4)])
     def test_intersection_structure(self, K, D):
+        # R and every part sorted, the parts inside W and R outside it; the
+        # union of R with each part is the oracle's support.
         params = Params(K=K, D=D)
         rng = random.Random(K * 10 + D)
         W = tuple(sorted(rng.sample(range(1, K + 1), D)))
         for row in iter_row_ids(params):
-            supports = plan.row_supports(params, W, row)
-            assert supports[0] & set(W) == set()
-            for sup in supports[1:]:
-                assert len(sup & set(W)) == row.j
-                assert sup - set(W) == supports[0]
+            R, parts = plan.row_parts(params, W, row)
+            assert R == tuple(sorted(R)) and not set(R) & set(W)
+            assert len(parts) == D
+            for part in parts:
+                assert part == tuple(sorted(part)) and len(part) == row.j
+                assert set(part) <= set(W)
+            assert parts_as_supports(params, W, row) == row_supports(params, W, row), row
 
 
 def members(mask: int) -> frozenset[int]:
@@ -255,17 +254,21 @@ class TestSubBlockMasks:
 
     @pytest.mark.parametrize("K,D", SMALL_SHAPES)
     def test_row_supports_add_the_parts(self, K, D):
+        # plan's (R, parts) for every row with k = 1 of every demand set:
+        # R is r_subset's, the parts are sub_block_masks' read as sorted
+        # indices, and their unions with R are the oracle's supports.
         params = Params(K=K, D=D)
         for w in combinations(range(1, K + 1), D):
             table = plan.part_table(params, w)
             masks = {j: plan.sub_block_masks(params, table, j) for j in range(1, D + 1)}
             for row in iter_row_ids(params):
                 if row.k == 1:
-                    base = frozenset(plan.r_subset(params, w, row.i, row.k))
-                    parts = masks[row.j][row.l - 1]
-                    assert plan.row_supports(params, w, row) == (
-                        base, *(base | members(part) for part in parts)
+                    R, parts = plan.row_parts(params, w, row)
+                    assert R == plan.r_subset(params, w, row.i, row.k)
+                    assert parts == tuple(
+                        tuple(sorted(members(part))) for part in masks[row.j][row.l - 1]
                     ), (w, row)
+                    assert parts_as_supports(params, w, row) == row_supports(params, w, row)
 
     def test_validates_demand_and_sub_block(self):
         params = Params(K=5, D=3)
@@ -436,4 +439,5 @@ class TestUnevenSubBlocks:
         for _ in range(200):
             row = plan.sample_row(params, table, range(1, D + 1), rng)
             assert row.j in sub_blocks
-            plan.row_supports(params, range(1, D + 1), row)
+            W = range(1, D + 1)
+            assert parts_as_supports(params, W, row) == row_supports(params, W, row)
