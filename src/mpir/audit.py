@@ -25,7 +25,7 @@ supports.
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
 shuffle over all N! orders, and plan.sample_row, then protocol.draw_queries
-(the round's own stages) on each drawn row's plan.row_parts, run once per
+(the round's own stages) on each drawn row's plan.row_layout, run once per
 choice sequence.  Only gf's full-rank retry does not run verbatim: the
 shipped builder hands its attempt (a draw, then the inversion that accepts
 it, or None) to its rng's redraw_until when the rng has one, and a
@@ -385,7 +385,7 @@ def row_distribution(
     params: Params, prob: ProbTable, W: Iterable[int]
 ) -> dict[plan.RowId, Fraction]:
     """Exact distribution of the row that plan.sample_row draws, by replay."""
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     if prob.den > MAX_REPLAY_LEAVES:
         raise ValueError("instance too large for exact row enumeration")
     return _replay(lambda rng: [plan.sample_row(params, prob, w, rng)])
@@ -396,9 +396,9 @@ def coefficient_distributions(
 ) -> list[dict[gf.FieldVector, Fraction]]:
     """Per server position, the exact distribution of its full coefficient
     vector, by replay: plan.sample_row, then protocol.draw_queries' stages
-    on each row's (R, parts).  Exponential in the supports, so for
+    on each row's plan.row_layout.  Exponential in the supports, so for
     desk-scale instances only."""
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     l, _ = lj_mj(params.D)
     # Sum_i C(K-D, i) (q-1)^i = q^(K-D): rows times U choices, over every i.
     leaves = params.q ** (params.K - params.D) * math.factorial(params.N) * sum(
@@ -408,8 +408,9 @@ def coefficient_distributions(
         raise ValueError("instance too large for exact coefficient enumeration")
     dists: list[dict] = [defaultdict(Fraction) for _ in range(params.N)]
     for row, p_row in row_distribution(params, prob, w).items():
-        R, parts = plan.row_parts(params, w, row)
-        replayed = _replay(lambda rng: enumerate(draw_queries(params, row, R, parts, rng).queries))
+        R, positions = plan.row_layout(params, w, row)
+        replayed = _replay(
+            lambda rng: enumerate(draw_queries(params, w, row, R, positions, rng).queries))
         for (n, query), p in replayed.items():
             dists[n][query] += p_row * p
     return [dict(d) for d in dists]

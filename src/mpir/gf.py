@@ -46,27 +46,31 @@ def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | N
     Gauss-Jordan in place, stopping at the first column with no pivot: each
     pivot column is written over with the inverse's, and the row swaps, made
     for zero diagonal entries only, are undone as column swaps in reverse.
+    Entries are reduced once, up front; a row update touches only the pivot
+    row's nonzero entries.
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         return None
-    work = [list(row) for row in mat]
+    work = [[x % q for x in row] for row in mat]
     swaps = []
     for col in range(n):
-        if not work[col][col] % q:  # bring up the first row below with a pivot
-            pivot = next((r for r in range(col + 1, n) if work[r][col] % q), None)
+        if not work[col][col]:  # bring up the first row below with a pivot
+            pivot = next((r for r in range(col + 1, n) if work[r][col]), None)
             if pivot is None:
                 return None
             swaps.append((col, pivot))
             work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, q)
-        work[col][col] = 1
-        row = work[col] = [(x * inv) % q for x in work[col]]
-        for r, cur in enumerate(work):
-            if r != col:
-                f, cur[col] = cur[col] % q, 0
-                if f:
-                    work[r] = [(a - f * b) % q for a, b in zip(cur, row)]
+        row = work[col]
+        inv = pow(row[col], -1, q)
+        row[col] = 1
+        row[:] = [x * inv % q for x in row]
+        terms = [(c, b) for c, b in enumerate(row) if b]
+        for cur in work:
+            if (f := cur[col]) and cur is not row:
+                cur[col] = 0
+                for c, b in terms:
+                    cur[c] = (cur[c] - f * b) % q
     for col, pivot in reversed(swaps):
         for row in work:
             row[col], row[pivot] = row[pivot], row[col]
@@ -194,14 +198,15 @@ def combine(
     acc = bound = 0  # bound: the largest value a slot of acc can hold
     limit = 256**width
     for coeff, vec in zip(coeffs, packed, strict=True):
-        coeff %= q
-        if coeff:
-            if bound + coeff * (q - 1) >= limit:
+        if coeff and (coeff := coeff % q):
+            step = coeff * (q - 1)
+            if bound + step >= limit:
                 acc, bound = pack(_reduce(acc, m, q, width), element_width(q), width), q - 1
-                if bound + coeff * (q - 1) >= limit:
+                if bound + step >= limit:
                     raise ValueError(f"{width}-byte slots cannot hold a product mod {q}")
-            acc += vec if coeff == 1 else coeff * vec
-            bound += coeff * (q - 1)
+            term = vec if coeff == 1 else coeff * vec
+            acc = acc + term if bound else term  # the first term is not copied onto 0
+            bound += step
     return _reduce(acc, m, q, width)
 
 
@@ -229,11 +234,15 @@ def _lane_tables(q: int, width: int) -> tuple[bytes, ...]:
 
 
 def random_full_rank_V(
-    params: "Params", supports: Sequence[Iterable[int]], rng: random.Random
+    params: "Params", supports: Sequence[Iterable[int]], rng: random.Random,
+    w: Sequence[int] | None = None,
 ) -> FullRankDraw:
     """(V, inverse): D random vectors V with the given supports, and the
     inverse of their D x D submatrix on the columns the supports cover.
 
+    The supports are message indices, or with w, sorted positions in sorted
+    w that cover every position, as a round's parts do (``plan.row_layout``):
+    submatrix column p is then message w[p], with nothing to sort or search.
     Each vector has nonzero entries drawn uniformly from the multiplicative
     group, in ascending index order, straight into that submatrix; the whole
     batch is redrawn until it inverts, which is the stack having rank D (the
@@ -244,23 +253,31 @@ def random_full_rank_V(
     redraw_until(attempt) method runs the retry itself; an attempt returns
     None when the draw is rejected.
     """
-    q = params.q
-    sorted_supports = [sorted(s) for s in supports]
-    if any(not s for s in sorted_supports):
-        raise ValueError("every support must be nonempty")
-    covered = sorted(set().union(*sorted_supports))
-    if len(covered) > len(supports):
-        raise ValueError(f"the supports cover {len(covered)} columns, more than {len(supports)}")
-    slots = [[covered.index(idx) for idx in sup] for sup in sorted_supports]
+    q, draw = params.q, rng.randrange
+    if w is None:
+        sorted_supports = [sorted(s) for s in supports]
+        if any(not s for s in sorted_supports):
+            raise ValueError("every support must be nonempty")
+        w = sorted(set().union(*sorted_supports))
+        if len(w) > len(supports):
+            raise ValueError(f"the supports cover {len(w)} columns, more than {len(supports)}")
+        supports = [[w.index(idx) for idx in sup] for sup in sorted_supports]
+    slots, zeros = [idx - 1 for idx in w], [0] * params.K
 
     def attempt() -> FullRankDraw | None:
-        block = [[0] * len(covered) for _ in slots]
-        for row, cols in zip(block, slots):
+        block = [[0] * len(w) for _ in supports]
+        for row, cols in zip(block, supports):
             for c in cols:
-                row[c] = rng.randrange(1, q)
+                row[c] = draw(1, q)
         if (inv := inverse(q, block)) is None:
             return None
-        return tuple(vector_with_support(params.K, dict(zip(covered, row))) for row in block), inv
+        V = []
+        for row in block:
+            vec = zeros[:]
+            for t, entry in zip(slots, row):
+                vec[t] = entry
+            V.append(tuple(vec))
+        return tuple(V), inv
 
     return getattr(rng, "redraw_until", _redraw_until)(attempt)
 

@@ -331,14 +331,21 @@ def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
     # A server that receives two columns of one round sees U and U + V_h,
     # whose difference V_h has its support inside the demand set.  Names are
     # resolved so that two spellings of one address count as one server.  A
-    # literal address resolves to itself alone, so its lookup is kept; a
-    # name, or a scoped IPv6 host ("%" and an interface), is looked up anew.
+    # literal address resolves to itself alone, so a tuple of them keeps its
+    # verdict; a name, or a scoped IPv6 host ("%" and an interface), is
+    # looked up anew.  A refusal raises, so it is never kept.
+    endpoints = tuple(map(tuple, endpoints))
+    if not _literal_addrs(endpoints):
+        _distinct_servers(endpoints)
+
+
+def _distinct_servers(endpoints: tuple[tuple[str, int], ...]) -> bool:
     seen: dict[tuple, tuple[str, int]] = {}
     for endpoint in endpoints:
         host, port = endpoint
         if not 0 < port < 65536:  # getaddrinfo would take it mod 65536
             raise ValueError(f"endpoint {endpoint}: port outside 1..65535")
-        addrs = (_literal_addrs if _is_literal(host) else _resolve)(host, port)
+        addrs = _resolve(host, port)
         for addr in addrs:
             if addr in seen:
                 raise ValueError(
@@ -346,13 +353,16 @@ def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
                     "a round needs N distinct servers"
                 )
         seen.update(dict.fromkeys(addrs, endpoint))
+    return True
 
 
 def _resolve(host: str, port: int) -> frozenset[tuple]:
     return frozenset(ai[4][:2] for ai in socket.getaddrinfo(host, port, type=socket.SOCK_STREAM))
 
 
-_literal_addrs = lru_cache(maxsize=64)(_resolve)
+_literal_addrs = lru_cache(maxsize=64)(  # an all-literal tuple's check, once
+    lambda endpoints: all(_is_literal(host) for host, _ in endpoints)
+    and _distinct_servers(endpoints))
 
 
 def _is_literal(host: str) -> bool:

@@ -13,9 +13,9 @@ Rows are never materialized as a whole table; everything is reconstructed on
 demand from the tuple.  The one form of a demand part is a position bitmask
 (bit p for the p-th smallest element of W): the cyclic shifts are rotations
 of D-bit masks, and _position_masks caches each sub-block's shifted
-collection as one table of them.  A round reads a row as (R, parts), each
-part that table's entry as sorted positions mapped through sorted W; the
-privacy audit maps the whole table through W's part_table to message
+collection as one table of them.  A round checks W once, as a Demand, and
+reads a row as (R, parts), each part that table's entry as sorted positions;
+the privacy audit maps the whole table through W's part_table to message
 bitmasks (bit x-1 for message x), one table per demand set.  The collection
 of j-subsets backing each sub-block must satisfy an evenness property (every
 j-subset of W appears exactly m_j times across the l_j x D shifted columns);
@@ -29,7 +29,7 @@ import random
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, filterfalse
 from typing import Iterable, NamedTuple
 
 from .params import Params, lj_mj
@@ -38,6 +38,9 @@ from .prob import ProbTable
 
 class EvennessError(ValueError):
     """No collection of distinct j-subsets can satisfy the evenness property."""
+
+
+RowParts = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (R, the D parts)
 
 
 class RowId(NamedTuple):
@@ -59,25 +62,39 @@ def as_demand(params: Params, W: Iterable[int]) -> tuple[int, ...]:
     return w
 
 
+class Demand(tuple):
+    """as_demand's tuple, with its params and its sorted complement, rest."""
+
+
+def demand(params: Params, W: Iterable[int]) -> Demand:
+    """W as a Demand for params; one already made for params is returned
+    unchecked, so the plan functions a round calls check its W once."""
+    if type(W) is Demand and W.params is params:
+        return W
+    w = Demand(as_demand(params, W))
+    w.params, w.rest = params, complement(params, w)
+    return w
+
+
 def complement(params: Params, W: Iterable[int]) -> tuple[int, ...]:
     """Sorted message indices outside the demand."""
-    return tuple(sorted(set(range(1, params.K + 1)).difference(W)))
+    return tuple(filterfalse(set(W).__contains__, range(1, params.K + 1)))
 
 
 def r_subset(params: Params, W: Iterable[int], i: int, k: int) -> tuple[int, ...]:
     """The k-th i-subset of [K] \\ W in lexicographic order (k is 1-based)."""
     if not 0 <= i <= params.K - params.D:
         raise ValueError(f"i must be in [0, {params.K - params.D}], got {i}")
-    pool = complement(params, as_demand(params, W))
-    if not 1 <= k <= math.comb(len(pool), i):
-        raise ValueError(f"k must be in [1, {math.comb(len(pool), i)}], got {k}")
+    pool = demand(params, W).rest
+    if not 1 <= k <= math.comb(n := len(pool), i):
+        raise ValueError(f"k must be in [1, {math.comb(n, i)}], got {k}")
     # Combinatorial unranking: at each slot, skip over the blocks of
     # combinations that start with earlier pool elements.
     idx = k - 1
     out: list[int] = []
     pos = 0
     for slots_left in range(i - 1, -1, -1):
-        while idx >= (block := math.comb(len(pool) - pos - 1, slots_left)):
+        while idx >= (block := math.comb(n - pos - 1, slots_left)):
             idx -= block
             pos += 1
         out.append(pool[pos])
@@ -166,6 +183,12 @@ def _position_parts(D: int, j: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(zip(*[iter(parts)] * D))
 
 
+@lru_cache(maxsize=None)
+def _collections(D: int, sub_blocks: tuple[int, ...]) -> tuple:
+    """Each sub-block's chosen positions: EvennessError for one with none."""
+    return tuple(_chosen_positions(D, j) for j in sub_blocks)
+
+
 def part_table(params: Params, W: Iterable[int]) -> list[int]:
     """W's 2^D subsets as message bitmasks: entry s is {w[p] : bit p of s},
     w = sorted W, so entry -1 is W's own mask."""
@@ -183,18 +206,23 @@ def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int
     return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
 
 
-def row_parts(
-    params: Params, W: Iterable[int], row: RowId
-) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def row_layout(params: Params, W: Iterable[int], row: RowId) -> RowParts:
     """One table row as (R, parts): R the complement subset, sorted, and the
-    D demand parts that columns 2..N add on top of it, each sorted message
-    indices, read from the cached position table and mapped through sorted W."""
-    w = as_demand(params, W)
-    R = r_subset(params, w, row.i, row.k)
+    D demand parts that columns 2..N add on top of it, as sorted positions
+    in sorted W, from the cached position table.  They are the D cyclic
+    shifts of one j-subset, so together they cover all D positions."""
+    R = r_subset(params, W, row.i, row.k)
     rows = _position_parts(params.D, row.j)
     if not 1 <= row.l <= len(rows):
         raise ValueError(f"row index {row.l} out of range for sub-block {row.j}")
-    return R, tuple(tuple(w[p] for p in part) for part in rows[row.l - 1])
+    return R, rows[row.l - 1]
+
+
+def row_parts(params: Params, W: Iterable[int], row: RowId) -> RowParts:
+    """row_layout's row with each position p read as message w[p], w = sorted W."""
+    w = demand(params, W)
+    R, positions = row_layout(params, w, row)
+    return R, tuple(tuple(w[p] for p in part) for part in positions)
 
 
 def total_rows(params: Params) -> int:
@@ -210,12 +238,11 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     least common denominator, located among exact integer thresholds: every row
     gets exactly its probability, at every K.
     """
-    as_demand(params, W)
+    demand(params, W)
     if len(prob.nums) != params.K - params.D + 1 or len(prob.nums[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
     den, groups, ends = prob.sampling_layout
-    for j in prob.sub_blocks:  # before any draw, EvennessError for a sub-block no row can use
-        _chosen_positions(params.D, j)
+    _collections(params.D, prob.sub_blocks)  # before any draw: EvennessError, if any
     target = rng.randrange(den)
     g = bisect_right(ends, target)  # the first group ending past target
     i, j, k_count, l_count, num = groups[g]

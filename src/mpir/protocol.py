@@ -1,12 +1,13 @@
 """One retrieval round: build queries, answer them, recover the demand.
 
-:func:`execute_round` is the one round body.  It builds the queries,
-hands all N of them to an answerer, and recovers the demand from the
-answers.  :func:`run_round` answers from an in-memory store;
-``net.retrieve`` answers over TCP.  Randomness is consumed in a fixed order,
-one stage function each: the row (``plan.sample_row``), U (:func:`mixing_vector`),
-V per full-rank attempt (``gf.random_full_rank_V``) and the permutation
-(:func:`assign`), so a seeded round gives one transcript on either transport.
+:func:`execute_round` is the one round body.  It checks W once, as a
+``plan.Demand``, builds the queries, hands all N of them to an answerer, and
+recovers the demand from the answers.  :func:`run_round` answers from an
+in-memory store; ``net.retrieve`` answers over TCP.  Randomness is consumed
+in a fixed order, one stage function each: the row (``plan.sample_row``), U
+(:func:`mixing_vector`), V per full-rank attempt (``gf.random_full_rank_V``,
+on the row's position layout) and the permutation (:func:`assign`), so a
+seeded round gives one transcript on either transport.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add
 from typing import Callable, Collection, Iterable, Sequence
 
 from . import gf, plan
@@ -118,22 +120,19 @@ def make_query_set(
     params: Params, prob: ProbTable, W: Collection[int], rng: random.Random
 ) -> QuerySet:
     """Sample a row, then draw its queries (:func:`draw_queries`)."""
-    row = plan.sample_row(params, prob, W, rng)
-    return draw_queries(params, row, *plan.row_parts(params, W, row), rng)
+    w = plan.demand(params, W)
+    row = plan.sample_row(params, prob, w, rng)
+    return draw_queries(params, w, row, *plan.row_layout(params, w, row), rng)
 
 
-def draw_queries(params: Params, row: plan.RowId, R: Sequence[int],
-                 parts: Sequence[Sequence[int]], rng: random.Random) -> QuerySet:
+def draw_queries(params: Params, w: Sequence[int], row: plan.RowId, R: Sequence[int],
+                 positions: Sequence[Sequence[int]], rng: random.Random) -> QuerySet:
     """Draw one row's queries in three stages, in this rng order: U over R,
-    the full-rank V over the parts with its inverse, and the assignment."""
+    the full-rank V over the parts (positions in sorted w) with its inverse,
+    and the assignment."""
     U = mixing_vector(params, R, rng)
-    V, inverse = gf.random_full_rank_V(params, parts, rng)
-    columns = [U]
-    for v, part in zip(V, parts):  # U + v is U with v's entries set: U is zero on W
-        col = list(U)
-        for idx in part:
-            col[idx - 1] = v[idx - 1]
-        columns.append(tuple(col))
+    V, inverse = gf.random_full_rank_V(params, positions, rng, w)
+    columns = [U, *(tuple(map(add, U, v)) for v in V)]  # U is zero on W, each v off it
     return QuerySet(row, *assign(params, columns, rng), U, V, inverse)
 
 
@@ -146,7 +145,10 @@ def assign(params: Params, columns: Sequence[gf.FieldVector], rng: random.Random
     """(permutation, queries): a shuffle of the N servers, column n to server permutation[n]."""
     servers = list(range(params.N))
     rng.shuffle(servers)
-    return tuple(servers), tuple(col for _, col in sorted(zip(servers, columns)))
+    queries = [()] * params.N
+    for server, col in zip(servers, columns):
+        queries[server] = col
+    return tuple(servers), tuple(queries)
 
 
 def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
@@ -155,12 +157,11 @@ def server_answer(store: MessageStore, query: Sequence[int]) -> Answer:
     This is the only computation a server performs; it sees nothing but the
     coefficient vector.  It combines over the store's one packing.
     """
-    if len(query) != store.K:
-        raise ValueError(f"query length {len(query)} != K={store.K}")
+    if len(query) != (K := store.K):
+        raise ValueError(f"query length {len(query)} != K={K}")
     if not any(query):
         return None
-    width = gf.slot_width(store.K, store.q)
-    return gf.combine(query, store.packed, store.m, store.q, width)
+    return gf.combine(query, store.packed, store.m, store.q, gf.slot_width(K, store.q))
 
 
 def recover(
@@ -179,11 +180,13 @@ def recover(
     w = gf.element_width(params.q)
     size = params.m * w
     packed = []
-    for n in range(params.N):
-        ans = answers[query_set.permutation[n]]
-        if ans is not None and len(ans) != size:
+    for server in query_set.permutation:
+        if (ans := answers[server]) is None:
+            packed.append(0)
+        elif len(ans) != size:
             raise ValueError(f"answer of {len(ans)} bytes, expected {size} (m={params.m})")
-        packed.append(0 if ans is None else gf.pack(ans, w, width))
+        else:
+            packed.append(int.from_bytes(ans, "little") if width == w else gf.pack(ans, w, width))
     return tuple(
         gf.combine((-sum(row),) + row, packed, params.m, params.q, width)
         for row in query_set.inverse
@@ -199,7 +202,7 @@ def execute_round(
 ) -> Transcript:
     """Run one round: build the queries, get the N answers from
     answer_all(queries), where queries[n] goes to server n, and recover."""
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     qs = make_query_set(params, prob, w, rng)
     answers = tuple(answer_all(qs.queries))
     return Transcript(
@@ -207,7 +210,7 @@ def execute_round(
         query_set=qs,
         answers=answers,
         recovered=recover(params, qs, answers),
-        download_elements=params.m * sum(1 for a in answers if a is not None),
+        download_elements=params.m * (len(answers) - answers.count(None)),
         q=params.q,
     )
 

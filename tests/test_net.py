@@ -732,6 +732,20 @@ class TestRetrieve:
     def test_only_literal_addresses_cached(self, host, literal):
         assert net._is_literal(host) is literal
 
+    @pytest.mark.parametrize("endpoints,match", [
+        ([("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 1)], "same server"),
+        ([("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 65536)], "port outside"),
+    ], ids=["duplicate", "port"])
+    def test_refused_literal_endpoints_refused_every_round(self, params, monkeypatch,
+                                                          endpoints, match):
+        # An all-literal tuple keeps its verdict only when it passes: a
+        # refused one is looked up and refused again on every call.
+        hosts = self.counted_lookups(monkeypatch)
+        for seed in range(2):
+            with pytest.raises(ValueError, match=match):
+                net.retrieve(endpoints, (1, 2), params, seed)
+        assert len(hosts) == 2 * (3 if match == "same server" else 2)
+
     @pytest.mark.parametrize("bad_port", [lambda p: p + 65536, lambda p: p - 65536, lambda p: 0],
                              ids=["P+65536", "P-65536", "0"])
     def test_port_outside_range_rejected_before_sending(self, cluster, params, accepts, bad_port):
