@@ -27,11 +27,12 @@ it: a ReplayRng branches each randrange(n) over its n values and each
 shuffle over all N! orders, and plan.sample_row, then protocol.draw_queries
 (the round's own stages) on each drawn row's plan.row_layout, run once per
 choice sequence.  Only gf's full-rank retry does not run verbatim: the
-shipped builder hands its attempt (a draw, then the inversion that accepts
-it, or None) to its rng's redraw_until when the rng has one, and a
-ReplayRng's calls it once.  Attempts are i.i.d., so the retry's value is
-uniform over one attempt's accepted values; the replay drops rejected leaves
-and scales each prefix's accepted ones up to the prefix's weight.
+shipped builder hands its attempt (a D x D block drawn on the row's
+positions, then the inversion that accepts it, or None) to its rng's
+redraw_until when the rng has one, and a ReplayRng's calls it once.
+Attempts are i.i.d., so the retry's value is uniform over one attempt's
+accepted values; the replay drops rejected leaves and scales each prefix's
+accepted ones up to the prefix's weight.
 """
 from __future__ import annotations
 

@@ -191,9 +191,12 @@ def _cmd_store_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    with net.StoreServer(net.read_store(args.store), host=args.host, port=args.port) as server:
-        print(f"serving {args.store} on {args.host}:{server.port}", flush=True)
-        server.serve_forever()
+    try:
+        with net.StoreServer(net.read_store(args.store), host=args.host, port=args.port) as server:
+            print(f"serving {args.store} on {args.host}:{server.port}", flush=True)
+            server.serve_forever()
+    except KeyboardInterrupt:  # Ctrl-C, once the with block has closed the server
+        return 130
     return 0
 
 
@@ -204,7 +207,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
         host, _, port = addr.strip().rpartition(":")
         if not port.isdecimal():
             raise ValueError(f"--endpoints: {addr!r} is not host:port")
-        endpoints.append((host, int(port)))
+        endpoints.append((host[1:-1] if host[:1] + host[-1:] == "[]" else host, int(port)))
     if bad := [x for x in args.W.split(",") if not x.strip().isdecimal()]:
         raise ValueError(f"--W: {bad[0]!r} is not a demand index")
     W = tuple(int(x) for x in args.W.split(","))

@@ -20,13 +20,10 @@ from __future__ import annotations
 import functools
 import random
 import struct
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
-
-if TYPE_CHECKING:
-    from .params import Params
+from typing import Callable, Iterable, Sequence
 
 FieldVector = tuple[int, ...]
-FullRankDraw = tuple[tuple[FieldVector, ...], tuple[FieldVector, ...]]  # (V, inverse)
+FullRankDraw = tuple[tuple[FieldVector, ...], tuple[FieldVector, ...]]  # (A, inverse)
 
 _MAX_FULL_RANK_ATTEMPTS = 1000
 
@@ -234,50 +231,28 @@ def _lane_tables(q: int, width: int) -> tuple[bytes, ...]:
 
 
 def random_full_rank_V(
-    params: "Params", supports: Sequence[Iterable[int]], rng: random.Random,
-    w: Sequence[int] | None = None,
+    q: int, positions: Sequence[Sequence[int]], rng: random.Random
 ) -> FullRankDraw:
-    """(V, inverse): D random vectors V with the given supports, and the
-    inverse of their D x D submatrix on the columns the supports cover.
+    """(A, inverse): a random D x D block over GF(q), D = len(positions),
+    row h nonzero exactly at the sorted columns positions[h], and its inverse;
+    in a round, A is V's block on W, column p for message w[p] (w = sorted W).
 
-    The supports are message indices, or with w, sorted positions in sorted
-    w that cover every position, as a round's parts do (``plan.row_layout``):
-    submatrix column p is then message w[p], with nothing to sort or search.
-    Each vector has nonzero entries drawn uniformly from the multiplicative
-    group, in ascending index order, straight into that submatrix; the whole
-    batch is redrawn until it inverts, which is the stack having rank D (the
-    other columns are zero), and only the kept draw is spread into V.
-    Supports covering fewer than D columns never invert, and more than D
-    raise ValueError up front.  Success is expected quickly for any q > D, so
-    exhausting the attempt budget indicates a broken caller.  An rng with a
-    redraw_until(attempt) method runs the retry itself; an attempt returns
-    None when the draw is rejected.
+    Entries are drawn uniformly from the multiplicative group, row by row in
+    ascending column order, and the block is redrawn until it inverts (for
+    q > D quickly; never with an empty column, which exhausts the attempt
+    budget).  An rng with a redraw_until(attempt) method runs the retry
+    itself; an attempt returns None when the draw is rejected.
     """
-    q, draw = params.q, rng.randrange
-    if w is None:
-        sorted_supports = [sorted(s) for s in supports]
-        if any(not s for s in sorted_supports):
-            raise ValueError("every support must be nonempty")
-        w = sorted(set().union(*sorted_supports))
-        if len(w) > len(supports):
-            raise ValueError(f"the supports cover {len(w)} columns, more than {len(supports)}")
-        supports = [[w.index(idx) for idx in sup] for sup in sorted_supports]
-    slots, zeros = [idx - 1 for idx in w], [0] * params.K
+    draw = rng.randrange
 
     def attempt() -> FullRankDraw | None:
-        block = [[0] * len(w) for _ in supports]
-        for row, cols in zip(block, supports):
+        block = [[0] * len(positions) for _ in positions]
+        for row, cols in zip(block, positions):
             for c in cols:
                 row[c] = draw(1, q)
         if (inv := inverse(q, block)) is None:
             return None
-        V = []
-        for row in block:
-            vec = zeros[:]
-            for t, entry in zip(slots, row):
-                vec[t] = entry
-            V.append(tuple(vec))
-        return tuple(V), inv
+        return tuple(map(tuple, block)), inv
 
     return getattr(rng, "redraw_until", _redraw_until)(attempt)
 

@@ -218,13 +218,6 @@ def row_layout(params: Params, W: Iterable[int], row: RowId) -> RowParts:
     return R, rows[row.l - 1]
 
 
-def row_parts(params: Params, W: Iterable[int], row: RowId) -> RowParts:
-    """row_layout's row with each position p read as message w[p], w = sorted W."""
-    w = demand(params, W)
-    R, positions = row_layout(params, w, row)
-    return R, tuple(tuple(w[p] for p in part) for part in positions)
-
-
 def total_rows(params: Params) -> int:
     """Number of rows in the full table: 2^(K-D) * sum_j l_j."""
     l, _ = lj_mj(params.D)

@@ -5,9 +5,9 @@
 recovers the demand from the answers.  :func:`run_round` answers from an
 in-memory store; ``net.retrieve`` answers over TCP.  Randomness is consumed
 in a fixed order, one stage function each: the row (``plan.sample_row``), U
-(:func:`mixing_vector`), V per full-rank attempt (``gf.random_full_rank_V``,
-on the row's position layout) and the permutation (:func:`assign`), so a
-seeded round gives one transcript on either transport.
+(:func:`mixing_vector`), V's block on W per full-rank attempt
+(``gf.random_full_rank_V``, on the row's position layout) and the permutation
+(:func:`assign`), so a seeded round gives one transcript on either transport.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import random
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 from typing import Callable, Collection, Iterable, Sequence
 
 from . import gf, plan
@@ -68,19 +67,17 @@ class MessageStore:
 class QuerySet:
     """The N query vectors of one round, keyed by receiving server.
 
-    permutation[n] is the 0-based server receiving column n, where column 0
-    is the pure mixing vector U and column h is U + V[h-1];
-    queries[permutation[n]] holds that column.  inverse is the inverse of
-    V's D x D demand submatrix (columns in ascending message order), kept
-    from the full-rank draw for :func:`recover`; a transcript does not
-    write it, since V fixes it.
+    permutation[n] is the 0-based server receiving column n, and
+    queries[permutation[n]] holds that column.  Column 0 is the mixing
+    vector U, zero on W; column h is U with W's entries, in ascending order,
+    set from row h-1 of the full-rank block A, so both read back from the
+    columns.  inverse is A's inverse, kept from the full-rank draw for
+    :func:`recover`; a transcript does not write it, since A fixes it.
     """
 
     row: plan.RowId
     permutation: tuple[int, ...]
     queries: tuple[gf.FieldVector, ...]
-    U: gf.FieldVector
-    V: tuple[gf.FieldVector, ...]
     inverse: tuple[gf.FieldVector, ...]
 
 
@@ -128,12 +125,17 @@ def make_query_set(
 def draw_queries(params: Params, w: Sequence[int], row: plan.RowId, R: Sequence[int],
                  positions: Sequence[Sequence[int]], rng: random.Random) -> QuerySet:
     """Draw one row's queries in three stages, in this rng order: U over R,
-    the full-rank V over the parts (positions in sorted w) with its inverse,
-    and the assignment."""
+    the full-rank block A on the parts (positions in sorted w) with its
+    inverse, and the assignment; column h is U with w[p] set to A[h-1][p]."""
     U = mixing_vector(params, R, rng)
-    V, inverse = gf.random_full_rank_V(params, positions, rng, w)
-    columns = [U, *(tuple(map(add, U, v)) for v in V)]  # U is zero on W, each v off it
-    return QuerySet(row, *assign(params, columns, rng), U, V, inverse)
+    A, inverse = gf.random_full_rank_V(params.q, positions, rng)
+    columns = [U]
+    for a in A:
+        col = list(U)
+        for x, entry in zip(w, a):
+            col[x - 1] = entry
+        columns.append(tuple(col))
+    return QuerySet(row, *assign(params, columns, rng), inverse)
 
 
 def mixing_vector(params: Params, R: Sequence[int], rng: random.Random) -> gf.FieldVector:
@@ -170,8 +172,8 @@ def recover(
     """Solve for the D demand messages from the N per-server answers.
 
     Answers are un-permuted back into column order (silent servers count as
-    zero).  Column h is the first column plus V[h-1]'s demand part, so with
-    A the D x D demand submatrix of V, demand message t is
+    zero).  Column h is the first column plus row h-1 of the full-rank
+    block A on W, so demand message t is
     sum_h inv(A)[t][h] * (column h+1 - column 0): one linear combination of
     the N columns per demand message.  inv(A) is the query set's inverse,
     so recovery eliminates nothing.

@@ -6,6 +6,7 @@ supports; the full-rank draw sorts, unions and indexes them on every call
 and spreads its block through a dict.  The rng calls, and so the values,
 are the shipped round's: the row target, U in ascending order over R, each
 full-rank attempt row by row in ascending index order, then the shuffle.
+read_back reads U and the full-rank block back from a query set's columns.
 """
 from __future__ import annotations
 
@@ -52,7 +53,16 @@ def draw_queries(params: Params, row: plan.RowId, R: Sequence[int],
     servers = list(range(params.N))
     rng.shuffle(servers)
     queries = tuple(col for _, col in sorted(zip(servers, columns)))
-    return QuerySet(row, tuple(servers), queries, U, V, inverse)
+    return QuerySet(row, tuple(servers), queries, inverse)
+
+
+def read_back(query_set: QuerySet, W: Iterable[int]) -> tuple:
+    """(columns, U, A) of a query set: column n is the query that server
+    permutation[n] receives, U is column 0, and row h-1 of the full-rank
+    block A is column h read at W's indices in ascending order."""
+    columns = [query_set.queries[server] for server in query_set.permutation]
+    w = sorted(W)
+    return columns, columns[0], tuple(tuple(col[x - 1] for x in w) for col in columns[1:])
 
 
 def make_query_set(params: Params, prob: ProbTable, W: Iterable[int],

@@ -1,6 +1,7 @@
 """The tests' row oracles: every row address of a plan table in table order,
-the row a sampling target addresses, found by a linear scan, and a row's N
-supports as sets, built from the set-based oracles in evenness.py."""
+the row a sampling target addresses, found by a linear scan, a row's N
+supports as sets, built from the set-based oracles in evenness.py, and
+plan's position layout of a row read as message indices."""
 from __future__ import annotations
 
 from itertools import combinations
@@ -46,7 +47,15 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozense
     return (base, *(base | part for part in evenness.shifts(w, T)))
 
 
+def message_parts(params: Params, W: Iterable[int], row: RowId) -> tuple:
+    """plan.row_layout's (R, parts) with each part's position p read as
+    message w[p], w = sorted W."""
+    w = plan.as_demand(params, W)
+    R, positions = plan.row_layout(params, w, row)
+    return R, tuple(tuple(w[p] for p in part) for part in positions)
+
+
 def parts_as_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozenset[int], ...]:
-    """plan.row_parts' (R, parts) as the N supports: R, then R with each part."""
-    R, parts = plan.row_parts(params, W, row)
+    """message_parts' (R, parts) as the N supports: R, then R with each part."""
+    R, parts = message_parts(params, W, row)
     return (frozenset(R), *(frozenset(R).union(part) for part in parts))

@@ -266,12 +266,10 @@ class TestReplay:
     def test_full_rank_attempt_renormalised_per_prefix(self):
         # After u=0 every attempt is full rank; after u=1 half of the 16 are.
         # Each prefix keeps its 1/2, spread evenly over its accepted draws.
-        params = Params(K=2, D=2, q=3)
-
         def run(rng):
             u = rng.randrange(2)
-            supports = [{1}, {2}] if u == 0 else [{1, 2}, {1, 2}]
-            return [(u, gf.random_full_rank_V(params, supports, rng))]
+            positions = ((0,), (1,)) if u == 0 else ((0, 1), (0, 1))
+            return [(u, gf.random_full_rank_V(3, positions, rng))]
 
         dist = audit._replay(run)
         assert sum(p for (u, _), p in dist.items() if u == 0) == F(1, 2)
@@ -282,21 +280,20 @@ class TestReplay:
     def test_never_full_rank_raises(self):
         with pytest.raises(RuntimeError, match="no full-rank draw"):
             audit._replay(
-                lambda rng: [gf.random_full_rank_V(Params(K=2, D=2, q=3), [{1}, {1}], rng)]
+                lambda rng: [gf.random_full_rank_V(3, ((0,), (0,)), rng)]
             )
 
     def test_ordinary_rng_keeps_the_shipped_retry(self):
         # Only the replay rng makes one full-rank attempt: an ordinary rng
         # drawn from inside a replay keeps the shipped retry.  Seed 3's first
         # attempt here is rank-deficient, so a one-attempt retry would raise.
-        params = Params(K=2, D=2, q=3)
-        shipped = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], random.Random(3))
+        shipped = gf.random_full_rank_V(3, ((0, 1), (0, 1)), random.Random(3))
         assert shipped == (((2, 1), (1, 1)), ((1, 2), (2, 2)))
         dist = audit._replay(
             lambda rng: [
                 (
                     rng.randrange(2),
-                    gf.random_full_rank_V(params, [{1, 2}, {1, 2}], random.Random(3)),
+                    gf.random_full_rank_V(3, ((0, 1), (0, 1)), random.Random(3)),
                 )
             ]
         )

@@ -2,13 +2,19 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import mpir
 from mpir import cli, gf, net
 from mpir.params import Params
 from mpir.protocol import MessageStore
@@ -385,6 +391,31 @@ class TestStoreAndNetwork:
         code, out, err = run_cli(capsys, "retrieve", "--endpoints", endpoints, "--W", W,
                                  "--K", "4", "--D", "2")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_serve_stops_on_ctrl_c_without_a_traceback(self, tmp_path):
+        path = tmp_path / "store.bin"
+        net.write_store(path, MessageStore.random(Params(K=4, D=2, m=8), random.Random(1)))
+        paths = [str(Path(mpir.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "mpir.cli", "serve", "--store", str(path), "--port", "0"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              env=env) as proc:
+            try:
+                assert proc.stdout.readline().startswith("serving ")
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+            finally:
+                proc.kill()
+        assert proc.returncode == 130
+        assert "Traceback" not in err
+
+    def test_retrieve_reads_bracketed_ipv6(self, capsys):
+        # Two endpoints name one server: refused before any connection, so
+        # no listener is needed, and the hosts are read without brackets.
+        code, out, err = run_cli(capsys, "retrieve", "--endpoints", "[::1]:9,[::1]:9,[::1]:10",
+                                 "--W", "1,2", "--K", "4", "--D", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: endpoints ('::1', 9) and ('::1', 9) are the same server")
 
     def test_retrieve_bad_endpoints(self, capsys):
         code, _, err = run_cli(

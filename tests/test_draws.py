@@ -17,6 +17,7 @@ import pytest
 from mpir import protocol
 from mpir.params import Params
 from mpir.prob import build_prob_table
+from queries import read_back
 
 # The functions that make the round's draws, in the order they run.
 STAGES = ("sample_row", "mixing_vector", "random_full_rank_V", "assign")
@@ -111,14 +112,16 @@ def test_the_round_makes_the_recorded_draws(shape, W, seed, row, calls):
 @pytest.mark.parametrize("shape,W,seed,row,calls", ROWS, ids=IDS)
 def test_each_stage_makes_its_own_draws(shape, W, seed, row, calls):
     # In order: the row, U's entries on R, every full-rank attempt, the
-    # shuffle; U takes its entries, V the last attempt's, and the
-    # permutation is the shuffle's result.
+    # shuffle; U (column 0) takes its entries, the block on W (each other
+    # column read at W) the last attempt's, and the permutation is the
+    # shuffle's result.
     qs, recorded = record(shape, W, seed)
+    _, U, A = read_back(qs, W)
     i = row[0]
     stages = [stage for stage, *_ in recorded]
     assert stages == (["sample_row"] + ["mixing_vector"] * i
                       + ["random_full_rank_V"] * (len(calls) - 2 - i) + ["assign"])
-    assert [c for c in qs.U if c] == [value for _, _, _, value in recorded[1:1 + i]]
-    accepted = [c for v in qs.V for c in v if c]
+    assert [c for c in U if c] == [value for _, _, _, value in recorded[1:1 + i]]
+    accepted = [c for a in A for c in a if c]
     assert accepted == [value for _, _, _, value in recorded[len(recorded) - 1 - len(accepted):-1]]
     assert qs.permutation == recorded[-1][3]

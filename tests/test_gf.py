@@ -7,7 +7,7 @@ from itertools import permutations, product
 
 import pytest
 
-from mpir import gf
+from mpir import gf, plan
 from mpir.params import Params
 from field import augmented_inverse, inverts, support, vec_add
 
@@ -379,20 +379,18 @@ class TestElementVectors:
 
 class TestRandomFullRankV:
     def test_disjoint_supports(self):
-        params = Params(K=4, D=2, q=3)
         rng = random.Random(1)
-        vecs, inverse = gf.random_full_rank_V(params, [{1}, {2}], rng)
-        assert support(vecs[0]) == frozenset({1})
-        assert support(vecs[1]) == frozenset({2})
-        assert inverts(3, vecs, inverse)
+        block, inverse = gf.random_full_rank_V(3, ((0,), (1,)), rng)
+        assert support(block[0]) == frozenset({1})
+        assert support(block[1]) == frozenset({2})
+        assert inverts(3, block, inverse)
 
     def test_overlapping_supports_reject_proportional(self):
-        # Oracle: of the 16 nonzero-entry pairs on {1,2}, exactly 8 have a
-        # nonzero determinant over GF(3); the draw must always land among
-        # those, and reach each of them.
-        params = Params(K=4, D=2, q=3)
+        # Oracle: of the 16 nonzero-entry 2x2 blocks over GF(3), exactly 8
+        # have a nonzero determinant; the draw must always land among those,
+        # and reach each of them.
         full_rank = {
-            ((a1, a2, 0, 0), (b1, b2, 0, 0))
+            ((a1, a2), (b1, b2))
             for a1, a2, b1, b2 in product((1, 2), repeat=4)
             if (a1 * b2 - a2 * b1) % 3
         }
@@ -400,32 +398,36 @@ class TestRandomFullRankV:
         rng = random.Random(99)
         seen = set()
         for _ in range(200):
-            vecs, inverse = gf.random_full_rank_V(params, [{1, 2}, {1, 2}], rng)
-            assert vecs in full_rank
-            assert inverts(3, vecs, inverse)
-            seen.add(vecs)
+            block, inverse = gf.random_full_rank_V(3, ((0, 1), (0, 1)), rng)
+            assert block in full_rank
+            assert inverts(3, block, inverse)
+            seen.add(block)
         assert seen == full_rank
 
     @pytest.mark.parametrize("q", [3, 5])
     def test_rank_for_both_small_primes(self, q):
-        params = Params(K=5, D=2, q=q)
+        # The D=3 cyclic shifts of {0, 1}, as a sub-block-2 row lays them out.
+        positions = ((0, 1), (1, 2), (0, 2))
         rng = random.Random(q)
         for _ in range(100):
-            vecs, inverse = gf.random_full_rank_V(params, [{2, 4}, {2, 4}], rng)
-            assert support(vecs[0]) == support(vecs[1]) == frozenset({2, 4})
-            assert inverts(q, vecs, inverse)
+            block, inverse = gf.random_full_rank_V(q, positions, rng)
+            assert [support(row) for row in block] == [{1, 2}, {2, 3}, {1, 3}]
+            assert inverts(q, block, inverse)
 
-    def test_empty_support_rejected(self):
-        params = Params(K=4, D=2, q=3)
-        with pytest.raises(ValueError):
-            gf.random_full_rank_V(params, [set(), {1}], random.Random(0))
+    @pytest.mark.parametrize("D", [2, 3, 4, 5])
+    def test_kept_block_is_zero_exactly_off_the_positions(self, D):
+        # Every row layout the plan builds at D, drawn over the default q.
+        q = Params(K=D, D=D).q
+        rng = random.Random(D)
+        for j in range(1, D + 1):
+            for positions in plan._position_parts(D, j):
+                block, inverse = gf.random_full_rank_V(q, positions, rng)
+                assert len(block) == D and all(len(row) == D for row in block)
+                for row, cols in zip(block, positions):
+                    assert {c for c, entry in enumerate(row) if entry} == set(cols)
+                assert inverts(q, block, inverse)
 
-    def test_more_covered_columns_than_vectors_rejected(self):
-        # Rank D on more than D columns has no D x D inverse to keep: the
-        # draw refuses up front, before consuming any randomness.
-        params = Params(K=4, D=2, q=3)
-        rng = random.Random(0)
-        state = rng.getstate()
-        with pytest.raises(ValueError, match="cover 3 columns"):
-            gf.random_full_rank_V(params, [{1, 2}, {2, 3}], rng)
-        assert rng.getstate() == state
+    def test_a_column_no_row_covers_exhausts_the_attempt_budget(self):
+        # Column 1 is zero in every attempt, so no block inverts.
+        with pytest.raises(RuntimeError, match="no full-rank draw"):
+            gf.random_full_rank_V(3, ((0,), (0,)), random.Random(0))

@@ -13,7 +13,7 @@ from mpir import plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 import evenness
-from rows import iter_row_ids, parts_as_supports, row_supports, scan_row
+from rows import iter_row_ids, message_parts, parts_as_supports, row_supports, scan_row
 
 
 class TestRSubset:
@@ -199,19 +199,20 @@ class TestRowSupports:
         for row, supports in worked.items():
             assert row_supports(params, W, row) == supports
             assert parts_as_supports(params, W, row) == supports
-        assert plan.row_parts(params, W, plan.RowId(2, 1, 1, 1)) == ((3, 4), ((1,), (2,)))
+        assert message_parts(params, W, plan.RowId(2, 1, 1, 1)) == ((3, 4), ((1,), (2,)))
+        assert plan.row_layout(params, (4, 2), plan.RowId(2, 1, 1, 1)) == ((1, 3), ((0,), (1,)))
 
     def test_invalid_row(self):
         params = Params(K=4, D=2)
         with pytest.raises(ValueError):
-            plan.row_parts(params, (1, 2), plan.RowId(0, 1, 2, 2))
+            plan.row_layout(params, (1, 2), plan.RowId(0, 1, 2, 2))
 
     @pytest.mark.parametrize("row", [(3, 1, 1, 1), (1, 3, 1, 1), (0, 1, 3, 1), (0, 1, 1, 0)])
     def test_each_row_field_bounded(self, row):
         # At K=4, D=2: i beyond K-D, k beyond C(2, 1), j beyond D, and l = 0,
         # which as an index would silently pick the last subset.
         with pytest.raises(ValueError, match="must be in|out of range"):
-            plan.row_parts(Params(K=4, D=2), (1, 2), plan.RowId(*row))
+            plan.row_layout(Params(K=4, D=2), (1, 2), plan.RowId(*row))
 
     @pytest.mark.parametrize("K,D", [(5, 2), (6, 3), (7, 4)])
     def test_intersection_structure(self, K, D):
@@ -221,7 +222,7 @@ class TestRowSupports:
         rng = random.Random(K * 10 + D)
         W = tuple(sorted(rng.sample(range(1, K + 1), D)))
         for row in iter_row_ids(params):
-            R, parts = plan.row_parts(params, W, row)
+            R, parts = message_parts(params, W, row)
             assert R == tuple(sorted(R)) and not set(R) & set(W)
             assert len(parts) == D
             for part in parts:
@@ -263,7 +264,7 @@ class TestSubBlockMasks:
             masks = {j: plan.sub_block_masks(params, table, j) for j in range(1, D + 1)}
             for row in iter_row_ids(params):
                 if row.k == 1:
-                    R, parts = plan.row_parts(params, w, row)
+                    R, parts = message_parts(params, w, row)
                     assert R == plan.r_subset(params, w, row.i, row.k)
                     assert parts == tuple(
                         tuple(sorted(members(part))) for part in masks[row.j][row.l - 1]

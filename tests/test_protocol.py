@@ -23,6 +23,7 @@ from mpir.protocol import (
 )
 import evenness
 from field import inverts, support, vec_add
+from queries import read_back
 
 
 class ScriptedRng:
@@ -86,8 +87,9 @@ class TestWorkedExample:
     def test_row_and_vectors(self):
         _, qs = self.build()
         assert qs.row == plan.RowId(2, 1, 1, 1)
-        assert qs.U == (0, 0, 1, 2)
-        assert qs.V == ((2, 0, 0, 0), (0, 1, 0, 0))
+        _, U, A = read_back(qs, (1, 2))
+        assert U == (0, 0, 1, 2)
+        assert A == ((2, 0), (0, 1))
         assert qs.inverse == ((2, 0), (0, 1))
         assert qs.permutation == (0, 1, 2)
         assert qs.queries == ((0, 0, 1, 2), (2, 0, 1, 2), (0, 1, 1, 2))
@@ -113,15 +115,14 @@ class TestMakeQuerySet:
         for _ in range(50):
             qs = make_query_set(params, table, W, rng)
             base = frozenset(plan.r_subset(params, W, qs.row.i, qs.row.k))
-            assert support(qs.U) == base
+            columns, U, _ = read_back(qs, W)
+            assert support(U) == base
             assert sorted(qs.permutation) == list(range(D + 1))
-            columns = (qs.U,) + tuple(vec_add(qs.U, v, q) for v in qs.V)
-            for n, col in enumerate(columns):
-                assert qs.queries[qs.permutation[n]] == col
+            V = [vec_add(col, [-u for u in U], q) for col in columns[1:]]  # column h is U + V_h
             T = evenness.choose_T_collection(params, W, qs.row.j)[qs.row.l - 1]
-            for h, v in enumerate(qs.V, start=1):
+            for h, v in enumerate(V, start=1):
                 assert support(v) == evenness.shifts(W, T)[h - 1]
-            assert inverts(q, qs.V, qs.inverse)
+            assert inverts(q, V, qs.inverse)
 
     def test_zero_query_when_base_empty(self):
         params = Params(K=4, D=2, q=3)
@@ -156,8 +157,6 @@ class TestRecover:
             row=plan.RowId(0, 1, 1, 1),
             permutation=(0, 1, 2),
             queries=((0, 0, 0, 0), (3, 0, 0, 0), (0, 2, 0, 0)),
-            U=(0, 0, 0, 0),
-            V=((3, 0, 0, 0), (0, 2, 0, 0)),
             inverse=((2, 0), (0, 3)),
         )
         store = make_store(5, 2, [(1, 2), (3, 4), (0, 0), (0, 0)])

@@ -15,7 +15,7 @@ import queries
 
 @pytest.mark.parametrize("K,D,q", [(4, 2, 3), (9, 2, 3), (20, 6, 7), (12, 5, 131), (6, 2, 65521)])
 def test_draw_equals_the_message_space_oracle(K, D, q):
-    # The whole QuerySet (row, permutation, queries, U, V and inverse) and
+    # The whole QuerySet (row, permutation, queries and inverse) and
     # the rng state after it, over 500 seeded draws; (12, 5, 131) has 2-byte
     # elements.
     params = Params(K=K, D=D, q=q)
@@ -59,7 +59,7 @@ def entry_points(params: Params):
     endpoints = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]
     return {
         "sample_row": lambda W: plan.sample_row(params, prob, W, random.Random(0)),
-        "row_parts": lambda W: plan.row_parts(params, W, row),
+        "row_layout": lambda W: plan.row_layout(params, W, row),
         "r_subset": lambda W: plan.r_subset(params, W, 1, 1),
         "make_query_set": lambda W: protocol.make_query_set(params, prob, W, random.Random(0)),
         "run_round": lambda W: protocol.run_round(params, prob, W, store, random.Random(0)),
