@@ -3,24 +3,23 @@
 The privacy auditor does not reuse the analysis that motivated the
 probability table; per demand set W and server position, it counts how often
 sub-block j's columns carry each demand part t ⊆ W (a message bitmask, from
-plan.sub_block_masks over one plan.part_table), count_j[t], and folds
-them into integer weights w_i[t] = sum_j nums[i][j-1] count_j[t] over the
-table's denominator den: the exact probability of each support b | t, b
-an i-subset of the complement.  Privacy holds iff these distributions are
-identical (rational equality, not approximate) across all C(K, D) demand
-sets.  The reference W_ref is certified once, by three checks: every part in
-its rows lies in its own subset table (built here, so that a fault in
-plan.part_table cannot hide); its weights pass the size-class certificate c,
-w_i[t] == c[i + |t|] for every i and t ⊆ W_ref; and each of its rows holds D
-parts.  Another W passes if at every j plan's rows for it are the
-reference's rows relabelled by φ: W_ref[p] ↦ W[p] (through W's own subset
-table).  Then W's weights are φ of the reference's, w_i[φ(t)] = c[i + |t|];
-φ keeps sizes and maps W_ref's subsets onto W's, so every support S weighs
-c[|S|] under both.  Any other W, the reference's rows in another order
-included, is compared class by class: a support S weighs w_i[S ∩ W],
-i = |S ∖ W|, so both its weights depend only on u = S ∩ (W ∪ W_ref) and
-r = |S ∖ u|, and only a class whose two weights differ is expanded into its
-supports.
+plan.sub_block_masks over W's subset table, _subsets, built once per demand
+set), count_j[t], and folds them into integer weights w_i[t] = sum_j
+nums[i][j-1] count_j[t] over the table's denominator den: the exact
+probability of each support b | t, b an i-subset of the complement.  Privacy
+holds iff these distributions are identical (rational equality, not
+approximate) across all C(K, D) demand sets.  The reference W_ref is
+certified once, by three checks: every part in its rows lies in its own
+subset table; its weights pass the size-class certificate c, w_i[t] ==
+c[i + |t|] for every i and t ⊆ W_ref; and each of its rows holds D parts.
+Another W passes if at every j plan's rows for it are the reference's rows
+relabelled by φ: W_ref[p] ↦ W[p] (through W's own subset table).  Then W's
+weights are φ of the reference's, w_i[φ(t)] = c[i + |t|]; φ keeps sizes
+and maps W_ref's subsets onto W's, so every support S weighs c[|S|] under
+both.  Any other W, the reference's rows in another order included, is
+compared class by class: a support S weighs w_i[S ∩ W], i = |S ∖ W|, so
+both its weights depend only on u = S ∩ (W ∪ W_ref) and r = |S ∖ u|, and
+only a class whose two weights differ is expanded into its supports.
 
 The coefficient-level audit replays the shipped code instead of modelling
 it: a ReplayRng branches each randrange(n) over its n values and each
@@ -59,31 +58,31 @@ def _mask(xs: Iterable[int]) -> int:
     return sum(1 << (x - 1) for x in xs)
 
 
-def _sub_block_rows(params: Params, w: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """plan.sub_block_masks' rows for each sub-block j, from one plan.part_table."""
-    table = plan.part_table(params, w)
-    return [plan.sub_block_masks(params, table, j) for j in range(1, params.D + 1)]
-
-
-def _demand_counts(params: Params, w: tuple[int, ...], permute: bool, by_j=None):
-    """counts[j-1][n]: a Counter, by bitmask, of the demand parts that
-    sub-block j's columns carry to server position n: 0 in column 1 and the
-    row's part h in column 1+h, all at one position under the permutation.
-    The rows are by_j, else _sub_block_rows(params, w)."""
-    counts = []
-    for rows in _sub_block_rows(params, w) if by_j is None else by_j:
-        empty = (0,) * len(rows)  # column 1, row by row
-        columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
-        counts.append(list(map(Counter, columns)))
-    return counts
-
-
 def _subsets(w: tuple[int, ...]) -> list[int]:
-    """plan.part_table's list, built here so that a fault in plan's cannot hide."""
+    """The subset table of sorted w: its 2^D subsets as message bitmasks,
+    entry s the mask of {w[p] : bit p of s}, so entry -1 is w's own."""
     table = [0]
     for bit in [1 << (x - 1) for x in w]:
         table += [t | bit for t in table]
     return table
+
+
+def _sub_block_rows(params: Params, table: list[int]) -> list[tuple[tuple[int, ...], ...]]:
+    """plan.sub_block_masks' rows for each sub-block j, over one subset table."""
+    return [plan.sub_block_masks(params, table, j) for j in range(1, params.D + 1)]
+
+
+def _demand_counts(by_j: list[tuple[tuple[int, ...], ...]], permute: bool):
+    """counts[j-1][n]: a Counter, by bitmask, of the demand parts that
+    sub-block j's columns carry to server position n: 0 in column 1 and the
+    row's part h in column 1+h, all at one position under the permutation.
+    The rows are _sub_block_rows'."""
+    counts = []
+    for rows in by_j:
+        empty = (0,) * len(rows)  # column 1, row by row
+        columns = [chain(empty, *rows)] if permute else [empty, *zip(*rows)]
+        counts.append(list(map(Counter, columns)))
+    return counts
 
 
 def _support_weights(
@@ -106,16 +105,16 @@ def _support_weights(
     return weights
 
 
-def _size_classes(w: tuple[int, ...], weights: list[dict]) -> tuple[int, ...] | None:
+def _size_classes(table: list[int], weights: list[dict]) -> tuple[int, ...] | None:
     """The size-class certificate of one demand set at one server position:
-    the c with w_i[t] == c[i + |t|] for every sub-table i and every one of
-    the 2^D subsets t of w, a t without weight counting as 0, else None."""
-    parts = [(_mask(t), size) for size in range(len(w) + 1) for t in combinations(w, size)]
+    the c with w_i[t] == c[i + |t|] for every sub-table i and every subset t
+    in the demand set's subset table (|t| the popcount of t's position
+    index), a t without weight counting as 0, else None."""
     c: dict[int, int] = {}
     for i, weight in enumerate(weights):
-        for t, size in parts:
+        for s, t in enumerate(table):
             v = weight.get(t, 0)
-            if c.setdefault(i + size, v) != v:
+            if c.setdefault(i + s.bit_count(), v) != v:
                 return None
     return tuple(c[size] for size in range(len(c)))
 
@@ -163,16 +162,15 @@ def support_distribution(
     a broken client that always sends column n to server n, which is what
     the permutation-skip mutation check exercises.
     """
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     if not 1 <= server_n <= params.N:
         raise ValueError(f"server position must be in [1, {params.N}]")
     scale = params.N * prob.den if permute else prob.den
-    counts = _demand_counts(params, w, permute)
+    counts = _demand_counts(_sub_block_rows(params, _subsets(w)), permute)
     weights = _support_weights(prob.nums, counts)[0 if permute else server_n - 1]
-    comp = plan.complement(params, w)
     parts = {t: frozenset(x for x in w if t >> (x - 1) & 1) for weight in weights for t in weight}
     return {frozenset(b) | parts[t]: Fraction(v, scale) for i, weight in enumerate(weights)
-            for b in combinations(comp, i) for t, v in weight.items()}
+            for b in combinations(w.rest, i) for t, v in weight.items()}
 
 
 @dataclass(frozen=True)
@@ -222,23 +220,25 @@ def privacy_check(
     demands = [tuple(c) for c in combinations(range(1, params.K + 1), params.D)]
 
     w_ref = demands[0]
-    ref_rows = _sub_block_rows(params, w_ref)
-    reference = _support_weights(prob.nums, _demand_counts(params, w_ref, permute, ref_rows))
-    inverse = {t: s for s, t in enumerate(_subsets(w_ref))}  # message mask -> position mask
+    ref_table = _subsets(w_ref)
+    ref_rows = _sub_block_rows(params, ref_table)
+    reference = _support_weights(prob.nums, _demand_counts(ref_rows, permute))
+    inverse = {t: s for s, t in enumerate(ref_table)}  # message mask -> position mask
     in_table = all(len(row) == params.D and inverse.keys() >= set(row)
                    for row in chain.from_iterable(ref_rows))
     rows_in = None  # W's subset table -> the reference's rows relabelled by φ
-    if in_table and None not in [_size_classes(w_ref, weights) for weights in reference]:
+    if in_table and None not in [_size_classes(ref_table, weights) for weights in reference]:
         ps = [[inverse[t] for row in rows for t in row] for rows in ref_rows]
         rows_in = lambda own: [tuple(zip(*[map(own.__getitem__, p)] * params.D)) for p in ps]
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
-        by_j = _sub_block_rows(params, w)
-        if rows_in and by_j == rows_in(_subsets(w)):
+        table = _subsets(w)
+        by_j = _sub_block_rows(params, table)
+        if rows_in and by_j == rows_in(table):
             continue
-        counts = _demand_counts(params, w, permute, by_j=by_j)
+        counts = _demand_counts(by_j, permute)
         rest = plan.complement(params, w_ref + w)
         compared = [
             _differences(w_ref, w, rest, ref_w, cur_w)

@@ -204,6 +204,8 @@ class StoreServer(socketserver.ThreadingTCPServer):
         self.store = store
         store.packed  # built now, not during a client's first query
         self._open: set[socket.socket] = set()
+        if ":" in host:  # an IPv6 literal, such as ::1; anything else binds as IPv4
+            self.address_family = socket.AF_INET6
         super().__init__((host, port), _AnswerHandler)
 
     @property
@@ -327,14 +329,13 @@ def _read_answer(stream: BinaryIO, endpoint: tuple[str, int], m: int, q: int) ->
     return payload if msg_type == MSG_ANSWER else None
 
 
-def _check_endpoints(endpoints: Sequence[tuple[str, int]]) -> None:
+def _check_endpoints(endpoints: tuple[tuple[str, int], ...]) -> None:
     # A server that receives two columns of one round sees U and U + V_h,
     # whose difference V_h has its support inside the demand set.  Names are
     # resolved so that two spellings of one address count as one server.  A
     # literal address resolves to itself alone, so a tuple of them keeps its
     # verdict; a name, or a scoped IPv6 host ("%" and an interface), is
     # looked up anew.  A refusal raises, so it is never kept.
-    endpoints = tuple(map(tuple, endpoints))
     if not _literal_addrs(endpoints):
         _distinct_servers(endpoints)
 
@@ -387,10 +388,11 @@ def retrieve(
 ) -> RetrieveResult:
     """Run one protocol round over the network.
 
-    Query n goes to endpoints[n].  Without a seed the queries are drawn from
-    the operating system's CSPRNG, as privacy requires.  A seed makes them a
-    function of W, for replay only: with equal stores the transcript is then
-    identical to an in-memory round driven by random.Random(seed).
+    Query n goes to endpoints[n], a (host, port) pair given as a tuple or a
+    list.  Without a seed the queries are drawn from the operating system's
+    CSPRNG, as privacy requires.  A seed makes them a function of W, for
+    replay only: with equal stores the transcript is then identical to an
+    in-memory round driven by random.Random(seed).
     Endpoints with a port outside 1..65535, or that resolve to a common
     (address, port), are rejected with ValueError before any query is sent.
 
@@ -400,6 +402,7 @@ def retrieve(
     server link rounds, but its view of each has the same distribution for
     every W, so that leaks nothing more.
     """
+    endpoints = tuple(map(tuple, endpoints))
     if len(endpoints) != params.N:
         raise ValueError(f"need exactly N={params.N} endpoints, got {len(endpoints)}")
     _check_endpoints(endpoints)

@@ -15,8 +15,8 @@ demand from the tuple.  The one form of a demand part is a position bitmask
 of D-bit masks, and _position_masks caches each sub-block's shifted
 collection as one table of them.  A round checks W once, as a Demand, and
 reads a row as (R, parts), each part that table's entry as sorted positions;
-the privacy audit maps the whole table through W's part_table to message
-bitmasks (bit x-1 for message x), one table per demand set.  The collection
+the privacy audit maps the whole table to message bitmasks (bit x-1 for
+message x) through the subset table it builds per demand set.  The collection
 of j-subsets backing each sub-block must satisfy an evenness property (every
 j-subset of W appears exactly m_j times across the l_j x D shifted columns);
 that property is load-bearing for privacy, so it is searched for and
@@ -52,26 +52,21 @@ class RowId(NamedTuple):
     l: int
 
 
-def as_demand(params: Params, W: Iterable[int]) -> tuple[int, ...]:
-    """Normalize W to a sorted tuple of D distinct indices in [1, K]."""
-    w = tuple(sorted(set(W)))
+class Demand(tuple):
+    """W sorted, with its params and its sorted complement, rest."""
+
+
+def demand(params: Params, W: Iterable[int]) -> Demand:
+    """W as a Demand for params: D distinct indices in [1, K], else
+    ValueError.  One already made for params is returned unchecked, so the
+    plan functions a round calls check its W once."""
+    if type(W) is Demand and W.params is params:
+        return W
+    w = Demand(sorted(set(W)))
     if len(w) != params.D:
         raise ValueError(f"demand must contain exactly D={params.D} distinct indices")
     if w[0] < 1 or w[-1] > params.K:
         raise ValueError(f"demand indices must lie in [1, {params.K}]")
-    return w
-
-
-class Demand(tuple):
-    """as_demand's tuple, with its params and its sorted complement, rest."""
-
-
-def demand(params: Params, W: Iterable[int]) -> Demand:
-    """W as a Demand for params; one already made for params is returned
-    unchecked, so the plan functions a round calls check its W once."""
-    if type(W) is Demand and W.params is params:
-        return W
-    w = Demand(as_demand(params, W))
     w.params, w.rest = params, complement(params, w)
     return w
 
@@ -189,19 +184,10 @@ def _collections(D: int, sub_blocks: tuple[int, ...]) -> tuple:
     return tuple(_chosen_positions(D, j) for j in sub_blocks)
 
 
-def part_table(params: Params, W: Iterable[int]) -> list[int]:
-    """W's 2^D subsets as message bitmasks: entry s is {w[p] : bit p of s},
-    w = sorted W, so entry -1 is W's own mask."""
-    table = [0]
-    for x in as_demand(params, W):
-        bit = 1 << (x - 1)
-        table += [t | bit for t in table]
-    return table
-
-
 def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int, ...], ...]:
     """Per row l of sub-block j, the D demand parts (T_l's cyclic shifts) that
-    its columns 2..N add: the position table mapped through W's part_table."""
+    its columns 2..N add: the position table mapped through W's subset table,
+    whose entry s is the message bitmask of {w[p] : bit p of s}, w = sorted W."""
     parts = map(table.__getitem__, _position_masks(params.D, j))
     return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
 

@@ -37,7 +37,7 @@ def choose_T_collection(params: Params, W: Iterable[int], j: int) -> tuple[froze
     the sorted elements of W.  Raises EvennessError if no even collection of
     distinct subsets exists at all.
     """
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     return tuple(frozenset(w[p] for p in cand) for cand in plan._chosen_positions(params.D, j))
 
 
@@ -49,7 +49,7 @@ def verify_evenness(
     Returns the full multiplicity map (zero entries included) and whether
     every j-subset attains exactly m_j.
     """
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     _, m = lj_mj(params.D)
     counts = {frozenset(s): 0 for s in combinations(w, j)}
     for T in collection:

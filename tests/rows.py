@@ -41,7 +41,7 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozense
     """The N supports (S_1, ..., S_N) of one table row: S_1 is R, the k-th
     i-subset of the complement in lexicographic order, and S_{1+h} is R plus
     the h-th cyclic shift within W of sub-block j's l-th collected subset."""
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     base = frozenset(list(combinations(plan.complement(params, w), row.i))[row.k - 1])
     T = evenness.choose_T_collection(params, w, row.j)[row.l - 1]
     return (base, *(base | part for part in evenness.shifts(w, T)))
@@ -50,7 +50,7 @@ def row_supports(params: Params, W: Iterable[int], row: RowId) -> tuple[frozense
 def message_parts(params: Params, W: Iterable[int], row: RowId) -> tuple:
     """plan.row_layout's (R, parts) with each part's position p read as
     message w[p], w = sorted W."""
-    w = plan.as_demand(params, W)
+    w = plan.demand(params, W)
     R, positions = plan.row_layout(params, w, row)
     return R, tuple(tuple(w[p] for p in part) for part in positions)
 

@@ -18,7 +18,7 @@ from math import comb
 
 import pytest
 
-from mpir import audit, net, plan
+from mpir import audit, net
 from mpir.cli import rate_table_rows
 from mpir.params import (
     Params,

@@ -4,12 +4,14 @@ privacy_check certifies the reference once, by three checks: every part in
 its rows lies in the subset table of W_ref that the audit builds, its
 weights pass the size-class certificate c, and each of its rows holds D
 parts.  It then keeps the reference's parts as positions, row by row.  Any
-other demand set W reads one plan.part_table and passes without comparing
-supports when, at every sub-block, plan's rows for W equal those positions
-mapped through W's own subset table, D parts to a row: the reference's rows
+other demand set W gets one subset table from the audit, which
+plan.sub_block_masks maps the position table through, and passes without
+comparing supports when, at every sub-block, plan's rows for W equal those
+positions mapped through that table, D parts to a row: the reference's rows
 relabelled by φ: W_ref[p] ↦ W[p], so W's weights are φ of the reference's
 and every support weighs c of its size under both.  These tests check that
-a correct plan takes that path with one table per demand set; that a part
+a correct plan takes that path; that the audit builds one subset table per
+demand set, the reference's included, and plan reads no other; that a part
 outside W, a row moved to the next sub-block, or rows regrouped within one
 do not slip through it; that rows in another order are compared by class
 and pass; that a reference with a part outside W_ref, or a row that does not
@@ -75,13 +77,18 @@ def test_a_part_outside_the_demand_fails(monkeypatch, permute):
     assert {v.W for v in report.violations} >= {broken}
 
 
-def test_a_passing_audit_reads_one_part_table_per_demand_set(monkeypatch):
-    # One table per demand set, and one more for the reference's counts.
-    calls = []
-    part_table = plan.part_table
-    monkeypatch.setattr(plan, "part_table", lambda *args: calls.append(args) or part_table(*args))
+def test_a_passing_audit_builds_one_subset_table_per_demand_set(monkeypatch):
+    # The audit builds one subset table per demand set, the reference's
+    # included, and plan.sub_block_masks maps the position table through
+    # those tables and no other.
+    built, received = [], []
+    subsets, masks = audit._subsets, plan.sub_block_masks
+    monkeypatch.setattr(audit, "_subsets", lambda w: built.append(subsets(w)) or built[-1])
+    monkeypatch.setattr(plan, "sub_block_masks",
+                        lambda params, table, j: received.append(table) or masks(params, table, j))
     assert audit.privacy_check(Params(K=9, D=4)).passed
-    assert len(calls) <= math.comb(9, 4) + 1
+    assert len(built) == math.comb(9, 4)
+    assert received and all(any(table is b for b in built) for table in received)
 
 
 def test_a_reference_part_outside_its_demand_is_not_certified(monkeypatch):
@@ -122,7 +129,7 @@ def test_a_row_moved_to_the_next_sub_block_is_not_certified(monkeypatch):
             return rows
         return rows[:-1] if j == 2 else masks(params, table, 2)[-1:] + rows
 
-    w_table = plan.part_table(SHAPE, (3, 4, 5, 6))
+    w_table = audit._subsets((3, 4, 5, 6))
     flat = [part for j in range(1, 5) for row in masks(SHAPE, w_table, j) for part in row]
     assert [part for j in range(1, 5) for row in moved_masks(SHAPE, w_table, j)
             for part in row] == flat

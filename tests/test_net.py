@@ -35,13 +35,13 @@ def store(params):
 
 
 @contextmanager
-def serving(store, ports=(0, 0, 0)):
-    servers = [net.StoreServer(store, port=port) for port in ports]
+def serving(store, ports=(0, 0, 0), host="127.0.0.1"):
+    servers = [net.StoreServer(store, host, port) for port in ports]
     for s in servers:
         # A short poll keeps shutdown() from waiting out the default 0.5 s.
         threading.Thread(target=s.serve_forever, args=(0.05,), daemon=True).start()
     try:
-        yield [("127.0.0.1", s.port) for s in servers]
+        yield [(host, s.port) for s in servers]
     finally:
         for s in servers:
             s.shutdown()
@@ -653,6 +653,24 @@ class TestRetrieve:
                 assert networked.transcript == in_memory
                 w = gf.element_width(q)
                 assert networked.downloaded_bytes == w * in_memory.download_elements
+
+    def test_endpoints_given_as_lists(self, cluster, params):
+        # [[host, port], ...], as JSON loads them, is the same round as tuples.
+        as_lists = [list(endpoint) for endpoint in cluster]
+        for seed in range(5):
+            listed = net.retrieve(as_lists, (1, 3), params, seed)
+            assert listed.transcript == net.retrieve(cluster, (1, 3), params, seed).transcript
+
+    def test_recovers_from_ipv6_literal_servers(self, params, store):
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("this host cannot bind ::1")
+        with serving(store, host="::1") as endpoints:
+            result = net.retrieve(endpoints, (2, 4), params, seed=6)
+        assert result.transcript.recovered == (store.messages[1], store.messages[3])
+        assert result.transcript.to_bytes() == replayed(params, (2, 4), store, 6)
 
     def test_prob_table_built_once_per_params(self, cluster, params, monkeypatch):
         builds = []

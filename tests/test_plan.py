@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from scipy.stats import chi2
 
-from mpir import plan
+from mpir import audit, plan
 from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table
 import evenness
@@ -250,7 +250,7 @@ class TestSubBlockMasks:
             for j in range(1, D + 1):
                 expected = [evenness.shifts(w, T) for T in evenness.choose_T_collection(params, w, j)]
                 for W in (w, w[::-1]):
-                    rows = plan.sub_block_masks(params, plan.part_table(params, W), j)
+                    rows = plan.sub_block_masks(params, audit._subsets(plan.demand(params, W)), j)
                     assert [tuple(map(members, row)) for row in rows] == expected, (W, j)
 
     @pytest.mark.parametrize("K,D", SMALL_SHAPES)
@@ -260,7 +260,7 @@ class TestSubBlockMasks:
         # indices, and their unions with R are the oracle's supports.
         params = Params(K=K, D=D)
         for w in combinations(range(1, K + 1), D):
-            table = plan.part_table(params, w)
+            table = audit._subsets(w)
             masks = {j: plan.sub_block_masks(params, table, j) for j in range(1, D + 1)}
             for row in iter_row_ids(params):
                 if row.k == 1:
@@ -274,12 +274,12 @@ class TestSubBlockMasks:
     def test_validates_demand_and_sub_block(self):
         params = Params(K=5, D=3)
         with pytest.raises(ValueError, match="exactly D"):
-            plan.part_table(params, (1, 2))
-        table = plan.part_table(params, (1, 2, 3))
+            plan.demand(params, (1, 2))
+        table = audit._subsets(plan.demand(params, (1, 2, 3)))
         with pytest.raises(ValueError, match="j must be in"):
             plan.sub_block_masks(params, table, 4)
         wide = Params(K=11, D=10)
-        table = plan.part_table(wide, range(1, 11))
+        table = audit._subsets(plan.demand(wide, range(1, 11)))
         with pytest.raises(plan.EvennessError):
             plan.sub_block_masks(wide, table, 4)
 
@@ -289,7 +289,7 @@ class TestSubBlockMasks:
         w = (2, 3, 7, 9)
         expected = [frozenset(w[p] for p in range(4) if s >> p & 1) for s in range(16)]
         for W in (w, w[::-1]):
-            assert list(map(members, plan.part_table(params, W))) == expected
+            assert list(map(members, audit._subsets(plan.demand(params, W)))) == expected
 
 
 class TestRowEnumeration:
@@ -400,15 +400,15 @@ class TestSampleRow:
 
 class TestDemandValidation:
     def test_as_demand_sorts(self):
-        assert plan.as_demand(Params(K=5, D=3), [5, 1, 3]) == (1, 3, 5)
+        assert plan.demand(Params(K=5, D=3), [5, 1, 3]) == (1, 3, 5)
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            plan.as_demand(Params(K=5, D=3), [1, 2])
+            plan.demand(Params(K=5, D=3), [1, 2])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            plan.as_demand(Params(K=5, D=2), [1, 6])
+            plan.demand(Params(K=5, D=2), [1, 6])
 
     def test_evenness_error_when_impossible(self):
         # D=10, j=4 has shift orbits whose stabilizer cannot divide the

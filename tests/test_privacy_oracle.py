@@ -47,7 +47,8 @@ def support_tallies(
     """
     comp = [1 << (t - 1) for t in plan.complement(params, w)]
     tallies = []
-    for weights in audit._support_weights(nums, audit._demand_counts(params, w, permute)):
+    counts = audit._demand_counts(audit._sub_block_rows(params, audit._subsets(w)), permute)
+    for weights in audit._support_weights(nums, counts):
         tallies.append({
             base | t: v
             for i, weight in enumerate(weights)
@@ -211,9 +212,9 @@ def test_a_part_swapped_for_another_of_its_size_fails(monkeypatch, permute):
         return tuple(tuple(0b101000 if part == 0b011000 else part for part in row)
                      for row in rows)
 
-    sizes = sorted(part.bit_count() for row in masks(params, plan.part_table(params, broken), 2)
+    sizes = sorted(part.bit_count() for row in masks(params, audit._subsets(broken), 2)
                    for part in row)
-    swapped = swapped_masks(params, plan.part_table(params, broken), 2)
+    swapped = swapped_masks(params, audit._subsets(broken), 2)
     assert sorted(part.bit_count() for row in swapped for part in row) == sizes
     assert sum(row.count(0b101000) for row in swapped) == 2
     monkeypatch.setattr(plan, "sub_block_masks", swapped_masks)
