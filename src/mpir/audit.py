@@ -273,10 +273,10 @@ def perturb_prob_table(prob: ProbTable, i: int, j: int) -> ProbTable:
     renormalized, in integers: 1000 nums, den added to P[i][j], over their
     table_mass.
 
-    The result intentionally bypasses construction-time validation; it exists
-    so tests and the CLI can confirm the privacy auditor actually detects
-    broken probability assignments.  Raises ValueError unless
-    0 <= i <= K-D and 1 <= j <= D.
+    The result intentionally bypasses build_prob_table's [0, 1] range check,
+    though ProbTable still checks its exact mass; it exists so tests and the
+    CLI can confirm the privacy auditor actually detects broken probability
+    assignments.  Raises ValueError unless 0 <= i <= K-D and 1 <= j <= D.
     """
     if not (0 <= i < len(prob.nums) and 1 <= j <= len(prob.nums[0])):
         raise ValueError(f"no entry P[{i}][{j}]: need 0 <= i <= {len(prob.nums) - 1}, "

@@ -280,10 +280,12 @@ def _answer_over_tcp(
                 _discard(pooled[n])
                 streams[n] = _connect(endpoint, frames[n], held)
             answers.append(_read_answer(streams[n], endpoint, m, q))
-    except BaseException:
+    except BaseException as exc:
         # A reply left unread must not pass for a later round's answer.
         for stream in held:
             _discard(stream)
+        if isinstance(exc, OSError):  # a refusal, reset or timeout at the loop's endpoint
+            raise type(exc)(*exc.args[:-1], f"{exc.strerror or exc} at server {endpoint}") from exc
         raise
     with _idle_lock:
         surplus = [s for e, s in zip(endpoints, streams) if _idle.setdefault(e, s) is not s]
@@ -397,10 +399,11 @@ def retrieve(
     (address, port), are rejected with ValueError before any query is sent.
 
     Connections are reused across calls, at most one idle per endpoint, and
-    a failed round closes its own.  A reused one the server has closed is
-    retried once on a new connection with the same query.  Reuse lets a
-    server link rounds, but its view of each has the same distribution for
-    every W, so that leaks nothing more.
+    a failed round closes its own.  A socket error (a refusal, a reset or a
+    timeout) keeps its class and errno and names its server.  A reused one
+    the server has closed is retried once on a new connection with the same
+    query.  Reuse lets a server link rounds, but its view of each has the
+    same distribution for every W, so that leaks nothing more.
     """
     endpoints = tuple(map(tuple, endpoints))
     if len(endpoints) != params.N:

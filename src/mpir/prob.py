@@ -27,6 +27,17 @@ class ProbTable:
     their gcd, so den is the lcm of the entries' reduced denominators.
 
     j_star is the column carrying the single nonzero entry of the last row.
+
+    Construction also builds, and raises ValueError unless the row weights
+    sum to den (mass exactly 1):
+
+    - sampling_layout, (den, groups, ends) for exact row sampling: one group
+      (i, j, C(K-D, i), l_j, num) per entry, in table order, with
+      num = nums[i][j-1], and ends[g] the row weight of groups 0..g; the
+      order is fixed so that a seed reproduces its draws;
+    - sub_blocks, the sub-blocks j, ascending, to which some row gives mass.
+
+    Equality, hash and repr are those of (den, nums, j_star).
     """
 
     den: int
@@ -37,21 +48,6 @@ class ProbTable:
         g = math.gcd(self.den, *chain.from_iterable(self.nums))
         object.__setattr__(self, "den", self.den // g)
         object.__setattr__(self, "nums", tuple(tuple(n // g for n in row) for row in self.nums))
-
-    @cached_property
-    def P(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as Fractions, for printing."""
-        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
-
-    @cached_property
-    def sampling_layout(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(den, groups, ends) for exact row sampling, built on first use.
-
-        One group (i, j, C(K-D, i), l_j, num) per entry, in table order, with
-        num = nums[i][j-1], and ends[g] the row weight of groups 0..g; the
-        order is fixed so that a seed reproduces its draws.  Raises ValueError
-        unless the row weights sum to den.
-        """
         l, _ = lj_mj(len(self.nums[0]))
         groups = tuple(
             (i, j, binomial(len(self.nums) - 1, i), l[j - 1], num)
@@ -61,12 +57,14 @@ class ProbTable:
         ends = tuple(accumulate(k_count * l_count * num for _, _, k_count, l_count, num in groups))
         if ends[-1] != self.den:
             raise ValueError("probability table mass is not exactly 1")
-        return self.den, groups, ends
+        object.__setattr__(self, "sampling_layout", (self.den, groups, ends))
+        object.__setattr__(self, "sub_blocks",
+                           tuple(j for j, col in enumerate(zip(*self.nums), start=1) if any(col)))
 
     @cached_property
-    def sub_blocks(self) -> tuple[int, ...]:
-        """The sub-blocks j, ascending, to which some row gives mass."""
-        return tuple(j for j, column in enumerate(zip(*self.nums), start=1) if any(column))
+    def P(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, for printing."""
+        return tuple(tuple(Fraction(n, self.den) for n in row) for row in self.nums)
 
 
 def table_mass(P: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
@@ -114,9 +112,9 @@ def build_prob_table(params: Params) -> ProbTable:
     The last row puts mass 1/g_{j*} on column j*, and each earlier row is M
     times its successor, on M's first row and sub-diagonal in integers
     (integer_M); row i, over 1/g_{j*}'s denominator times mu^(K-D-i), is put
-    over row 0's by mu^i.  An entry outside [0, 1], or a total mass other
-    than 1 (the sampling layout's check), means the construction itself is
-    broken: it raises, not clamps.
+    over row 0's by mu^i.  An entry outside [0, 1], checked here, or a total
+    mass other than 1, checked by ProbTable's construction, means the
+    construction itself is broken: it raises, not clamps.
     """
     K, D = params.K, params.D
     F, G = compute_FG(params)
@@ -139,9 +137,7 @@ def build_prob_table(params: Params) -> ProbTable:
         for j, p in enumerate(row, start=1):
             if not 0 <= p <= den:
                 raise ValueError(f"P[{i}][{j}] = {Fraction(p, den)} outside [0, 1]")
-    table = ProbTable(den, nums, j_star)
-    table.sampling_layout  # its exact integer mass check raises here, not at the first draw
-    return table
+    return ProbTable(den, nums, j_star)
 
 
 def achievable_rate(params: Params) -> Fraction:

@@ -188,7 +188,7 @@ def recover(
         elif len(ans) != size:
             raise ValueError(f"answer of {len(ans)} bytes, expected {size} (m={params.m})")
         else:
-            packed.append(int.from_bytes(ans, "little") if width == w else gf.pack(ans, w, width))
+            packed.append(gf.pack(ans, w, width))
     return tuple(
         gf.combine((-sum(row),) + row, packed, params.m, params.q, width)
         for row in query_set.inverse

@@ -284,6 +284,7 @@ def test_criterion_8_wire_differential(tmp_path):
         for proc in procs:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"wire differential took {elapsed:.2f}s"
     report(f"criterion 8 PASS: 100 rounds against 3 server processes byte-identical "

@@ -94,17 +94,20 @@ def accepts(monkeypatch):
 @pytest.fixture
 def stalling_server():
     """start(header) runs a one-shot server that reads a query, replies with
-    only `header`, and keeps the connection open until the test ends;
-    it returns the server's endpoint."""
+    only `header`, and keeps the connection open until the test ends, or
+    with reset=True resets it at once; it returns the server's endpoint."""
     listener = socket.create_server(("127.0.0.1", 0))
     done = threading.Event()
 
-    def start(header):
+    def start(header, reset=False):
         def run():
             conn, _ = listener.accept()
             with conn:
                 conn.recv(4096)
                 conn.sendall(header)
+                if reset:  # a zero linger time makes the close a reset
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    return
                 done.wait(10)
 
         threading.Thread(target=run, daemon=True).start()
@@ -778,6 +781,26 @@ class TestRetrieve:
         dead = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]
         with pytest.raises(OSError):
             net.retrieve(dead, (1, 2), params, seed=0)
+
+    def test_unreachable_endpoint_is_named(self, params):
+        # A refused connection keeps its class and errno, and its message
+        # names the server, as a protocol fault's does.
+        dead = [("127.0.0.1", 1), ("127.0.0.1", 2), ("127.0.0.1", 3)]
+        with pytest.raises(OSError) as excinfo:
+            net.retrieve(dead, (1, 2), params, seed=0)
+        exc = excinfo.value
+        assert str(exc).endswith(f" at server {dead[0]}")
+        assert type(exc) is type(exc.__cause__) and exc.errno == exc.__cause__.errno
+
+    def test_reset_mid_answer_is_named(self, cluster, params, stalling_server):
+        # An ANSWER header and part of its payload, then a reset: the error
+        # names the server, and the round keeps none of its connections.
+        endpoint = stalling_server(struct.pack("<IB", 8, net.MSG_ANSWER) + bytes(3), reset=True)
+        with pytest.raises(ConnectionResetError) as excinfo:
+            net.retrieve([endpoint] + cluster[:2], (1, 2), params, seed=0)
+        assert str(excinfo.value).endswith(f" at server {endpoint}")
+        assert excinfo.value.errno == excinfo.value.__cause__.errno
+        assert not net._idle
 
     @pytest.mark.parametrize("msg_type", [net.MSG_ANSWER, net.MSG_EMPTY_ANSWER, net.MSG_ERROR])
     def test_oversized_reply_rejected_before_payload(self, cluster, params, stalling_server, msg_type):

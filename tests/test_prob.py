@@ -110,11 +110,10 @@ class TestTableLaws:
         assert all(0 <= p <= 1 for row in table.P for p in row)
 
     def test_invalid_table_rejected(self):
-        # A hand-built table with mass != 1 must be caught by the sampler's
-        # layout check; build_prob_table itself cannot produce one.
-        bad = ProbTable(4, ((2, 1),), j_star=1)
-        with pytest.raises(ValueError):
-            bad.sampling_layout
+        # A hand-built table with mass != 1 must be refused when it is built;
+        # build_prob_table itself cannot produce one.
+        with pytest.raises(ValueError, match="mass is not exactly 1"):
+            ProbTable(4, ((2, 1),), j_star=1)
 
     @pytest.mark.parametrize("D", range(2, 9))
     def test_den_is_the_least_common_denominator(self, D):
