@@ -184,6 +184,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_store_init(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     params = Params(K=args.K, D=args.D, q=args.q, m=args.m)
+    net.check_header(params.q, params.K, params.m, args.out)  # before any draw
     store = MessageStore.random(params, rng)
     net.write_store(args.out, store)
     print(f"wrote {args.out}: K={store.K} q={store.q} m={store.m}")

@@ -5,8 +5,8 @@ Packed slots hold one product where they reduce mod q by byte-lane lookups
 (width*(q-1) < 256; :func:`combine` reduces before a slot could carry) and
 every term's otherwise (:func:`slot_width`); :func:`inverse` is in place.
 :func:`random_elements` draws what per-element ``randrange`` would, for
-fields of up to 32 bits in batches of 32-bit words: one translate maps them
-to one-byte elements, a shift to wider ones.
+one-byte fields in batches of 32-bit words that one translate maps to
+elements.
 
 Field elements are plain ints in [0, q) and every function takes the prime
 modulus q as an argument; :class:`~mpir.params.Params` has already checked
@@ -26,14 +26,6 @@ FieldVector = tuple[int, ...]
 FullRankDraw = tuple[tuple[FieldVector, ...], tuple[FieldVector, ...]]  # (A, inverse)
 
 _MAX_FULL_RANK_ATTEMPTS = 1000
-
-
-def vector_with_support(K: int, entries: dict[int, int]) -> FieldVector:
-    """Length-K vector with entries[idx] at each 1-based idx, zero elsewhere."""
-    vec = [0] * K
-    for idx, val in entries.items():
-        vec[idx - 1] = val
-    return tuple(vec)
 
 
 def inverse(q: int, mat: Sequence[Sequence[int]]) -> tuple[FieldVector, ...] | None:
@@ -140,30 +132,22 @@ def random_elements(rng: random.Random, q: int, n: int) -> bytes:
     that loop leaves it.
 
     randrange(q) takes k = q.bit_length() bits with getrandbits(k), which
-    for k <= 32 is the top k bits of one 32-bit word, and redraws while the
+    for k <= 8 is the top k bits of one 32-bit word, and redraws while the
     result is q or more.  So one getrandbits(32*need) yields the next `need`
-    words, word i in bits 32i..32i+31, and each word's top k bits are a draw
-    the loop keeps when below q.  For one-byte elements one translate shifts
-    each word's top byte right by 8-k and deletes the bytes the loop
-    rejects; wider ones shift each word right by 32-k.  `need` is the
-    shortfall, at most _SAMPLE_CHUNK words, so no word past the n-th
-    accepted one is drawn.  Fields of more than 32 bits draw one randrange
+    words, word i in bits 32i..32i+31, and one translate shifts each word's
+    top byte right by 8-k and deletes the bytes the loop rejects.  `need`
+    is the shortfall, at most _SAMPLE_CHUNK words, so no word past the n-th
+    accepted one is drawn.  Fields wider than one byte draw one randrange
     each.
     """
-    k = q.bit_length()
-    if k > 32:
+    if q.bit_length() > 8:
         return encode([rng.randrange(q) for _ in range(n)], q)
-    width = element_width(q)
     parts, have = [], 0
     while have < n:
         need = min(n - have, _SAMPLE_CHUNK)
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        if k <= 8:
-            parts.append(words[3::4].translate(*_sample_tables(q)))
-        else:
-            drawn = struct.unpack(f"<{need}I", words)
-            parts.append(encode([v for x in drawn if (v := x >> 32 - k) < q], q))
-        have += len(parts[-1]) // width
+        parts.append(words[3::4].translate(*_sample_tables(q)))
+        have += len(parts[-1])
     return b"".join(parts)
 
 

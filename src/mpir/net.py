@@ -26,7 +26,8 @@ server_close() ends every open connection, then joins their threads.
 
 Store file layout (format version 2): magic "MPIR2", q u64, K u32, m u32,
 then the K messages' element bytes in message order (21 + w*K*m bytes
-total).  Version 1 files (magic "MPIR1", u64 elements) are rejected by name.
+total).  Version 1 files (magic "MPIR1", u64 elements) are rejected by name,
+and a header that :func:`check_header` refuses is neither written nor read.
 
 The server handler receives nothing but coefficient vectors; the demand set
 never crosses the wire.  The client runs :func:`protocol.execute_round` with
@@ -122,10 +123,19 @@ def read_frame(stream: BinaryIO, sizes: Mapping[int, int]) -> tuple[int, bytes]:
     return msg_type, payload
 
 
+def check_header(q: int, K: int, m: int, path: str | Path) -> None:
+    """StoreFormatError unless (q, K, m) is an instance that a store file
+    header and the frames hold: q a prime below 2**64, K >= 2 and m >= 1,
+    and a query's K*w bytes and an answer's m*w each below 2**32."""
+    if not (q < 2**64 and is_prime(q) and K >= 2 and m >= 1
+            and max(K, m) * gf.element_width(q) < 2**32):
+        raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
+
+
 def write_store(path: str | Path, store: MessageStore) -> None:
-    """Serialize a message store to its on-disk format."""
-    if store.q >= 2**64:
-        raise StoreFormatError("field order does not fit in 64 bits")
+    """Serialize a message store to its on-disk format, once check_header
+    passes; a refused store leaves no file."""
+    check_header(store.q, store.K, store.m, path)
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<QII", store.q, store.K, store.m))
         fh.writelines(store.messages)
@@ -142,8 +152,7 @@ def read_store(path: str | Path) -> MessageStore:
         if len(raw) < 21 or raw[:5] != MAGIC:
             raise StoreFormatError(f"{path}: not a message store file")
         q, K, m = struct.unpack_from("<QII", raw, 5)
-        if not is_prime(q) or K < 2 or m < 1:
-            raise StoreFormatError(f"{path}: header q={q} K={K} m={m} is not an instance")
+        check_header(q, K, m, path)
         size = m * gf.element_width(q)
         if (total := os.fstat(fh.fileno()).st_size) != 21 + K * size:
             raise StoreFormatError(f"{path}: size {total}, expected {21 + K * size}")

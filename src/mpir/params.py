@@ -14,7 +14,9 @@ RationalVector = tuple[Fraction, ...]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin primality test, exact for n below
+    318665857834031151167461 (about 3.2e23), the least strong pseudoprime
+    to every prime base up to 37."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -65,7 +67,7 @@ class Params:
             raise ValueError(f"D must satisfy 1 < D <= K, got D={self.D!r}, K={self.K}")
         if self.q is None:
             object.__setattr__(self, "q", smallest_prime_above(self.D))
-        # Checked before primality: is_prime is only proven below 3.3e24.
+        # Checked before primality: is_prime is only proven below 3.2e23.
         if isinstance(self.q, int) and self.q >= 2**64:
             raise ValueError(
                 f"q must be below 2**64, since the store file header holds q as a u64; got {self.q}"

@@ -117,7 +117,6 @@ def masks_even(masks: Iterable[int], D: int, j: int) -> bool:
     return Counter(masks) == Counter({s: m[j - 1] for s in range(1 << D) if s.bit_count() == j})
 
 
-@lru_cache(maxsize=None)
 def lex_first_positions_even(D: int, j: int) -> bool:
     """Whether the first l_j candidate subsets already satisfy evenness.
 
@@ -178,12 +177,6 @@ def _position_parts(D: int, j: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(zip(*[iter(parts)] * D))
 
 
-@lru_cache(maxsize=None)
-def _collections(D: int, sub_blocks: tuple[int, ...]) -> tuple:
-    """Each sub-block's chosen positions: EvennessError for one with none."""
-    return tuple(_chosen_positions(D, j) for j in sub_blocks)
-
-
 def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int, ...], ...]:
     """Per row l of sub-block j, the D demand parts (T_l's cyclic shifts) that
     its columns 2..N add: the position table mapped through W's subset table,
@@ -221,7 +214,8 @@ def sample_row(params: Params, prob: ProbTable, W: Iterable[int], rng: random.Ra
     if len(prob.nums) != params.K - params.D + 1 or len(prob.nums[0]) != params.D:
         raise ValueError(f"probability table shape does not match K={params.K}, D={params.D}")
     den, groups, ends = prob.sampling_layout
-    _collections(params.D, prob.sub_blocks)  # before any draw: EvennessError, if any
+    for j in prob.sub_blocks:  # before any draw: EvennessError, if any
+        _chosen_positions(params.D, j)
     target = rng.randrange(den)
     g = bisect_right(ends, target)  # the first group ending past target
     i, j, k_count, l_count, num = groups[g]

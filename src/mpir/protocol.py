@@ -140,7 +140,10 @@ def draw_queries(params: Params, w: Sequence[int], row: plan.RowId, R: Sequence[
 
 def mixing_vector(params: Params, R: Sequence[int], rng: random.Random) -> gf.FieldVector:
     """U: a uniform nonzero entry at each index of R, drawn in R's (ascending) order."""
-    return gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in R})
+    U = [0] * params.K
+    for idx in R:
+        U[idx - 1] = rng.randrange(1, params.q)
+    return tuple(U)
 
 
 def assign(params: Params, columns: Sequence[gf.FieldVector], rng: random.Random) -> tuple:

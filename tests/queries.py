@@ -20,6 +20,11 @@ from mpir.protocol import QuerySet
 from rows import row_supports, scan_row
 
 
+def with_support(K: int, entries: dict[int, int]) -> tuple[int, ...]:
+    """The length-K vector with entries[idx] at each 1-based idx, 0 elsewhere."""
+    return tuple(entries.get(idx, 0) for idx in range(1, K + 1))
+
+
 def random_full_rank_V(params: Params, supports: Sequence[Iterable[int]],
                        rng: random.Random) -> gf.FullRankDraw:
     """(V, inverse) over message-index supports, redrawn until the block on
@@ -34,15 +39,14 @@ def random_full_rank_V(params: Params, supports: Sequence[Iterable[int]],
             for c in cols:
                 row[c] = rng.randrange(1, q)
         if (inv := gf.inverse(q, block)) is not None:
-            return tuple(gf.vector_with_support(params.K, dict(zip(covered, row)))
-                         for row in block), inv
+            return tuple(with_support(params.K, dict(zip(covered, row))) for row in block), inv
 
 
 def draw_queries(params: Params, row: plan.RowId, R: Sequence[int],
                  parts: Sequence[Sequence[int]], rng: random.Random) -> QuerySet:
     """U over R, V over the parts, then the shuffle, each column U with its
     part's entries set and the columns sorted into server order."""
-    U = gf.vector_with_support(params.K, {idx: rng.randrange(1, params.q) for idx in R})
+    U = with_support(params.K, {idx: rng.randrange(1, params.q) for idx in R})
     V, inverse = random_full_rank_V(params, parts, rng)
     columns = [U]
     for v, part in zip(V, parts):

@@ -323,6 +323,21 @@ class TestStoreAndNetwork:
         )
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_store_init_refuses_an_unframeable_m_before_drawing(self, capsys, tmp_path,
+                                                                monkeypatch):
+        # An answer of m = 2**32 one-byte elements overflows a frame's u32
+        # length: refused before any element is drawn, and no file is written.
+        def no_draws(*args):
+            raise AssertionError("store init drew elements")
+
+        monkeypatch.setattr(gf, "random_elements", no_draws)
+        path = tmp_path / "store.bin"
+        code, out, err = run_cli(capsys, "store", "init", "--out", str(path),
+                                 "--K", "4", "--D", "2", "--m", str(2**32))
+        assert code == 2
+        assert err.startswith("error: ") and "not an instance" in err
+        assert not path.exists()
+
     def test_retrieve_end_to_end(self, capsys):
         params = Params(K=4, D=2, q=3, m=8)
         store = MessageStore.random(params, random.Random(44))

@@ -83,9 +83,6 @@ class TestSupport:
         assert support((0, 2, 0, 1)) == frozenset({2, 4})
         assert support((0, 0)) == frozenset()
 
-    def test_vector_with_support(self):
-        assert gf.vector_with_support(4, {3: 1, 4: 2}) == (0, 0, 1, 2)
-
 
 def mat_mul(a, b, q):
     return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]

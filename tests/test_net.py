@@ -335,6 +335,29 @@ class TestStoreFile:
         with pytest.raises(net.StoreFormatError, match="not an instance"):
             net.read_store(path)
 
+    @pytest.mark.parametrize("q,m,messages", [
+        (7, 2, (bytes(2),)), (4, 2, (bytes(2),) * 2), (7, 0, (b"", b"")),
+        (2**64 + 13, 1, (bytes(9),) * 2),
+    ], ids=["K=1", "q=4", "m=0", "q>=2**64"])
+    def test_store_that_cannot_be_read_back_is_not_written(self, tmp_path, q, m, messages):
+        path = tmp_path / "store.bin"
+        with pytest.raises(net.StoreFormatError):
+            net.write_store(path, MessageStore(q=q, m=m, messages=messages))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("q,K,m,ok", [
+        (2**64 - 59, 2, 1, True), (2**64 + 13, 2, 1, False),
+        (7, 2**32 - 1, 2**32 - 1, True), (7, 2**32, 1, False), (7, 2, 2**32, False),
+        (65521, 2**31 - 1, 2**31 - 1, True), (65521, 2**31, 1, False), (65521, 2, 2**31, False),
+    ])
+    def test_header_fits_the_wire_format(self, q, K, m, ok):
+        # K and m are u32 fields, and a frame's u32 length holds K*w or m*w bytes.
+        if ok:
+            net.check_header(q, K, m, "store.bin")
+        else:
+            with pytest.raises(net.StoreFormatError, match="not an instance"):
+                net.check_header(q, K, m, "store.bin")
+
     def test_last_element_out_of_range(self, tmp_path, store):
         path = tmp_path / "store.bin"
         net.write_store(path, store)
@@ -860,6 +883,42 @@ class TestConnectionPool:
             net.retrieve(cluster, (1, 2), Params(K=4, D=2, q=3, m=4), seed=1)
         result = net.retrieve(cluster, (1, 3), params, seed=5)
         assert result.transcript.to_bytes() == replayed(params, (1, 3), store, 5)
+
+    def test_connection_reset_after_its_query_is_replaced(self, params, store):
+        # The first server answers round 1, reads round 2's query on the
+        # pooled connection and resets it; the client sends that query once
+        # more, on a new connection, which the same server answers.
+        listener = socket.create_server(("127.0.0.1", 0))
+        sizes = {net.MSG_QUERY: store.K}
+
+        def answer(conn, stream):
+            _, payload = net.read_frame(stream, sizes)
+            reply = server_answer(store, gf.decode(payload, store.q))
+            conn.sendall(net.pack_frame(net.MSG_ANSWER, reply) if reply
+                         else net.pack_frame(net.MSG_EMPTY_ANSWER))
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                answer(conn, stream)
+                net.read_frame(stream, sizes)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                answer(conn, stream)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with serving(store, (0, 0)) as others:
+                endpoints = [listener.getsockname()] + others
+                for seed, W in [(1, (1, 2)), (2, (3, 4))]:
+                    wire = net.retrieve(endpoints, W, params, seed).transcript.to_bytes()
+                    assert wire == replayed(params, W, store, seed)
+            thread.join(5)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
 
     def test_pool_keeps_the_most_recent_endpoints(self, cluster, params, accepts, monkeypatch):
         # With room for two, each round's first connection is the oldest

@@ -185,6 +185,25 @@ class TestPrimes:
         for n in range(-3, 50):
             assert is_prime(n) == (n in primes)
 
+    def test_is_prime_matches_a_sieve(self):
+        n = 10**5
+        sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+        assert [x for x in range(n) if is_prime(x)] == [x for x in range(n) if sieve[x]]
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                                   3474749660383, 341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # Each is a strong pseudoprime to every prime base below some bound,
+        # so a base list that stopped there would call it prime.
+        assert not is_prime(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_large_primes(self, n):
+        assert is_prime(n)
+
     def test_smallest_above(self):
         assert smallest_prime_above(2) == 3
         assert smallest_prime_above(3) == 5

@@ -17,6 +17,7 @@ from mpir.protocol import (
     QuerySet,
     execute_round,
     make_query_set,
+    mixing_vector,
     recover,
     run_round,
     server_answer,
@@ -147,6 +148,20 @@ class TestMakeQuerySet:
         )
         for server in range(3):
             assert abs(counts[server] / n - 1 / 3) < 0.015
+
+
+class TestMixingVector:
+    def test_nonzero_exactly_on_R_drawn_in_R_order(self):
+        # U's entry at each index of R is the next randrange(1, q), in R's
+        # ascending order; every other entry is 0, and nothing else is drawn.
+        params = Params(K=6, D=2, q=5)
+        for seed, R in enumerate([(), (1,), (2, 3, 6), (1, 2, 3, 4, 5, 6)]):
+            rng, reference = random.Random(seed), random.Random(seed)
+            drawn = {idx: reference.randrange(1, params.q) for idx in R}
+            U = mixing_vector(params, R, rng)
+            assert U == tuple(drawn.get(idx, 0) for idx in range(1, params.K + 1))
+            assert all(U[idx - 1] for idx in R)
+            assert rng.getstate() == reference.getstate()
 
 
 class TestRecover:
