@@ -13,7 +13,10 @@ certified once, by three checks: every part in its rows lies in its own
 subset table; its weights pass the size-class certificate c, w_i[t] ==
 c[i + |t|] for every i and t ⊆ W_ref; and each of its rows holds D parts.
 Another W passes if at every j plan's rows for it are the reference's rows
-relabelled by φ: W_ref[p] ↦ W[p] (through W's own subset table).  Then W's
+relabelled by φ: W_ref[p] ↦ W[p].  Each side is one gather of W's own subset
+table per sub-block, grouped D parts to a row: plan's at its position table,
+the relabelled reference's at its parts' positions in W_ref's table; the
+first sub-block whose two sides differ ends the comparison.  Then W's
 weights are φ of the reference's, w_i[φ(t)] = c[i + |t|]; φ keeps sizes
 and maps W_ref's subsets onto W's, so every support S weighs c[|S|] under
 both.  Any other W, the reference's rows in another order included, is
@@ -42,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from . import gf, plan
@@ -206,7 +210,9 @@ def privacy_check(
     (smaller supports first, ties by their sorted indices).
 
     A demand set passes when plan's rows for it are the reference's rows
-    relabelled by φ: W_ref[p] ↦ W[p], and the reference passes its three
+    relabelled by φ: W_ref[p] ↦ W[p], compared sub-block by sub-block as two
+    gathers of W's subset table (plan.sub_block_masks', and one at the
+    positions of the reference's parts), and the reference passes its three
     checks: its parts lie in W_ref's subset table, its weights pass the
     size-class certificate c, and its rows hold D parts each.  W's weights
     are then φ of the reference's, so every support S weighs c[|S|] under
@@ -226,19 +232,20 @@ def privacy_check(
     inverse = {t: s for s, t in enumerate(ref_table)}  # message mask -> position mask
     in_table = all(len(row) == params.D and inverse.keys() >= set(row)
                    for row in chain.from_iterable(ref_rows))
-    rows_in = None  # W's subset table -> the reference's rows relabelled by φ
+    gathers = []  # per sub-block j: W's subset table -> the reference's parts relabelled by φ
     if in_table and None not in [_size_classes(ref_table, weights) for weights in reference]:
-        ps = [[inverse[t] for row in rows for t in row] for rows in ref_rows]
-        rows_in = lambda own: [tuple(zip(*[map(own.__getitem__, p)] * params.D)) for p in ps]
+        gathers = [(j, itemgetter(*[inverse[t] for row in rows for t in row]))
+                   for j, rows in enumerate(ref_rows, start=1)]
+    masks, D = plan.sub_block_masks, params.D
     fraction = cache(lambda v: Fraction(v, scale))
     max_abs_sum = 0
     violations: list[PrivacyViolation] = []
     for w in demands[1:]:
         table = _subsets(w)
-        by_j = _sub_block_rows(params, table)
-        if rows_in and by_j == rows_in(table):
+        if gathers and all(masks(params, table, j) == tuple(zip(*[iter(gather(table))] * D))
+                           for j, gather in gathers):
             continue
-        counts = _demand_counts(by_j, permute)
+        counts = _demand_counts(_sub_block_rows(params, table), permute)
         rest = plan.complement(params, w_ref + w)
         compared = [
             _differences(w_ref, w, rest, ref_w, cur_w)

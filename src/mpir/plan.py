@@ -30,6 +30,7 @@ from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, filterfalse
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .params import Params, lj_mj
@@ -179,10 +180,11 @@ def _position_parts(D: int, j: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 def sub_block_masks(params: Params, table: list[int], j: int) -> tuple[tuple[int, ...], ...]:
     """Per row l of sub-block j, the D demand parts (T_l's cyclic shifts) that
-    its columns 2..N add: the position table mapped through W's subset table,
-    whose entry s is the message bitmask of {w[p] : bit p of s}, w = sorted W."""
-    parts = map(table.__getitem__, _position_masks(params.D, j))
-    return tuple(zip(*[parts] * params.D))  # D consecutive parts per row
+    its columns 2..N add: one gather of W's subset table, whose entry s is the
+    message bitmask of {w[p] : bit p of s}, w = sorted W, at the position
+    table's entries (at least D >= 2 of them, so the gather is a tuple)."""
+    parts = itemgetter(*_position_masks(params.D, j))(table)
+    return tuple(zip(*[iter(parts)] * params.D))  # D consecutive parts per row
 
 
 def row_layout(params: Params, W: Iterable[int], row: RowId) -> RowParts:

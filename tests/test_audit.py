@@ -263,6 +263,18 @@ class TestReplay:
         with pytest.raises(AttributeError, match="randrange and shuffle only"):
             getattr(audit.ReplayRng([]), name)
 
+    def test_a_different_fan_out_on_the_same_choices_raises(self):
+        # The path recorded a choice among 3; a replay that now draws among
+        # 2 at that depth is not the code that recorded it.
+        with pytest.raises(RuntimeError, match="drew differently on the same choices"):
+            audit.ReplayRng([[0, 3]]).randrange(2)
+
+    def test_a_second_full_rank_retry_in_one_run_raises(self):
+        rng = audit.ReplayRng([])
+        assert rng.redraw_until(lambda: "drawn") == "drawn"
+        with pytest.raises(RuntimeError, match="one full-rank retry per run"):
+            rng.redraw_until(lambda: "drawn")
+
     def test_full_rank_attempt_renormalised_per_prefix(self):
         # After u=0 every attempt is full rank; after u=1 half of the 16 are.
         # Each prefix keeps its 1/2, spread evenly over its accepted draws.

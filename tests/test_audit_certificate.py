@@ -12,13 +12,14 @@ relabelled by φ: W_ref[p] ↦ W[p], so W's weights are φ of the reference's
 and every support weighs c of its size under both.  These tests check that
 a correct plan takes that path; that the audit builds one subset table per
 demand set, the reference's included, and plan reads no other; that a part
-outside W, a row moved to the next sub-block, or rows regrouped within one
-do not slip through it; that rows in another order are compared by class
-and pass; that a reference with a part outside W_ref, or a row that does not
-hold D parts, is not certified; that a reference row in a sub-block the
-table gives no mass is still compared row by row; and that every single
-edit of the position table that all demand sets map gives the full
-crossing's report, whichever path each demand set takes.
+outside W, a row moved to the next sub-block, or rows regrouped within one,
+at the last demand set or at one mid-order, do not slip through it; that
+rows in another order are compared by class and pass; that a reference
+with a part outside W_ref, or a row that does not hold D parts, is not
+certified; that a reference row in a sub-block the table gives no mass is
+still compared row by row; and that every single edit of the position
+table that all demand sets map gives the full crossing's report, whichever
+path each demand set takes.
 """
 from __future__ import annotations
 
@@ -158,6 +159,33 @@ def test_rows_regrouped_within_a_sub_block_are_not_certified(monkeypatch):
     assert compared == [(3, 4, 5, 6)]
     assert not report.passed
     assert report == full_crossing_report(SHAPE, table, permute=True)
+
+
+def test_a_demand_set_mid_order_is_certified_by_its_own_rows(monkeypatch):
+    # (2, 4, 6, 8), mid-order at (9, 4), has its first two sub-block-2 rows
+    # swap their first parts: each column keeps its parts and each row holds
+    # D of them, so its counts and sizes are the reference's, but its rows
+    # are not the reference's relabelled.  Only a certificate evaluated for
+    # this demand set itself sends it to the class comparison, which passes
+    # it; every other demand set is certified.
+    params = Params(K=9, D=4)
+    table = build_prob_table(params)
+    masks = plan.sub_block_masks
+    middle = audit._mask((2, 4, 6, 8))
+
+    def regrouped_masks(params, table, j):
+        rows = masks(params, table, j)
+        if table[-1] != middle or j != 2:
+            return rows
+        (a, *x), (b, *y), *rest = rows
+        return ((b, *x), (a, *y), *rest)
+
+    compared = compared_demands(monkeypatch)
+    monkeypatch.setattr(plan, "sub_block_masks", regrouped_masks)
+    report = audit.privacy_check(params, table)
+    assert compared == [(2, 4, 6, 8)]
+    assert report.passed
+    assert report == full_crossing_report(params, table, permute=True)
 
 
 def test_rows_in_another_order_are_compared_by_class_and_pass(monkeypatch):

@@ -50,6 +50,10 @@ class TestLjMj:
     def test_d1(self):
         assert lj_mj(1) == ((1,), (1,))
 
+    def test_rejects_d_below_1(self):
+        with pytest.raises(ValueError, match="D must be >= 1"):
+            lj_mj(0)
+
     def test_d4_j2(self):
         l, m = lj_mj(4)
         assert l[1] == 3

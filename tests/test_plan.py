@@ -185,6 +185,19 @@ class TestVerifyEvenness:
             "30d005cca331ae8d798d0012b8d88633885f0dd2f6563d2dac67af0a29387f38"
         )
 
+    def test_a_collection_that_fails_the_final_check_raises(self, monkeypatch):
+        # The orbit quotas fill l_j rows at (4, 2); the search still
+        # verifies them with masks_even, patched here to reject them.  The
+        # cache is cleared on both sides so no other test sees this call.
+        plan._chosen_positions.cache_clear()
+        monkeypatch.setattr(plan, "masks_even", lambda masks, D, j: False)
+        try:
+            with pytest.raises(plan.EvennessError,
+                               match="even collection search failed for D=4, j=2"):
+                plan._chosen_positions(4, 2)
+        finally:
+            plan._chosen_positions.cache_clear()
+
 
 class TestRowSupports:
     def test_worked_rows(self):

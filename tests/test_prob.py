@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from mpir import prob
 from mpir.params import Params, binomial, compute_FG, lj_mj
 from mpir.prob import (
     ProbTable,
@@ -45,6 +47,11 @@ class TestSolveOpt:
         with pytest.raises(ValueError):
             solve_opt((F(1),), (F(0),))
 
+    @pytest.mark.parametrize("f,g", [((), ()), ((F(1),), (F(1), F(2)))])
+    def test_rejects_empty_or_unequal_lengths(self, f, g):
+        with pytest.raises(ValueError, match="nonempty vectors of equal length"):
+            solve_opt(f, g)
+
 
 class TestBuildProbTable:
     def test_k4_d2_exact_rows(self):
@@ -63,6 +70,24 @@ class TestBuildProbTable:
         assert len(table.P) == 1
         assert table.P[0][table.j_star - 1] == F(1, l[table.j_star - 1])
         assert sum(1 for p in table.P[0] if p) == 1
+
+    def test_box_constraint_binding_raises(self, monkeypatch):
+        # No valid Params has a g_{j*} below 1, so compute_FG is patched to
+        # give one: 1/g_1 = 2 would be a probability above 1.
+        monkeypatch.setattr(prob, "compute_FG", lambda params: ((F(1), F(1)), (F(1, 2), F(1))))
+        with pytest.raises(ValueError, match="box constraint binds"):
+            build_prob_table(Params(K=3, D=2))
+
+    @pytest.mark.parametrize("integer_M,entry", [
+        (([1, 1], 1, [-1, 0]), "P[0][2] = -2/5"),  # a negative sub-diagonal
+        (([5, 5], 1, [1, 0]), "P[0][1] = 2"),  # a first row too heavy
+    ])
+    def test_entry_outside_the_unit_interval_raises(self, monkeypatch, integer_M, entry):
+        # At (3, 2) the last row is (2/5, 0); a broken integer_M makes row 0
+        # leave [0, 1], which no valid Params reaches with the shipped one.
+        monkeypatch.setattr(prob, "integer_M", lambda D: integer_M)
+        with pytest.raises(ValueError, match=re.escape(f"{entry} outside [0, 1]")):
+            build_prob_table(Params(K=3, D=2))
 
     def test_k5_d2_chain(self):
         table = build_prob_table(Params(K=5, D=2))
