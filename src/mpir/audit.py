@@ -150,28 +150,22 @@ def _differences(
 
 
 def support_distribution(
-    params: Params,
-    prob: ProbTable,
-    W: Iterable[int],
-    server_n: int,
-    permute: bool = True,
+    params: Params, prob: ProbTable, W: Iterable[int], server_n: int
 ) -> SupportDistribution:
     """Exact distribution of the query support seen by one server position.
 
     Rows are weighted by their selection probability and summed per
     (sub-table i, demand part t) into _support_weights' w_i[t]; each support
-    b | t, b an i-subset of the complement, weighs w_i[t].
-    With permute=True each of a row's N columns reaches server n with
-    probability 1/N (the uniform-permutation marginal); permute=False models
-    a broken client that always sends column n to server n, which is what
-    the permutation-skip mutation check exercises.
+    b | t, b an i-subset of the complement, weighs w_i[t].  Each of a row's
+    N columns reaches server_n with probability 1/N (the uniform-permutation
+    marginal), so every position in [1, N] sees this one distribution.
     """
     w = plan.demand(params, W)
     if not 1 <= server_n <= params.N:
         raise ValueError(f"server position must be in [1, {params.N}]")
-    scale = params.N * prob.den if permute else prob.den
-    counts = _demand_counts(_sub_block_rows(params, _subsets(w)), permute)
-    weights = _support_weights(prob.nums, counts)[0 if permute else server_n - 1]
+    scale = params.N * prob.den
+    counts = _demand_counts(_sub_block_rows(params, _subsets(w)), permute=True)
+    [weights] = _support_weights(prob.nums, counts)
     parts = {t: frozenset(x for x in w if t >> (x - 1) & 1) for weight in weights for t in weight}
     return {frozenset(b) | parts[t]: Fraction(v, scale) for i, weight in enumerate(weights)
             for b in combinations(w.rest, i) for t, v in weight.items()}
@@ -189,6 +183,10 @@ class PrivacyViolation:
 
 @dataclass(frozen=True)
 class PrivacyReport:
+    """An exact privacy audit's verdict: the largest total-variation distance
+    from the reference demand set's distribution, and each support whose
+    probability differs from the reference's.  The coefficient-level audit
+    compares whole coefficient-vector distributions and lists no violations."""
     params: Params
     passed: bool
     max_tv_distance: Fraction
@@ -233,7 +231,7 @@ def privacy_check(
     in_table = all(len(row) == params.D and inverse.keys() >= set(row)
                    for row in chain.from_iterable(ref_rows))
     gathers = []  # per sub-block j: W's subset table -> the reference's parts relabelled by φ
-    if in_table and None not in [_size_classes(ref_table, weights) for weights in reference]:
+    if in_table and all(_size_classes(ref_table, weights) for weights in reference):
         gathers = [(j, itemgetter(*[inverse[t] for row in rows for t in row]))
                    for j, rows in enumerate(ref_rows, start=1)]
     masks, D = plan.sub_block_masks, params.D
@@ -291,14 +289,6 @@ def perturb_prob_table(prob: ProbTable, i: int, j: int) -> ProbTable:
     rows = [[_PERTURB_SCALE * n for n in row] for row in prob.nums]
     rows[i][j - 1] += prob.den
     return ProbTable(table_mass(rows), rows, prob.j_star)
-
-
-@dataclass(frozen=True)
-class CoefficientPrivacyReport:
-    params: Params
-    passed: bool
-    max_tv_distance: Fraction
-    demands_checked: int
 
 
 # The most leaves (row targets plus query-builder choice sequences) that the
@@ -424,17 +414,14 @@ def coefficient_distributions(
     return [dict(d) for d in dists]
 
 
-def coefficient_privacy_check(
-    params: Params, prob: ProbTable | None = None
-) -> CoefficientPrivacyReport:
-    """Compare the exact coefficient-vector distribution across demand sets.
+def coefficient_privacy_check(params: Params, prob: ProbTable) -> PrivacyReport:
+    """Compare the exact coefficient-vector distribution across demand sets,
+    with rows drawn from prob.
 
     A strictly stronger check than the support-level one: it accounts for the
     full-rank conditioning of the demand vectors, which the support argument
     abstracts away, and for the permutation the client actually draws.
     """
-    if prob is None:
-        prob = build_prob_table(params)
     demands = list(combinations(range(1, params.K + 1), params.D))
     ref, *rest = (coefficient_distributions(params, prob, w) for w in demands)
     max_abs_sum = max(
@@ -442,11 +429,12 @@ def coefficient_privacy_check(
          for cur in rest for a, b in zip(ref, cur)),
         default=Fraction(0),
     )
-    return CoefficientPrivacyReport(
+    return PrivacyReport(
         params=params,
         passed=max_abs_sum == 0,
         max_tv_distance=Fraction(max_abs_sum) / 2,
         demands_checked=len(demands),
+        violations=(),
     )
 
 

@@ -357,7 +357,10 @@ def _distinct_servers(endpoints: tuple[tuple[str, int], ...]) -> bool:
         host, port = endpoint
         if not 0 < port < 65536:  # getaddrinfo would take it mod 65536
             raise ValueError(f"endpoint {endpoint}: port outside 1..65535")
-        addrs = _resolve(host, port)
+        try:
+            addrs = _resolve(host, port)
+        except OSError as exc:  # a name that does not resolve
+            raise type(exc)(*exc.args[:-1], f"{exc.strerror or exc} at server {endpoint}") from exc
         for addr in addrs:
             if addr in seen:
                 raise ValueError(
@@ -408,11 +411,11 @@ def retrieve(
     (address, port), are rejected with ValueError before any query is sent.
 
     Connections are reused across calls, at most one idle per endpoint, and
-    a failed round closes its own.  A socket error (a refusal, a reset or a
-    timeout) keeps its class and errno and names its server.  A reused one
-    the server has closed is retried once on a new connection with the same
-    query.  Reuse lets a server link rounds, but its view of each has the
-    same distribution for every W, so that leaks nothing more.
+    a failed round closes its own.  A socket error (a bad name, a refusal, a
+    reset or a timeout) keeps its class and errno and names its server.  A
+    reused one the server has closed is retried once on a new connection
+    with the same query.  Reuse lets a server link rounds, but its view of
+    each has the same distribution for every W, so that leaks nothing more.
     """
     endpoints = tuple(map(tuple, endpoints))
     if len(endpoints) != params.N:

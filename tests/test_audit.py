@@ -14,10 +14,18 @@ from mpir.params import Params, lj_mj
 from mpir.prob import build_prob_table, table_mass
 from field import inverts, support
 from rows import iter_row_ids, parts_as_supports, row_supports
+import test_privacy_oracle as oracle
 
 
 def F(*args):
     return Fraction(*args)
+
+
+def unpermuted_distributions(params, prob, w):
+    """Per server position, the exact support distribution of a broken client
+    that sends column n to server n: the oracle's unpermuted tallies over den."""
+    return [{oracle.support(mask): F(v, prob.den) for mask, v in tally.items()}
+            for tally in oracle.support_tallies(params, w, prob.nums, False)]
 
 
 class TestSupportDistribution:
@@ -60,7 +68,8 @@ class TestSupportDistribution:
         # Oracle: the supports the protocol sends for every row (the rows
         # oracle, equal to the unions of plan's (R, parts)), each column
         # reaching a position with probability 1/N under the permutation,
-        # or column n-1 alone reaching server n.
+        # or column n-1 alone reaching server n.  Unpermuted, the tallies
+        # checked are the privacy oracle's, which privacy_check's share.
         params = Params(K=K, D=D)
         table = build_prob_table(params)
         if perturbed:
@@ -77,9 +86,13 @@ class TestSupportDistribution:
                             dist[sup] += p_row / params.N
                     else:
                         expected[col][sup] += p_row
+            if permute:
+                got = [audit.support_distribution(params, table, w, n)
+                       for n in range(1, params.N + 1)]
+            else:
+                got = unpermuted_distributions(params, table, w)
             for n, dist in enumerate(expected, start=1):
-                got = audit.support_distribution(params, table, w, n, permute=permute)
-                assert got == {sup: p for sup, p in dist.items() if p}, (w, n)
+                assert got[n - 1] == {sup: p for sup, p in dist.items() if p}, (w, n)
 
     def test_rejects_bad_server(self):
         params = Params(K=4, D=2)
@@ -130,9 +143,9 @@ class TestPrivacyCheck:
         demands = list(combinations(range(1, 5), 2))
         positions = range(1, params.N + 1)
         dists = {
-            (w, n): audit.support_distribution(params, mutated, w, n, permute=False)
+            (w, n): dist
             for w in demands
-            for n in positions
+            for n, dist in enumerate(unpermuted_distributions(params, mutated, w), start=1)
         }
         assert report.violations
         for v in report.violations:
@@ -189,7 +202,8 @@ class TestCoefficientPrivacy:
         # Settles the question left open by the support-level reduction: even
         # with the full-rank conditioning, the coefficient-vector
         # distribution is exactly demand-independent at these instances.
-        report = audit.coefficient_privacy_check(Params(K=K, D=D, q=q))
+        params = Params(K=K, D=D, q=q)
+        report = audit.coefficient_privacy_check(params, build_prob_table(params))
         assert report.passed
         assert report.max_tv_distance == 0
 
@@ -212,7 +226,8 @@ class TestCoefficientPrivacy:
         # The replay runs the client's own shuffle: a client whose shuffle
         # leaves the servers in order sends U to server 1 every time.
         monkeypatch.setattr(audit.ReplayRng, "shuffle", lambda self, x: None)
-        report = audit.coefficient_privacy_check(Params(K=4, D=2, q=3))
+        params = Params(K=4, D=2, q=3)
+        report = audit.coefficient_privacy_check(params, build_prob_table(params))
         assert not report.passed
         assert report.max_tv_distance > 0
 

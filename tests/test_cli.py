@@ -112,41 +112,59 @@ class TestRateTable:
         assert a == b
 
 
-# SHA-256 of the full stdout of `mpir params` and `mpir rate-table`.  Their
-# output is exact and must not change: a change that moves a hash here
-# changes behaviour.
+# Exit code and SHA-256 of the full stdout of `mpir params`, `mpir
+# rate-table`, `mpir simulate` and `mpir audit`: each privacy audit passing
+# and failing, with and without the permutation.  Their output is exact and
+# must not change: a change that moves an entry here changes behaviour.
 PINNED_OUTPUT = {
     ("params", "--K", "5", "--D", "2"):
-        "562d39658f89625a5cc972a77707653631b0e054e02180ee79b670176338c4bc",
+        (0, "562d39658f89625a5cc972a77707653631b0e054e02180ee79b670176338c4bc"),
     ("params", "--K", "7", "--D", "3"):
-        "7be924cc968cb4727857feb912761d4d403161be1970f86f87acdf7d1d650b33",
+        (0, "7be924cc968cb4727857feb912761d4d403161be1970f86f87acdf7d1d650b33"),
     ("params", "--K", "12", "--D", "5", "--q", "11", "--m", "4"):
-        "ec8b23beb0ea3eec509c1649a72504f7904c8125a1d17bb81d8b0c688d7e518d",
+        (0, "ec8b23beb0ea3eec509c1649a72504f7904c8125a1d17bb81d8b0c688d7e518d"),
     # M's sub-diagonal is 1/2, 2/3, 3/2, 2, 1/6 at D=6, and not all 1 at D=8.
     ("params", "--K", "20", "--D", "6"):
-        "c28f4c33d3256811563abdcda972e1347ec576e06aaee96cc6130b18b493c9ca",
+        (0, "c28f4c33d3256811563abdcda972e1347ec576e06aaee96cc6130b18b493c9ca"),
     ("params", "--K", "16", "--D", "8"):
-        "42ff87ab67882ae5fdee41ab1976b46365a2e870f4629b0018ef0398b234150e",
+        (0, "42ff87ab67882ae5fdee41ab1976b46365a2e870f4629b0018ef0398b234150e"),
     ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "markdown"):
-        "f1d42bff176e304e0b4808a84d2f5ba2a3a28ddf3a2acb439e247f0a34c75cdd",
+        (0, "f1d42bff176e304e0b4808a84d2f5ba2a3a28ddf3a2acb439e247f0a34c75cdd"),
     ("rate-table", "--D", "2", "--k-min", "2", "--k-max", "12", "--format", "csv"):
-        "df2035da2aeaba0c4eaf0be218605968363c376ccfd44211cc1ef26a104117c2",
+        (0, "df2035da2aeaba0c4eaf0be218605968363c376ccfd44211cc1ef26a104117c2"),
     ("rate-table", "--D", "3", "--k-min", "3", "--k-max", "12", "--format", "markdown"):
-        "cab6d57dd7b1b9cc79b74a34470ee9d37415a90923aa043eca5107e50d383f0f",
+        (0, "cab6d57dd7b1b9cc79b74a34470ee9d37415a90923aa043eca5107e50d383f0f"),
     ("rate-table", "--D", "3", "--k-min", "3", "--k-max", "12", "--format", "csv"):
-        "58871bbc3b370e3fdd909c680366d71f7f04ee051fa15c8b74c256f042356e8c",
+        (0, "58871bbc3b370e3fdd909c680366d71f7f04ee051fa15c8b74c256f042356e8c"),
     ("rate-table", "--D", "4", "--k-min", "4", "--k-max", "12", "--format", "markdown"):
-        "42686f817b3f901270000ea36b4408794861b67257216d6e042324c829dca1d3",
+        (0, "42686f817b3f901270000ea36b4408794861b67257216d6e042324c829dca1d3"),
     ("rate-table", "--D", "4", "--k-min", "4", "--k-max", "12", "--format", "csv"):
-        "315725a90bd091539ac86ce2d434f1b6116e331dad77f5f7e9b8a5ead5402fde",
+        (0, "315725a90bd091539ac86ce2d434f1b6116e331dad77f5f7e9b8a5ead5402fde"),
+    ("audit", "privacy", "--K", "9", "--D", "4"):
+        (0, "4bb20ccf896165abe980bbb1a4445678277ed687e7022f5ae8939ae9f9ae4782"),
+    ("audit", "privacy", "--K", "9", "--D", "3", "--mutate", "0", "1"):
+        (1, "b513330afdb5242944166b1fed7f99f02e197f829bde24a85691a4326c9fcf69"),
+    ("audit", "privacy", "--K", "7", "--D", "3", "--no-permute"):
+        (1, "54f79971a32918d7ea71528ec56cb69b31e19132c74a2c1292172069f84ecc95"),
+    ("audit", "privacy", "--K", "8", "--D", "4", "--mutate", "1", "2", "--no-permute"):
+        (1, "adddedb6c30cbf1c6e7cebc3922fa6e3f152c2d4e6fbf69658fb8c00e71443c0"),
+    ("audit", "privacy", "--K", "4", "--D", "2", "--coefficient-level"):
+        (0, "bbf4cfc09ef2dace9e758e0a6c694a74b14a0beec64d48d67d9aaca62cef3de1"),
+    ("audit", "privacy", "--K", "4", "--D", "2", "--coefficient-level", "--mutate", "0", "1"):
+        (1, "d2dce525064cd3450e239f27482a368b89eb659a210605fee3ecd045309f0aa4"),
+    ("audit", "evenness", "--D", "7"):
+        (0, "11751c327daabb7a3ec1c38ecb233e51fc1fb0235c7d83b3bc30ead3047c4995"),
+    ("simulate", "--K", "9", "--D", "2", "--rounds", "300", "--seed", "7"):
+        (0, "3ab3f0a50ef7fdcd886a6f28f7b211a8b550936a5969abb694e1892746eacba2"),
+    ("audit", "recoverability", "--K", "6", "--D", "3", "--trials", "50", "--seed", "3"):
+        (0, "c9f4d26362b66aba635130fc893e16e1c70e79bab2f7cb011ef2cb4caafd4000"),
 }
 
 
 @pytest.mark.parametrize("argv", PINNED_OUTPUT, ids=" ".join)
 def test_pinned_output(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUT[argv]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_OUTPUT[argv]
 
 
 class TestSimulate:

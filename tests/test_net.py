@@ -815,6 +815,15 @@ class TestRetrieve:
         assert str(exc).endswith(f" at server {dead[0]}")
         assert type(exc) is type(exc.__cause__) and exc.errno == exc.__cause__.errno
 
+    def test_unresolved_endpoint_is_named(self, params):
+        # A name that does not resolve (here the empty one) is named as a
+        # refused connection is, keeping the lookup error's class and errno.
+        unresolved = [("", 1), ("", 2), ("", 3)]
+        with pytest.raises(OSError, match=r"at server \('', 1\)$") as excinfo:
+            net.retrieve(unresolved, (1, 2), params, seed=0)
+        exc = excinfo.value
+        assert type(exc) is type(exc.__cause__) and exc.errno == exc.__cause__.errno
+
     def test_reset_mid_answer_is_named(self, cluster, params, stalling_server):
         # An ANSWER header and part of its payload, then a reset: the error
         # names the server, and the round keeps none of its connections.
